@@ -1,11 +1,24 @@
-"""Benchmark: compiled likelihood kernels vs the numpy fallback.
+"""Benchmark: compiled likelihood kernels vs the numpy fallback, and refits.
 
-Times raw kernel evaluations at several sample sizes and one end-to-end
-bootstrap (Gumbel refit statistic) per backend.  Run as:
+Times raw kernel evaluations at several sample sizes, one bootstrap (Gumbel
+refit statistic, one refit at a time) per backend, and the resampling stages
+of the standard case with the batched replicate engine against the
+one-refit-at-a-time loop.  Run as:
 
-    python benchmarks/bench_kernels.py
+    python benchmarks/bench_kernels.py                     # print everything
+    python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json
+
+The second form runs only the refit section and writes it, with the host
+facts, to the named file.
 """
 
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import sys
 import time
 
 import numpy as np
@@ -57,6 +70,144 @@ def bench_bootstrap():
     _core.use_backend(active)
 
 
+# -- batched refits against the one-at-a-time loop -------------------------------
+
+REFIT_REPEATS = 3
+
+
+class _Loop:
+    """A refit statistic without ``rows``: resampling falls back to its loop."""
+
+    def __init__(self, model):
+        self.refit = bm.Refit(model)
+
+    def __call__(self, values):
+        return self.refit(values)
+
+
+@contextlib.contextmanager
+def _workflow_refit(make_statistic):
+    # run_workflow builds its statistic as workflow.Refit(model)
+    saved = bm.workflow.Refit
+    bm.workflow.Refit = make_statistic
+    try:
+        yield
+    finally:
+        bm.workflow.Refit = saved
+
+
+def _pin_one_cpu():
+    """Pin this process to one CPU where the OS allows it; the CPU, or None."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
+def _timed(fn):
+    """(median wall s, median CPU s, last result) over REFIT_REPEATS runs."""
+    walls, cpus = [], []
+    for _ in range(REFIT_REPEATS):
+        w0, c0 = time.perf_counter(), time.process_time()
+        out = fn()
+        walls.append(time.perf_counter() - w0)
+        cpus.append(time.process_time() - c0)
+    return statistics.median(walls), statistics.median(cpus), out
+
+
+def _same_report(a, b):
+    if isinstance(a, dict):
+        return a == b
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("estimate", "bias", "se", "ratio", "rmse", "corrected")) \
+        and (a.failed, a.failures) == (b.failed, b.failures)
+
+
+def bench_refits() -> dict:
+    """The standard case's resampling, batched ``Refit`` against the per-row loop.
+
+    The README series (n=129): bootstrap B=999 (seed 4) and the jackknife for
+    both models, and ``run_workflow`` with the GEV model forced, B=999.
+    """
+    cpu = _pin_one_cpu()
+    sample = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129, seed=101)
+    config = bm.WorkflowConfig(model="gev", boot_b=999, seed=4)
+
+    def workflow(make_statistic):
+        with _workflow_refit(make_statistic):
+            return bm.run_workflow(sample, config)
+
+    # each case runs with a statistic class: _Loop (per-row loop) or bm.Refit (batched)
+    cases = {}
+    for model in ("gev", "gumbel"):
+        cases[f"bootstrap_b999_{model}"] = \
+            lambda make, m=model: bm.bootstrap(sample, make(m), b=999, seed=4)
+        cases[f"jackknife_{model}"] = lambda make, m=model: bm.jackknife(sample, make(m))
+    cases["run_workflow_gev_b999"] = workflow
+    results = {}
+    print(f"\nrefits at n=129, median of {REFIT_REPEATS}, single core (CPU {cpu}):")
+    print(f"{'stage':<22} {'loop s':>8} {'batched s':>10} {'speed-up':>9}  (wall; CPU in the JSON)")
+    for name, run in cases.items():
+        loop = _timed(lambda: run(_Loop))
+        batched = _timed(lambda: run(bm.Refit))
+        results[name] = {
+            "loop_wall_s": round(loop[0], 4),
+            "loop_cpu_s": round(loop[1], 4),
+            "batched_wall_s": round(batched[0], 4),
+            "batched_cpu_s": round(batched[1], 4),
+            "speedup_wall": round(loop[0] / batched[0], 2),
+            "identical_output": _same_report(loop[2], batched[2]),
+        }
+        print(f"{name:<22} {loop[0]:>8.3f} {batched[0]:>10.3f} {loop[0] / batched[0]:>8.1f}x")
+    return {
+        "label": "batched_refits",
+        "command": "python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json",
+        "cores": "single-core: the process is pinned to one CPU and numpy runs these "
+                 "elementwise ufuncs on one thread",
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
+            "pinned_cpu": cpu,
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "kernel_backend": _core.BACKEND,
+            "backends_available": sorted(_core.BACKENDS),
+        },
+        "input": "bm.sample(GevParams(79, 21, 0), n=129, seed=101), the README series",
+        "statistic": f"median of {REFIT_REPEATS} runs; wall and process CPU seconds",
+        "engines": {
+            "loop": "one scalar Nelder-Mead refit per replicate (a statistic without rows)",
+            "batched": "Refit.rows: lockstep Nelder-Mead over gathered sample rows",
+        },
+        "results": results,
+    }
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 if __name__ == "__main__":
-    bench_kernels()
-    bench_bootstrap()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--refits-json", default=None,
+                        help="run only the refit section and write it to this file")
+    args = parser.parse_args()
+    if args.refits_json is None:
+        bench_kernels()
+        bench_bootstrap()
+        bench_refits()
+    else:
+        report = bench_refits()
+        with open(args.refits_json, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {args.refits_json}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .inference import (
     LrtResult,
     ProfileBracketError,
     ProfileCurve,
+    Refit,
     Regularity,
     aic,
     delta_method,

@@ -4,6 +4,10 @@ The compiled extension is preferred when built; the numpy fallback is used
 otherwise, or when BLOCKMAX_PURE_PYTHON=1.  Callers look the kernels up as
 module attributes (``_core.gev_nllh``) so :func:`use_backend` can swap them,
 which the benchmark and the backend-parity tests rely on.
+
+The row kernels (``gev_nllh_rows``, ``gumbel_nllh_rows``) evaluate one
+parameter point per row of a sample matrix for the batched replicate engine.
+They are numpy only and serve either backend.
 """
 
 import os
@@ -20,6 +24,8 @@ if _compiled is not None:
     BACKENDS["compiled"] = _compiled
 
 PENALTY = _kernels_py.PENALTY
+gumbel_nllh_rows = _kernels_py.gumbel_nllh_rows
+gev_nllh_rows = _kernels_py.gev_nllh_rows
 
 gumbel_nllh = None
 gev_nllh = None

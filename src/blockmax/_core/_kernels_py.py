@@ -59,3 +59,65 @@ def gev_nllh(x, mu, sigma, xi):
         excess = float(np.clip(e - _OVERFLOW_EDGE, 0.0, None).sum())
         return PENALTY + excess, False
     return value, True
+
+
+# -- row kernels --------------------------------------------------------------
+#
+# One parameter point per row of a (lanes, n) sample matrix, for the batched
+# replicate engine.  Row r returns exactly what the scalar kernel returns for
+# X[r]: the elementwise arithmetic is the same, every row sum reduces along
+# the contiguous last axis (the same pairwise order as a 1-D sum), and
+# m*log(sigma) uses math.log per lane.
+
+
+def _lane_log(sigma, bad_sigma):
+    # math.log, not np.log, whose SIMD loops may round differently; lanes with
+    # sigma <= 0 get log(1) here and their penalty from the caller
+    return np.fromiter(map(math.log, np.where(bad_sigma, 1.0, sigma).tolist()), float, sigma.size)
+
+
+def gumbel_nllh_rows(X, mu, sigma):
+    """Row-wise :func:`gumbel_nllh`: arrays ``(value, valid)`` of shape (lanes,)."""
+    bad_sigma = sigma <= 0.0
+    with np.errstate(all="ignore"):
+        z = X - mu[:, None]
+        z /= sigma[:, None]
+        w = np.negative(z)
+        # z is summed before exp(-z) overwrites it; w stays for the overflow grading
+        value = X.shape[1] * _lane_log(sigma, bad_sigma) + z.sum(axis=1) + np.exp(w, out=z).sum(axis=1)
+    valid = np.isfinite(value) & ~bad_sigma
+    overflow = ~valid & ~bad_sigma
+    if overflow.any():
+        value[overflow] = PENALTY + np.clip(w[overflow] - _OVERFLOW_EDGE, 0.0, None).sum(axis=1)
+    value[bad_sigma] = PENALTY - sigma[bad_sigma]
+    return value, valid
+
+
+def gev_nllh_rows(X, mu, sigma, xi):
+    """Row-wise :func:`gev_nllh`: arrays ``(value, valid)`` of shape (lanes,)."""
+    bad_sigma = sigma <= 0.0
+    with np.errstate(all="ignore"):
+        s = X - mu[:, None]
+        s *= xi[:, None]
+        s /= sigma[:, None]
+        # 1 + s is exact for s in [-2, -0.5] and negative below, so the
+        # scalar test t = 1 + s <= 0 holds exactly when s <= -1
+        outside = (s <= -1.0).any(axis=1) & ~bad_sigma
+        if outside.any():
+            violation = np.clip(-(1.0 + s[outside]), 0.0, None).sum(axis=1)
+        log_t = np.log1p(s)
+        e = np.divide(log_t, -xi[:, None], out=s)  # == -log_t / xi, bit for bit
+        # log_t is summed before exp(e) overwrites it; e stays for the overflow grading
+        value = (
+            X.shape[1] * _lane_log(sigma, bad_sigma)
+            + (1.0 + 1.0 / xi) * log_t.sum(axis=1)
+            + np.exp(e, out=log_t).sum(axis=1)
+        )
+    valid = np.isfinite(value) & ~bad_sigma & ~outside
+    overflow = ~valid & ~bad_sigma & ~outside
+    if overflow.any():
+        value[overflow] = PENALTY + np.clip(e[overflow] - _OVERFLOW_EDGE, 0.0, None).sum(axis=1)
+    if outside.any():
+        value[outside] = PENALTY + violation
+    value[bad_sigma] = PENALTY - sigma[bad_sigma]
+    return value, valid

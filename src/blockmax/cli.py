@@ -25,7 +25,7 @@ from .diagnostics import (
     series_to_svg,
 )
 from .gev import GevParams, cdf, sample as draw_sample
-from .inference import ConvergenceError, fit_gev, fit_gumbel
+from .inference import ConvergenceError, Refit, fit_gev, fit_gumbel
 from .orderstats import order_cdf
 from .resampling import ResamplingError, bootstrap, jackknife, screen
 from .returns import return_level, return_level_ci
@@ -109,9 +109,7 @@ def _corrected_sigma(sample, fit, bias_correct):
     if bias_correct == "off":
         return None
     labels = ("mu", "sigma", "xi")[: fit.n_params]
-    stat = (lambda v: fit_gev(v, compute_se=False).theta) if fit.model == "gev" \
-        else (lambda v: fit_gumbel(v, compute_se=False).theta)
-    rep = jackknife(sample.values, stat, labels=labels)
+    rep = jackknife(sample.values, Refit(fit.model), labels=labels)
     verdicts = dict(zip(rep.labels, screen(rep)))
     corrected = dict(zip(rep.labels, rep.corrected))
     if bias_correct == "on" or verdicts["sigma"].value == "correct":
@@ -231,8 +229,7 @@ def _cmd_resample(args):
     sample = _load_sample(args)
     fit = _select_fit(sample, args.model)
     labels = ("mu", "sigma", "xi")[: fit.n_params]
-    stat = (lambda v: fit_gev(v, compute_se=False).theta) if fit.model == "gev" \
-        else (lambda v: fit_gumbel(v, compute_se=False).theta)
+    stat = Refit(fit.model)
     seed = resolve_seed(args.seed)
     payload = {"model": fit.model}
     if args.method in ("both", "bootstrap"):

@@ -19,12 +19,14 @@ from .gev import GevParams
 from .likelihood import (
     PENALTY,
     SingularInformationError,
+    gev_nllh_rows,
     gev_nllh_value,
+    gumbel_nllh_rows,
     gumbel_nllh_value,
     observed_information,
 )
 from .returns import location_for_level, return_level, return_level_gradient
-from .simplex import OptResult, SimplexConfig, minimize
+from .simplex import OptResult, SimplexConfig, minimize, minimize_rows
 from .special import chi2_quantile, normal_quantile
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "LrtResult",
     "ProfileBracketError",
     "ProfileCurve",
+    "Refit",
     "Regularity",
     "aic",
     "delta_method",
@@ -47,8 +50,20 @@ MIN_FIT_SIZE = 10
 EULER_GAMMA = 0.5772157
 
 
+NOT_CONVERGED = "not_converged"
+PENALIZED_OPTIMUM = "penalized_optimum"
+
+
 class ConvergenceError(Exception):
-    """The likelihood maximization did not converge."""
+    """The likelihood maximization failed; ``cause`` says how.
+
+    ``NOT_CONVERGED``: the simplex search ran out of iterations.
+    ``PENALIZED_OPTIMUM``: it converged, but onto the penalty surface.
+    """
+
+    def __init__(self, message: str, cause: str = NOT_CONVERGED):
+        super().__init__(message)
+        self.cause = cause
 
 
 class ProfileBracketError(ValueError):
@@ -138,9 +153,13 @@ def _check_fit_sample(sample) -> np.ndarray:
 def _run_fit(values, objective, x0) -> OptResult:
     opt = minimize(objective, x0, SimplexConfig())
     if not opt.converged:
-        raise ConvergenceError(f"simplex search did not converge in {opt.iterations} iterations")
+        raise ConvergenceError(
+            f"simplex search did not converge in {opt.iterations} iterations", NOT_CONVERGED
+        )
     if opt.f_min >= PENALTY:
-        raise ConvergenceError("no valid parameter region found (penalized optimum)")
+        raise ConvergenceError(
+            "no valid parameter region found (penalized optimum)", PENALIZED_OPTIMUM
+        )
     return opt
 
 
@@ -186,6 +205,58 @@ def fit_gumbel(sample, compute_se: bool = True) -> FitResult:
         regularity=Regularity.REGULAR,
         opt=opt,
     )
+
+
+class Refit:
+    """Refit statistic for resampling: the ML parameter vector of a sample.
+
+    ``Refit(model)(values)`` is ``fit_<model>(values, compute_se=False).theta``.
+    ``rows(X)`` refits every row of a sample matrix at once, with one
+    lockstep :func:`minimize_rows` search, and returns ``(theta, ok)``: row r
+    of ``theta`` is bit for bit what the call on ``X[r]`` returns, and
+    ``ok[r]`` is False exactly where that call raises ConvergenceError.  A
+    ``failures`` Counter, when given, gains the ConvergenceError cause of
+    every failed row.
+    """
+
+    def __init__(self, model: str):
+        if model not in ("gev", "gumbel"):
+            raise ValueError(f"unknown model {model!r}")
+        self.model = model
+
+    def __call__(self, values) -> np.ndarray:
+        fit = fit_gev if self.model == "gev" else fit_gumbel
+        return fit(values, compute_se=False).theta
+
+    def rows(self, X, failures=None) -> tuple[np.ndarray, np.ndarray]:
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("rows expects a (lanes, n) sample matrix")
+        if X.shape[1] < MIN_FIT_SIZE:
+            raise ValueError(f"need at least {MIN_FIT_SIZE} observations, got {X.shape[1]}")
+        x0 = np.array([_moment_start(row) for row in X])
+
+        def lane_rows(lanes):
+            # lanes is an ascending subset of the rows; all of them needs no copy
+            return X if lanes.size == X.shape[0] else X[lanes]
+
+        if self.model == "gev":
+            x0 = np.column_stack([x0, np.full(X.shape[0], 0.1)])
+
+            def objective(lanes, points):
+                return gev_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1], points[:, 2])[0]
+        else:
+
+            def objective(lanes, points):
+                return gumbel_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1])[0]
+
+        opt = minimize_rows(objective, x0, SimplexConfig())
+        penalized = opt.converged & (opt.f_min >= PENALTY)
+        if failures is not None:
+            for cause, mask in ((NOT_CONVERGED, ~opt.converged), (PENALIZED_OPTIMUM, penalized)):
+                if mask.any():
+                    failures[cause] += int(np.count_nonzero(mask))
+        return opt.x_min, opt.converged & ~penalized
 
 
 def normal_ci(fit: FitResult, index: int, tau: float) -> tuple[float, float]:

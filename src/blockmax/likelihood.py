@@ -25,7 +25,9 @@ __all__ = [
     "NegLogLik",
     "ObservedInfo",
     "SingularInformationError",
+    "gev_nllh_rows",
     "gev_nllh_value",
+    "gumbel_nllh_rows",
     "gumbel_nllh_value",
     "nllh_gev",
     "nllh_gumbel",
@@ -74,6 +76,29 @@ def gev_nllh_value(values: np.ndarray, mu: float, sigma: float, xi: float):
 def gumbel_nllh_value(values: np.ndarray, mu: float, sigma: float):
     """Fast path: (value, valid) for the Gumbel surface."""
     return _core.gumbel_nllh(values, mu, sigma)
+
+
+def gev_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray):
+    """Row-wise :func:`gev_nllh_value`: one (mu, sigma, xi) lane per row of ``X``.
+
+    Returns ``(value, valid)`` arrays; lane r equals ``gev_nllh_value(X[r], ...)``
+    bit for bit, lanes with ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface.
+    """
+    gumbel = np.abs(xi) < GUMBEL_XI_EPS
+    if not gumbel.any():
+        return _core.gev_nllh_rows(X, mu, sigma, xi)
+    value = np.empty(xi.size)
+    valid = np.empty(xi.size, dtype=bool)
+    value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X[gumbel], mu[gumbel], sigma[gumbel])
+    rest = ~gumbel
+    if rest.any():
+        value[rest], valid[rest] = _core.gev_nllh_rows(X[rest], mu[rest], sigma[rest], xi[rest])
+    return value, valid
+
+
+def gumbel_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """Row-wise :func:`gumbel_nllh_value`: ``(value, valid)`` arrays."""
+    return _core.gumbel_nllh_rows(X, mu, sigma)
 
 
 def _check_nonempty(values):

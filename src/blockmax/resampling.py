@@ -4,12 +4,22 @@ Both resamplers work on any statistic mapping a 1-D value array to a scalar
 or vector.  Reports carry bias, standard error, |bias|/se, root mean square
 error and the bias-corrected estimate per component, plus the screening
 verdict helpers built on the quarter-of-a-standard-error rule of thumb.
+
+A statistic with a ``rows(X, failures)`` method, which returns
+``(theta, ok)`` for the rows of ``X`` and adds the cause of each failed row
+to the ``failures`` Counter (such as :class:`blockmax.inference.Refit`), is
+evaluated in batches: the resampled samples are gathered into the rows of a
+matrix of about ``CHUNK_ELEMENTS`` values, and each batch is one ``rows``
+call.  The samples are the same as in the one-at-a-time loop used for plain
+callables, so the reports are identical.  Samples too long for
+``MIN_LANES`` rows per batch go through the loop as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,6 +43,14 @@ __all__ = [
 IGNORE_BELOW = 0.25
 CORRECT_MAX = 1.0
 
+# Values (lanes x n) per batched ``rows`` call: about 128 lanes at n=129.
+# Larger batches save little time and cost memory for every kernel temporary.
+CHUNK_ELEMENTS = 16_384
+# Fewest rows per batch for which batching pays.  Below it (n above about
+# 2000) the lockstep bookkeeping costs more than the batch saves, and the
+# statistic is called one sample at a time instead.
+MIN_LANES = 8
+
 
 class ResamplingError(Exception):
     """Resampling aborted (too many failed replicates, or a failed refit)."""
@@ -46,7 +64,13 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ResamplingReport:
-    """Per-component resampling summary; method is "bootstrap" or "jackknife"."""
+    """Per-component resampling summary; method is "bootstrap" or "jackknife".
+
+    ``failed`` counts the bootstrap replicates that were redrawn, and
+    ``failures`` splits that count by cause: the ``cause`` of the error
+    (``not_converged``, ``penalized_optimum``, ``non_finite``), or the
+    exception's type name for a plain statistic that raised.
+    """
 
     method: str
     labels: tuple[str, ...]
@@ -59,6 +83,7 @@ class ResamplingReport:
     b: int | None = None
     seed: int | None = None
     failed: int = 0
+    failures: dict[str, int] = field(default_factory=dict)
 
 
 def rmse(bias: float, se: float) -> float:
@@ -92,13 +117,49 @@ def _labels(labels, k):
     return labels
 
 
+class _NonFinite(ValueError):
+    """The statistic returned NaN or infinite values."""
+
+    cause = "non_finite"
+
+
+def _cause(exc: Exception) -> str:
+    return getattr(exc, "cause", None) or type(exc).__name__
+
+
 def _evaluate(statistic, values) -> np.ndarray:
     out = np.atleast_1d(np.asarray(statistic(values), dtype=float))
     if out.ndim != 1:
         raise ValueError("statistic must return a scalar or 1-D vector")
     if not np.all(np.isfinite(out)):
-        raise ValueError("statistic returned non-finite values")
+        raise _NonFinite("statistic returned non-finite values")
     return out
+
+
+def _evaluate_rows(statistic, X, k, failures) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`_evaluate`: ``(theta, ok)`` for the rows of ``X``."""
+    theta, ok = statistic.rows(X, failures)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (X.shape[0], k):
+        raise ValueError(f"statistic rows returned shape {theta.shape}, expected {(X.shape[0], k)}")
+    finite = np.isfinite(theta).all(axis=1)
+    if not finite[ok].all():
+        failures[_NonFinite.cause] += int(np.count_nonzero(ok & ~finite))
+    return theta, ok & finite
+
+
+def _lanes(n: int) -> int:
+    return max(1, CHUNK_ELEMENTS // n)
+
+
+def _batched(statistic, n: int) -> bool:
+    """Whether samples of size n go through ``statistic.rows``."""
+    return hasattr(statistic, "rows") and _lanes(n) >= MIN_LANES
+
+
+def _draw(seed: int, i: int, attempt: int, n: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, attempt])))
+    return rng.integers(0, n, size=n)
 
 
 def _assemble(method, labels, estimate, bias, se, **extra) -> ResamplingReport:
@@ -124,41 +185,83 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
     b - 1).  Replicate ``i`` draws from its own PCG64 stream seeded by
     (seed, i, attempt), so results are deterministic and independent of any
     parallel execution order.  A replicate whose statistic raises (or returns
-    non-finite values) is redrawn; more than 10% failures aborts.
+    non-finite values, or is not ``ok`` in a ``rows`` batch) is redrawn with
+    attempt + 1; more than 10% failures aborts.  An exception raised by a
+    ``rows`` call is not a failed replicate: it propagates.
     """
     values = as_values(sample)
     if b < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    n = values.size
     estimate = _evaluate(statistic, values)
 
     replicates = np.empty((b, estimate.size))
+    failures: Counter = Counter()
+    if _batched(statistic, values.size):
+        failed = _bootstrap_rows(values, statistic, seed, replicates, failures)
+    else:
+        failed = _bootstrap_loop(values, statistic, seed, replicates, failures)
+
+    bias = replicates.mean(axis=0) - estimate
+    se = replicates.std(axis=0, ddof=1)
+    return _assemble("bootstrap", labels, estimate, bias, se, b=b, seed=seed,
+                     failed=failed, failures=dict(sorted(failures.items())))
+
+
+def _bootstrap_loop(values, statistic, seed, replicates, failures) -> int:
+    """Replicates one at a time; a failed one is redrawn at once.  The failure count."""
+    b, n = replicates.shape[0], values.size
     failed = 0
-    fail_budget = 0.10 * b
-    last_error = None
     for i in range(b):
         attempt = 0
         while True:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, attempt])))
-            idx = rng.integers(0, n, size=n)
+            idx = _draw(seed, i, attempt, n)
             try:
                 replicates[i] = _evaluate(statistic, values[idx])
                 break
             except Exception as exc:  # noqa: BLE001 - any failed refit counts
                 failed += 1
-                last_error = exc
-                if failed > fail_budget:
+                failures[_cause(exc)] += 1
+                if failed > 0.10 * b:
                     raise ResamplingError(
                         f"{failed} of {b} bootstrap replicates failed "
-                        f"(limit 10%); last error: {last_error!r}"
+                        f"(limit 10%); last error: {exc!r}"
                     ) from exc
                 attempt += 1
+    return failed
 
-    bias = replicates.mean(axis=0) - estimate
-    se = replicates.std(axis=0, ddof=1)
-    return _assemble("bootstrap", labels, estimate, bias, se, b=b, seed=seed, failed=failed)
+
+def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
+    """Replicates in batches of gathered rows; failed ones are redrawn next round.
+
+    Every replicate goes through the same (seed, i, attempt) draws as in the
+    loop, so the replicates, the failure count and whether the budget breaks
+    are the same; only the order of evaluation differs.
+    """
+    b, k = replicates.shape
+    n = values.size
+    lanes = _lanes(n)
+    failed = 0
+    pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
+    while pending:
+        redraw = []
+        for start in range(0, len(pending), lanes):
+            chunk = pending[start:start + lanes]
+            idx = np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])
+            theta, ok = _evaluate_rows(statistic, values[idx], k, failures)
+            rows = np.array([i for i, _ in chunk])
+            replicates[rows[ok]] = theta[ok]
+            redraw += [(i, attempt + 1) for (i, attempt), good in zip(chunk, ok) if not good]
+            for _ in range(len(chunk) - int(np.count_nonzero(ok))):
+                failed += 1  # one at a time, to stop at the same count as the loop
+                if failed > 0.10 * b:
+                    raise ResamplingError(
+                        f"{failed} of {b} bootstrap replicates failed "
+                        f"(limit 10%); causes: {', '.join(sorted(failures))}"
+                    )
+        pending = redraw
+    return failed
 
 
 def jackknife(sample, statistic, labels=None) -> ResamplingReport:
@@ -167,7 +270,9 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     Exactly n evaluations, one per deleted observation:
     bias = (n-1)*(mean of leave-one-out values - full value),
     se = sqrt((n-1)/n * sum (theta_(i) - mean)^2).  Fully deterministic;
-    any failed evaluation aborts (there is no redraw to fall back on).
+    any failed evaluation aborts with ResamplingError (there is no redraw to
+    fall back on).  With a ``rows`` statistic the leave-one-out samples are
+    evaluated in batches; an exception raised by ``rows`` aborts the same way.
     """
     values = as_values(sample)
     n = values.size
@@ -176,14 +281,37 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     estimate = _evaluate(statistic, values)
 
     loo = np.empty((n, estimate.size))
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        mask[i] = False
-        try:
-            loo[i] = _evaluate(statistic, values[mask])
-        except Exception as exc:  # noqa: BLE001
-            raise ResamplingError(f"jackknife refit without observation {i} failed: {exc!r}") from exc
-        mask[i] = True
+    if _batched(statistic, n - 1):
+        lanes = _lanes(n - 1)
+        for start in range(0, n, lanes):
+            stop = min(start + lanes, n)
+            X = np.stack([np.delete(values, i) for i in range(start, stop)])
+            failures: Counter = Counter()
+            try:
+                theta, ok = _evaluate_rows(statistic, X, estimate.size, failures)
+            except Exception as exc:  # noqa: BLE001
+                raise ResamplingError(
+                    f"jackknife refits without observations {start} to {stop - 1} "
+                    f"failed: {exc!r}"
+                ) from exc
+            if not ok.all():
+                i = start + int(np.flatnonzero(~ok)[0])
+                raise ResamplingError(
+                    f"jackknife refit without observation {i} failed; "
+                    f"causes: {', '.join(sorted(failures))}"
+                )
+            loo[start:stop] = theta
+    else:
+        mask = np.ones(n, dtype=bool)
+        for i in range(n):
+            mask[i] = False
+            try:
+                loo[i] = _evaluate(statistic, values[mask])
+            except Exception as exc:  # noqa: BLE001
+                raise ResamplingError(
+                    f"jackknife refit without observation {i} failed: {exc!r}"
+                ) from exc
+            mask[i] = True
 
     center = loo.mean(axis=0)
     bias = (n - 1.0) * (center - estimate)

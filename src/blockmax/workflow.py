@@ -22,7 +22,7 @@ import numpy as np
 from . import diagnostics as diag
 from .data import MaximaSample
 from .gev import GevParams, cdf
-from .inference import FitResult, aic, fit_gev, fit_gumbel, lrt
+from .inference import FitResult, Refit, aic, fit_gev, fit_gumbel, lrt
 from .orderstats import order_cdf
 from .resampling import Verdict, bootstrap, jackknife, screen
 from .returns import return_level_ci
@@ -147,12 +147,6 @@ def _series_dict(series: diag.PlotSeries) -> dict:
     }
 
 
-def _refit_statistic(model: str):
-    if model == "gev":
-        return lambda v: fit_gev(v, compute_se=False).theta
-    return lambda v: fit_gumbel(v, compute_se=False).theta
-
-
 def run_workflow(sample: MaximaSample, config: WorkflowConfig | None = None) -> dict:
     """Run the full analysis; returns the machine-readable report dict."""
     config = config or WorkflowConfig()
@@ -206,7 +200,7 @@ def run_workflow(sample: MaximaSample, config: WorkflowConfig | None = None) -> 
         }
     fit = gev_fit if selected == "gev" else gumbel_fit
     labels = ("mu", "sigma", "xi")[: fit.n_params]
-    stat = _refit_statistic(selected)
+    stat = Refit(selected)
 
     with _stage("resampling"):
         resampling: dict = {}
