@@ -1,25 +1,31 @@
 """Benchmark: compiled likelihood kernels vs the numpy fallback, and refits.
 
 Times raw kernel evaluations at several sample sizes, one bootstrap (Gumbel
-refit statistic, one refit at a time) per backend, and the resampling stages
-of the standard case with the batched replicate engine against the
-one-refit-at-a-time loop.  Run as:
+refit statistic, one refit at a time) per backend, the resampling stages of
+the standard case with the batched replicate engine against the
+one-refit-at-a-time loop, and the scalar search (kernels, fits, profiles)
+against the frozen array formulation in ``tests/frozen_scalar_search.py``.
+Run as:
 
     python benchmarks/bench_kernels.py                     # print everything
     python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json
+    python benchmarks/bench_kernels.py --scalar-json BENCH_scalar_search.json
 
-The second form runs only the refit section and writes it, with the host
-facts, to the named file.
+The last two forms run only the refit or the scalar section and write it,
+with the host facts, to the named file.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import platform
 import statistics
 import sys
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 
@@ -163,23 +169,152 @@ def bench_refits() -> dict:
     return {
         "label": "batched_refits",
         "command": "python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json",
-        "cores": "single-core: the process is pinned to one CPU and numpy runs these "
-                 "elementwise ufuncs on one thread",
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "cpu_model": _cpu_model(),
-            "pinned_cpu": cpu,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "kernel_backend": _core.BACKEND,
-            "backends_available": sorted(_core.BACKENDS),
-        },
+        "cores": SINGLE_CORE,
+        "host": _host(cpu),
         "input": "bm.sample(GevParams(79, 21, 0), n=129, seed=101), the README series",
         "statistic": f"median of {REFIT_REPEATS} runs; wall and process CPU seconds",
         "engines": {
             "loop": "one scalar Nelder-Mead refit per replicate (a statistic without rows)",
             "batched": "Refit.rows: lockstep Nelder-Mead over gathered sample rows",
+        },
+        "results": results,
+    }
+
+
+SINGLE_CORE = ("single-core: the process is pinned to one CPU and numpy runs these "
+               "elementwise ufuncs on one thread")
+
+
+def _host(cpu) -> dict:
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "pinned_cpu": cpu,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "kernel_backend": _core.BACKEND,
+        "backends_available": sorted(_core.BACKENDS),
+    }
+
+
+# -- scalar search against its frozen array formulation ---------------------------
+
+SCALAR_REPEATS = 7
+
+
+def _frozen():
+    """``tests/frozen_scalar_search.py``: the array search and kernels, as a module."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "frozen_scalar_search.py"
+    spec = importlib.util.spec_from_file_location("frozen_scalar_search", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextlib.contextmanager
+def _search(impl):
+    """Run fits and profiles on ``impl``'s minimize and kernels (the seams callers look up)."""
+    inference = bm.inference
+    saved = inference.minimize, _core.gev_nllh, _core.gumbel_nllh
+    inference.minimize, _core.gev_nllh, _core.gumbel_nllh = impl.minimize, impl.gev_nllh, impl.gumbel_nllh
+    try:
+        yield
+    finally:
+        inference.minimize, _core.gev_nllh, _core.gumbel_nllh = saved
+
+
+def _paired(fn, impls, repeats):
+    """Median wall seconds per implementation, the runs alternating; last results."""
+    times = {name: [] for name in impls}
+    out = {}
+    for _ in range(repeats):
+        for name, impl in impls.items():
+            with _search(impl):
+                t0 = time.perf_counter()
+                out[name] = fn()
+                times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(t) for name, t in times.items()}, out
+
+
+def bench_scalar() -> dict:
+    """Kernels, ``fit_gev`` and ``profile``: frozen array search against the live one.
+
+    Everything runs on the numpy kernels, single core.  The profile's restricted
+    objective is the live one on both sides, so the profile rows time the
+    search and the kernels only.
+    """
+    cpu = _pin_one_cpu()
+    active = _core.BACKEND
+    _core.use_backend("python")
+    frozen = _frozen()
+    kernels = _core.BACKENDS["python"]
+    live = types.SimpleNamespace(minimize=bm.simplex.minimize, gev_nllh=kernels.gev_nllh,
+                                 gumbel_nllh=kernels.gumbel_nllh)
+    impls = {"array": frozen, "plain_float": live}
+    results = {"kernel_us": {}, "fit_gev": {}, "profile_s": {}}
+    try:
+        print(f"\nscalar search, frozen array formulation vs live, single core (CPU {cpu}):")
+        for n in (129, 2000, 10_000):
+            x = bm.sample(bm.GevParams(80.0, 20.0, -0.05), n, seed=1).values
+            inner = max(20, 200_000 // n)
+            for kernel, args in (("gev_nllh", (80.0, 20.0, -0.05)), ("gumbel_nllh", (80.0, 20.0))):
+                best = dict.fromkeys(impls, float("inf"))
+                for _ in range(SCALAR_REPEATS):  # alternate, so host drift hits both alike
+                    for name, impl in impls.items():
+                        fn = getattr(impl, kernel)
+                        best[name] = min(best[name], best_of(lambda: fn(x, *args), 1, inner))
+                row = {name: round(1e6 * t, 3) for name, t in best.items()}
+                row["identical_output"] = getattr(frozen, kernel)(x, *args) == getattr(live, kernel)(x, *args)
+                results["kernel_us"][f"{kernel}.n{n}"] = row
+                print(f"  {kernel:<12} n={n:<6} {row['array']:>8.2f} -> {row['plain_float']:>8.2f} us/call")
+
+        sample = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129, seed=101)
+        fits = 20
+        wall, last = _paired(lambda: [bm.fit_gev(sample, compute_se=False) for _ in range(fits)],
+                             impls, SCALAR_REPEATS)
+        a, b = last["array"][-1].opt, last["plain_float"][-1].opt
+        results["fit_gev"] = {
+            "array_ms": round(1e3 * wall["array"] / fits, 3),
+            "plain_float_ms": round(1e3 * wall["plain_float"] / fits, 3),
+            "evaluations": b.evaluations,
+            "iterations": b.iterations,
+            "identical_output": a.x_min.tobytes() == b.x_min.tobytes() and a.iterations == b.iterations,
+        }
+        r = results["fit_gev"]
+        print(f"  fit_gev      n=129    {r['array_ms']:>8.2f} -> {r['plain_float_ms']:>8.2f} ms "
+              f"({r['evaluations']} evaluations, {r['iterations']} iterations)")
+
+        fit = bm.fit_gev(sample)
+        for label, kwargs in (("xi", dict(which="xi")),
+                              ("level100", dict(which="return_level", p=0.01))):
+            wall, last = _paired(lambda: bm.profile(sample, "gev", fit=fit, **kwargs), impls, 3)
+            a, b = last["array"], last["plain_float"]
+            results["profile_s"][label] = {
+                "array": round(wall["array"], 4),
+                "plain_float": round(wall["plain_float"], 4),
+                "grid_points": int(b.grid.size),
+                "identical_output": all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                                        for f in ("grid", "lp")) and a.ci == b.ci,
+            }
+            r = results["profile_s"][label]
+            print(f"  profile {label:<8}       {r['array']:>8.3f} -> {r['plain_float']:>8.3f} s "
+                  f"({r['grid_points']} grid points)")
+    finally:
+        _core.use_backend(active)
+    return {
+        "label": "scalar_search",
+        "command": "python benchmarks/bench_kernels.py --scalar-json BENCH_scalar_search.json",
+        "cores": SINGLE_CORE,
+        "host": _host(cpu),
+        "input": "kernels: bm.sample(GevParams(80, 20, -0.05), n, seed=1) at (80, 20, -0.05); "
+                 "fits and profiles: bm.sample(GevParams(79, 21, 0), n=129, seed=101)",
+        "statistic": f"kernels: best of {SCALAR_REPEATS} loops each; fit_gev: median of {SCALAR_REPEATS} "
+                     "loops of 20 fits; profile: median of 3; array and plain_float runs alternate",
+        "engines": {
+            "array": "tests/frozen_scalar_search.py: Nelder-Mead on numpy arrays, "
+                     "kernels allocating a temporary per step",
+            "plain_float": "simplex._run on lists of floats, in-place kernels",
         },
         "results": results,
     }
@@ -200,14 +335,19 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--refits-json", default=None,
                         help="run only the refit section and write it to this file")
+    parser.add_argument("--scalar-json", default=None,
+                        help="run only the scalar search section and write it to this file")
     args = parser.parse_args()
-    if args.refits_json is None:
+    sections = [(bench_refits, args.refits_json), (bench_scalar, args.scalar_json)]
+    if not any(path for _, path in sections):
         bench_kernels()
         bench_bootstrap()
         bench_refits()
-    else:
-        report = bench_refits()
-        with open(args.refits_json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.refits_json}", file=sys.stderr)
+        bench_scalar()
+    for bench, path in sections:
+        if path is not None:
+            report = bench()
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2)
+                handle.write("\n")
+            print(f"wrote {path}", file=sys.stderr)

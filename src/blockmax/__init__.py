@@ -32,6 +32,7 @@ from .gev import (
 )
 from .inference import (
     ConvergenceError,
+    DegenerateSampleError,
     FitResult,
     LrtResult,
     ProfileBracketError,

@@ -10,6 +10,12 @@ the same contract:
 * a finite value is always returned: if the exact expression overflows, the
   point is penalised the same way, graded by how far the exponent exceeds the
   representable range.
+
+The scalar kernels work in place on one scratch array (``x - mu``, then
+scaled, then overwritten by its log and exp) and sum with ``np.add.reduce``.
+Each step is the elementwise operation the written-out expression performs,
+in the same order, so the values are bit for bit those of
+``xi * (x - mu) / sigma`` and the rest computed with temporaries.
 """
 
 import math
@@ -18,17 +24,22 @@ import numpy as np
 
 PENALTY = 1e10
 _OVERFLOW_EDGE = 690.0  # exp() overflows just above exp(709)
+# ndarray.sum() without its Python-level wrapper: the same reduction, the same bits
+_sum = np.add.reduce
 
 
 def gumbel_nllh(x, mu, sigma):
     """Negative Gumbel log-likelihood: m*log(sigma) + sum z + sum exp(-z)."""
     if sigma <= 0.0:
         return PENALTY - sigma, False
-    z = (x - mu) / sigma
+    z = x - mu
+    z /= sigma
+    w = np.negative(z)
     with np.errstate(over="ignore"):
-        value = x.size * math.log(sigma) + float(z.sum()) + float(np.exp(-z).sum())
+        # z is summed before exp(-z) overwrites it; -z stays for the overflow grading
+        value = x.size * math.log(sigma) + float(_sum(z)) + float(_sum(np.exp(w, out=z)))
     if not math.isfinite(value):
-        excess = float(np.clip(-z - _OVERFLOW_EDGE, 0.0, None).sum())
+        excess = float(np.clip(w - _OVERFLOW_EDGE, 0.0, None).sum())
         return PENALTY + excess, False
     return value, True
 
@@ -42,18 +53,22 @@ def gev_nllh(x, mu, sigma, xi):
     """
     if sigma <= 0.0:
         return PENALTY - sigma, False
-    s = xi * (x - mu) / sigma
-    t = 1.0 + s
-    if np.any(t <= 0.0):
-        violation = float(np.clip(-t, 0.0, None).sum())
+    s = x - mu
+    s *= xi
+    s /= sigma
+    # 1 + s is exact for s in [-2, -0.5] and negative below, so t = 1 + s <= 0
+    # holds for some element exactly when s.min() <= -1
+    if s.size and s.min() <= -1.0:
+        violation = float(np.clip(-(1.0 + s), 0.0, None).sum())
         return PENALTY + violation, False
     log_t = np.log1p(s)
-    e = -log_t / xi  # t^(-1/xi) == exp(e), the numerically stable form
+    e = np.divide(log_t, -xi, out=s)  # t^(-1/xi) == exp(e); == -log_t / xi, bit for bit
     with np.errstate(over="ignore"):
+        # log_t is summed before exp(e) overwrites it; e stays for the overflow grading
         value = (
             x.size * math.log(sigma)
-            + (1.0 + 1.0 / xi) * float(log_t.sum())
-            + float(np.exp(e).sum())
+            + (1.0 + 1.0 / xi) * float(_sum(log_t))
+            + float(_sum(np.exp(e, out=log_t)))
         )
     if not math.isfinite(value):
         excess = float(np.clip(e - _OVERFLOW_EDGE, 0.0, None).sum())

@@ -25,12 +25,13 @@ from .likelihood import (
     gumbel_nllh_value,
     observed_information,
 )
-from .returns import location_for_level, return_level, return_level_gradient
+from .returns import level_location, return_level, return_level_gradient
 from .simplex import OptResult, SimplexConfig, minimize, minimize_rows
 from .special import chi2_quantile, normal_quantile
 
 __all__ = [
     "ConvergenceError",
+    "DegenerateSampleError",
     "FitResult",
     "LrtResult",
     "ProfileBracketError",
@@ -48,10 +49,12 @@ __all__ = [
 
 MIN_FIT_SIZE = 10
 EULER_GAMMA = 0.5772157
+_PARAMETERS = {"gev": ("mu", "sigma", "xi"), "gumbel": ("mu", "sigma")}
 
 
 NOT_CONVERGED = "not_converged"
 PENALIZED_OPTIMUM = "penalized_optimum"
+DEGENERATE_SAMPLE = "degenerate_sample"
 
 
 class ConvergenceError(Exception):
@@ -64,6 +67,12 @@ class ConvergenceError(Exception):
     def __init__(self, message: str, cause: str = NOT_CONVERGED):
         super().__init__(message)
         self.cause = cause
+
+
+class DegenerateSampleError(ValueError):
+    """Every observation has the same value, so there is no scale to fit."""
+
+    cause = DEGENERATE_SAMPLE
 
 
 class ProfileBracketError(ValueError):
@@ -147,6 +156,10 @@ def _check_fit_sample(sample) -> np.ndarray:
     values = as_values(sample)
     if values.size < MIN_FIT_SIZE:
         raise ValueError(f"need at least {MIN_FIT_SIZE} observations, got {values.size}")
+    if values.min() == values.max():
+        raise DegenerateSampleError(
+            f"all {values.size} observations equal {values[0]:g}; the scale cannot be fitted"
+        )
     return values
 
 
@@ -169,7 +182,7 @@ def fit_gev(sample, compute_se: bool = True) -> FitResult:
     mu0, sigma0 = _moment_start(values)
 
     def objective(theta):
-        return gev_nllh_value(values, theta[0], theta[1], theta[2])[0]
+        return gev_nllh_value(values, *theta.tolist())[0]
 
     opt = _run_fit(values, objective, np.array([mu0, sigma0, 0.1]))
     params = GevParams(opt.x_min[0], opt.x_min[1], opt.x_min[2])
@@ -191,7 +204,7 @@ def fit_gumbel(sample, compute_se: bool = True) -> FitResult:
     mu0, sigma0 = _moment_start(values)
 
     def objective(theta):
-        return gumbel_nllh_value(values, theta[0], theta[1])[0]
+        return gumbel_nllh_value(values, *theta.tolist())[0]
 
     opt = _run_fit(values, objective, np.array([mu0, sigma0]))
     params = GevParams(opt.x_min[0], opt.x_min[1], 0.0)
@@ -214,9 +227,10 @@ class Refit:
     ``rows(X)`` refits every row of a sample matrix at once, with one
     lockstep :func:`minimize_rows` search, and returns ``(theta, ok)``: row r
     of ``theta`` is bit for bit what the call on ``X[r]`` returns, and
-    ``ok[r]`` is False exactly where that call raises ConvergenceError.  A
-    ``failures`` Counter, when given, gains the ConvergenceError cause of
-    every failed row.
+    ``ok[r]`` is False exactly where that call raises ConvergenceError or
+    DegenerateSampleError (a constant row, which is not searched; its theta
+    is NaN).  A ``failures`` Counter, when given, gains the ``cause`` of every
+    failed row.
     """
 
     def __init__(self, model: str):
@@ -234,6 +248,16 @@ class Refit:
             raise ValueError("rows expects a (lanes, n) sample matrix")
         if X.shape[1] < MIN_FIT_SIZE:
             raise ValueError(f"need at least {MIN_FIT_SIZE} observations, got {X.shape[1]}")
+        constant = X.min(axis=1) == X.max(axis=1)
+        if constant.any():
+            theta = np.full((X.shape[0], len(_PARAMETERS[self.model])), np.nan)
+            ok = ~constant
+            if failures is not None:
+                failures[DEGENERATE_SAMPLE] += int(np.count_nonzero(constant))
+            if ok.any():
+                theta[ok], searched = self.rows(X[ok], failures)
+                ok[ok] = searched
+            return theta, ok
         x0 = np.array([_moment_start(row) for row in X])
 
         def lane_rows(lanes):
@@ -321,52 +345,53 @@ class ProfileCurve:
     tau: float
 
 
-def _restricted(values, model, which, p):
-    """Objective factory: nllh as a function of (fixed value, free params)."""
-    if model == "gev":
-        if which == "mu":
-            return lambda g, r: gev_nllh_value(values, g, r[0], r[1])[0], ("sigma", "xi")
-        if which == "sigma":
-            return lambda g, r: gev_nllh_value(values, r[0], g, r[1])[0], ("mu", "xi")
-        if which == "xi":
-            return lambda g, r: gev_nllh_value(values, r[0], r[1], g)[0], ("mu", "sigma")
-        if which == "return_level":
-            def obj(g, r):
-                mu = location_for_level(g, r[0], r[1], p)
-                return gev_nllh_value(values, mu, r[0], r[1])[0]
-            return obj, ("sigma", "xi")
-    else:
-        if which == "mu":
-            return lambda g, r: gumbel_nllh_value(values, g, r[0])[0], ("sigma",)
-        if which == "sigma":
-            return lambda g, r: gumbel_nllh_value(values, r[0], g)[0], ("mu",)
-        if which == "return_level":
-            def obj(g, r):
-                mu = location_for_level(g, r[0], 0.0, p)
-                return gumbel_nllh_value(values, mu, r[0])[0]
-            return obj, ("sigma",)
-    raise ValueError(f"cannot profile {which!r} for the {model} model")
+def _pinned(model, which, p):
+    """(k, location): the coordinate of theta a profile of ``which`` pins.
 
-
-def _profile_center(fit: FitResult, which: str, p):
-    """(center value, its standard error, free-parameter start vector)."""
-    names = ["mu", "sigma", "xi"][: fit.n_params]
+    A return level pins the location slot, k = 0, and ``location`` maps
+    (level, sigma[, xi]) to the location that puts the level there.
+    """
     if which == "return_level":
         if p is None:
             raise ValueError("profiling a return level requires the exceedance probability p")
+        return 0, level_location(p)
+    if which not in _PARAMETERS[model]:
+        raise ValueError(f"cannot profile {which!r} for the {model} model")
+    return _PARAMETERS[model].index(which), None
+
+
+def _restricted(values, model, k, location=None):
+    """Profile objective ``(g, r)``: the nllh at theta with coordinate k pinned to g.
+
+    The free parameters ``r`` fill the other slots in order; with
+    ``location``, g is a return level and slot 0 gets ``location(*theta)``.
+    """
+    nllh = gev_nllh_value if model == "gev" else gumbel_nllh_value
+
+    def objective(g, r):
+        theta = r.tolist()
+        theta.insert(k, g)
+        if location is not None:
+            theta[0] = location(*theta)
+        return nllh(values, *theta)[0]
+
+    return objective
+
+
+def _profile_center(fit: FitResult, which: str, k: int, p):
+    """(center value, its standard error, free-parameter start vector)."""
+    start = np.delete(fit.theta, k)
+    if which == "return_level":
         center = return_level(fit.params, p)
         se = None
         if fit.cov is not None:
             grad = return_level_gradient(fit.params, p)[: fit.n_params]
             se = math.sqrt(max(delta_method(fit.cov, grad), 0.0))
-        start = [fit.theta[1]] if fit.model == "gumbel" else [fit.theta[1], fit.theta[2]]
-        return center, se, np.array(start)
-    if which not in names:
+        return center, se, start
+    if which not in _PARAMETERS[fit.model]:
         raise ValueError(f"cannot profile {which!r} for the {fit.model} model")
-    i = names.index(which)
-    se = None if fit.se is None else float(fit.se[i])
-    start = np.delete(fit.theta, i)
-    return float(fit.theta[i]), se, start
+    se = None if fit.se is None else float(fit.se[k])
+    return float(fit.theta[k]), se, start
 
 
 def profile(
@@ -393,13 +418,14 @@ def profile(
     (x_p, sigma[, xi]) by substituting the matching location parameter.
     """
     values = as_values(sample)
-    if model not in ("gev", "gumbel"):
+    if model not in _PARAMETERS:
         raise ValueError(f"unknown model {model!r}")
+    k, location = _pinned(model, which, p)
     if fit is None:
         fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
     lhat = -fit.nllh
-    objective, _free = _restricted(values, model, which, p)
-    center, center_se, start = _profile_center(fit, which, p)
+    objective = _restricted(values, model, k, location)
+    center, center_se, start = _profile_center(fit, which, k, p)
 
     if grid is not None:
         # The estimate itself is always a grid point, so the deviance minimum

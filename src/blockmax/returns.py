@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LevelBasis",
     "ReturnLevelEstimate",
+    "level_location",
     "location_for_level",
     "return_level",
     "return_level_ci",
@@ -91,17 +92,29 @@ def _gumbel_limit_xi_gradient(sigma: float, log_y: float) -> float:
     return 0.5 * sigma * log_y**2
 
 
+def level_location(p: float):
+    """:func:`location_for_level` at a fixed ``p``: ``(level, sigma, xi=0.0) -> mu``.
+
+    ``log y_p`` is computed once, for the many calls of a profile walk.
+    """
+    _check_p(p)
+    log_y = math.log(-math.log1p(-p))
+
+    def location(level: float, sigma: float, xi: float = 0.0) -> float:
+        if abs(xi) < GUMBEL_XI_EPS:
+            return level + sigma * log_y
+        return level - sigma * math.expm1(-xi * log_y) / xi
+
+    return location
+
+
 def location_for_level(level: float, sigma: float, xi: float, p: float) -> float:
     """Location parameter that puts the p-exceedance return level at ``level``.
 
     Inverse of :func:`return_level` in mu, used to re-express the model in
     terms of (x_p, sigma, xi) when profiling a return level.
     """
-    _check_p(p)
-    log_y = math.log(-math.log1p(-p))
-    if abs(xi) < GUMBEL_XI_EPS:
-        return level + sigma * log_y
-    return level - sigma * math.expm1(-xi * log_y) / xi
+    return level_location(p)(level, sigma, xi)
 
 
 def return_level_ci(

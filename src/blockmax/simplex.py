@@ -4,6 +4,11 @@ Used for every likelihood and profile-likelihood maximization in the package.
 The objective must return finite values everywhere (invalid regions are
 expected to be penalized upstream, see the likelihood kernels).
 
+:func:`minimize` keeps its simplex of 2 to 4 vertices as lists of Python
+floats: at that size numpy's per-call overhead costs more than the
+arithmetic.  It performs the float64 operations of the array formulation in
+the same order, so its results are those of that formulation bit for bit.
+
 :func:`minimize_rows` runs many independent searches in lockstep, one per
 lane, so that each objective call evaluates a block of lanes at once.  Every
 lane takes exactly the decisions :func:`minimize` takes for it alone.
@@ -12,6 +17,7 @@ lane takes exactly the decisions :func:`minimize` takes for it alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +60,31 @@ class OptResult:
     iterations: int
     converged: bool
     restarts: int
+    evaluations: int = 0  # objective calls, the check at x0 included
 
 
-def _initial_simplex(x0: np.ndarray) -> np.ndarray:
+def _initial_simplex(x0) -> list[list[float]]:
     # x0 plus one vertex per axis, perturbed by a scale-aware step
-    d = x0.size
-    verts = np.tile(x0, (d + 1, 1))
-    for i in range(d):
-        verts[i + 1, i] += max(0.05 * abs(x0[i]), 0.00025)
+    x0 = list(x0)
+    verts = [x0[:] for _ in range(len(x0) + 1)]
+    for i, v in enumerate(x0):
+        verts[i + 1][i] += max(0.05 * abs(v), 0.00025)
     return verts
+
+
+def _stable_order(fvals) -> list[int]:
+    # argsort(kind="stable"): ascending, ties in index order, NaN last
+    return sorted(range(len(fvals)), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
 
 
 def _converged(fvals, verts, cfg) -> bool:
     f_best, f_worst = fvals[0], fvals[-1]
     denom = max(abs(f_best), abs(f_worst), 1e-12)
-    f_ok = (f_worst - f_best) <= cfg.f_tol * denom
-    x_ok = np.max(np.abs(verts - verts[0])) <= cfg.x_tol
-    return f_ok and x_ok
+    if not (f_worst - f_best) <= cfg.f_tol * denom:
+        return False
+    # max |v - v0| <= x_tol, with NaN failing as it does in np.max
+    best, x_tol = verts[0], cfg.x_tol
+    return all(abs(a - b) <= x_tol for v in verts[1:] for a, b in zip(v, best))
 
 
 def minimize(objective, x0, config: SimplexConfig | None = None,
@@ -81,7 +95,7 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
     order (stable sort).  If the first pass exhausts ``max_iter`` without
     converging, one automatic restart is taken from the incumbent best point.
     ``callback(iteration, best_x, best_f)``, when given, is invoked once per
-    iteration.
+    iteration.  ``objective`` gets a fresh float64 array at every call.
     """
     cfg = config or SimplexConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -91,48 +105,86 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
     if not math.isfinite(f0):
         raise ValueError(f"objective is not finite at x0: {f0!r}")
 
-    verts = np.array(initial_simplex, dtype=float) if initial_simplex is not None \
-        else _initial_simplex(x0)
-    if verts.shape != (x0.size + 1, x0.size):
-        raise ValueError("initial simplex must have shape (d+1, d)")
+    if initial_simplex is not None:
+        verts = np.array(initial_simplex, dtype=float)
+        if verts.shape != (x0.size + 1, x0.size):
+            raise ValueError("initial simplex must have shape (d+1, d)")
+        verts = verts.tolist()
+    else:
+        verts = _initial_simplex(x0.tolist())
 
     total_iters = 0
+    evaluations = 1
     restarts = 0
     while True:
-        verts, fvals, converged, iters = _run(objective, verts, cfg, callback, total_iters)
+        verts, fvals, converged, iters, evals = _run(objective, verts, cfg, callback, total_iters)
         total_iters += iters
+        evaluations += evals
         if converged or restarts >= 1:
             return OptResult(
-                x_min=verts[0].copy(),
-                f_min=float(fvals[0]),
+                x_min=np.array(verts[0]),
+                f_min=fvals[0],
                 iterations=total_iters,
                 converged=converged,
                 restarts=restarts,
+                evaluations=evaluations,
             )
         restarts += 1
         verts = _initial_simplex(verts[0])
 
 
 def _run(objective, verts, cfg, callback, iter_offset):
+    """One Nelder-Mead pass on a simplex held as lists of floats.
+
+    Every step is the float64 arithmetic of the array formulation, in the
+    same order: the centroid sums vertices 0..d-1 in turn and divides by d
+    (as ``mean(axis=0)`` does), the moves are elementwise, and the vertices
+    are kept in ``argsort(kind="stable")`` order, NaN last.  Between
+    iterations only the worst vertex changes unless the simplex shrinks, so
+    it is put back in place by bisection.  Returns
+    ``(verts, fvals, converged, iterations, evaluations)``.
+    """
     alpha, gamma, beta, delta = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
-    fvals = np.array([float(objective(v)) for v in verts])
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        return float(objective(np.array(x)))
+
+    d = len(verts) - 1
+    fvals = [f(v) for v in verts]
+    resort = True
 
     for it in range(cfg.max_iter):
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
+        # vertices 0..d-1 are still in order unless the simplex shrank; a NaN
+        # among them sits at d-1, and bisection cannot pass it
+        if resort or fvals[d - 1] != fvals[d - 1]:
+            order = _stable_order(fvals)
+            verts = [verts[i] for i in order]
+            fvals = [fvals[i] for i in order]
+            resort = False
+        else:  # insert the new last vertex after every value <= it; a NaN stays last
+            k = bisect_right(fvals, fvals[-1], 0, d)
+            if k < d:
+                fvals.insert(k, fvals.pop())
+                verts.insert(k, verts.pop())
         if callback is not None:
-            callback(iter_offset + it, verts[0], float(fvals[0]))
+            callback(iter_offset + it, np.array(verts[0]), fvals[0])
         if _converged(fvals, verts, cfg):
-            return verts, fvals, True, it + 1
+            return verts, fvals, True, it + 1, evals
 
-        centroid = verts[:-1].mean(axis=0)
+        centroid = verts[0]
+        for v in verts[1:d]:
+            centroid = [c + a for c, a in zip(centroid, v)]
+        centroid = [c / d for c in centroid]
         worst = verts[-1]
-        x_r = centroid + alpha * (centroid - worst)
-        f_r = float(objective(x_r))
+        x_r = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        f_r = f(x_r)
 
         if f_r < fvals[0]:
-            x_e = centroid + gamma * (x_r - centroid)
-            f_e = float(objective(x_e))
+            x_e = [c + gamma * (r - c) for c, r in zip(centroid, x_r)]
+            f_e = f(x_e)
             if f_e < f_r:
                 verts[-1], fvals[-1] = x_e, f_e
             else:
@@ -141,22 +193,24 @@ def _run(objective, verts, cfg, callback, iter_offset):
             verts[-1], fvals[-1] = x_r, f_r
         else:
             if f_r < fvals[-1]:  # outside contraction
-                x_c = centroid + beta * (x_r - centroid)
-                f_c = float(objective(x_c))
+                x_c = [c + beta * (r - c) for c, r in zip(centroid, x_r)]
+                f_c = f(x_c)
                 accept = f_c <= f_r
             else:  # inside contraction
-                x_c = centroid + beta * (worst - centroid)
-                f_c = float(objective(x_c))
+                x_c = [c + beta * (w - c) for c, w in zip(centroid, worst)]
+                f_c = f(x_c)
                 accept = f_c < fvals[-1]
             if accept:
                 verts[-1], fvals[-1] = x_c, f_c
             else:  # shrink toward the best vertex
-                for i in range(1, len(verts)):
-                    verts[i] = verts[0] + delta * (verts[i] - verts[0])
-                    fvals[i] = float(objective(verts[i]))
+                best = verts[0]
+                for i in range(1, d + 1):
+                    verts[i] = [b + delta * (v - b) for b, v in zip(best, verts[i])]
+                    fvals[i] = f(verts[i])
+                resort = True
 
-    order = np.argsort(fvals, kind="stable")
-    return verts[order], fvals[order], False, cfg.max_iter
+    order = _stable_order(fvals)
+    return [verts[i] for i in order], [fvals[i] for i in order], False, cfg.max_iter, evals
 
 
 @dataclass(frozen=True)
@@ -168,6 +222,8 @@ class OptRows:
     iterations: np.ndarray
     converged: np.ndarray
     restarts: np.ndarray
+    # objective evaluations per lane; minimize counts one more, its check at x0
+    evaluations: np.ndarray | int = 0
 
 
 def _initial_simplex_rows(x0: np.ndarray) -> np.ndarray:
@@ -223,6 +279,7 @@ def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> Op
         iterations=np.zeros(n_lanes, dtype=int),
         converged=np.zeros(n_lanes, dtype=bool),
         restarts=np.zeros(n_lanes, dtype=int),
+        evaluations=np.zeros(n_lanes, dtype=int),
     )
 
     # state of the active lanes; lanes[k] names the lane in row k
@@ -235,18 +292,20 @@ def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> Op
     it = np.zeros(n_lanes, dtype=int)  # iterations of the current pass
     before = np.zeros(n_lanes, dtype=int)  # iterations of the earlier pass
     restarts = np.zeros(n_lanes, dtype=int)
+    evals = np.full(n_lanes, d + 1)
 
     def finish(mask, iterations, converged):
-        nonlocal lanes, verts, fvals, it, before, restarts
+        nonlocal lanes, verts, fvals, it, before, restarts, evals
         done = lanes[mask]
         out.x_min[done] = verts[mask, 0]
         out.f_min[done] = fvals[mask, 0]
         out.iterations[done] = iterations[mask]
         out.converged[done] = converged
         out.restarts[done] = restarts[mask]
+        out.evaluations[done] = evals[mask]
         keep = ~mask
-        lanes, verts, fvals, it, before, restarts = (
-            a[keep] for a in (lanes, verts, fvals, it, before, restarts)
+        lanes, verts, fvals, it, before, restarts, evals = (
+            a[keep] for a in (lanes, verts, fvals, it, before, restarts, evals)
         )
 
     while lanes.size:
@@ -260,6 +319,7 @@ def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> Op
                 it[again] = 0
                 verts[again] = _initial_simplex_rows(verts[again, 0])
                 fvals[again] = _vertex_values(objective_rows, lanes[again], verts[again])
+                evals[again] += d + 1
             final = spent & ~again
             if final.any():
                 finish(final, before + it, False)
@@ -293,6 +353,7 @@ def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> Op
         f_2 = np.full(lanes.size, np.inf)
         if probe.any():
             f_2[probe] = objective_rows(lanes[probe], x_2[probe])
+        evals += 1 + probe
 
         take_2 = (expand & (f_2 < f_r)) | (outside & (f_2 <= f_r)) | (inside & (f_2 < fvals[:, -1]))
         take_r = reflect | (expand & ~take_2)
@@ -304,6 +365,7 @@ def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> Op
             best = verts[shrink, :1]
             verts[shrink, 1:] = best + delta * (verts[shrink, 1:] - best)
             fvals[shrink, 1:] = _vertex_values(objective_rows, lanes[shrink], verts[shrink, 1:])
+            evals[shrink] += d
         it += 1
 
     return out
