@@ -4,15 +4,16 @@ Times raw kernel evaluations at several sample sizes, one bootstrap (Gumbel
 refit statistic, one refit at a time) per backend, the resampling stages of
 the standard case with the batched replicate engine against the
 one-refit-at-a-time loop, and the scalar search (kernels, fits, profiles)
-against the frozen array formulation in ``tests/frozen_scalar_search.py``.
-Run as:
+against the frozen array formulation in ``tests/frozen_scalar_search.py``,
+and the refit stages pinned to one CPU against all of them.  Run as:
 
     python benchmarks/bench_kernels.py                     # print everything
     python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json
     python benchmarks/bench_kernels.py --scalar-json BENCH_scalar_search.json
+    python benchmarks/bench_kernels.py --cores-json BENCH_two_core.json
 
-The last two forms run only the refit or the scalar section and write it,
-with the host facts, to the named file.
+The last three forms run only the refit, the scalar or the one-CPU against
+all-CPU section and write it, with the host facts, to the named file.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -320,6 +322,87 @@ def bench_scalar() -> dict:
     }
 
 
+# -- refits on one CPU against every CPU the process may use -----------------------
+
+CORES_REPEATS = 5
+
+
+def _cpu_seconds():
+    """(this process, its reaped children) user + system CPU seconds."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime, kids.ru_utime + kids.ru_stime
+
+
+def _same_output(a, b):
+    if isinstance(a, bm.ProfileCurve):
+        return a.grid.tobytes() == b.grid.tobytes() and a.lp.tobytes() == b.lp.tobytes() \
+            and a.ci == b.ci
+    return _same_report(a, b)
+
+
+def bench_cores() -> dict:
+    """Refit stages pinned to one CPU against every CPU this process may use.
+
+    On more than one CPU the bootstrap and jackknife batches and the two
+    profile walks are split between this process and forked children.  The
+    affinity is set with ``os.sched_setaffinity`` on this process, before each
+    run, so the children inherit it; the one-CPU and all-CPU runs alternate.
+    """
+    every = os.sched_getaffinity(0)
+    masks = {"one_cpu": {min(every)}, "all_cpus": every}
+    sample = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129, seed=101)
+    fit = bm.fit_gev(sample)
+    config = bm.WorkflowConfig(model="gev", boot_b=999, seed=4)
+    cases = {
+        "bootstrap_b999_gev": lambda: bm.bootstrap(sample, bm.Refit("gev"), b=999, seed=4),
+        "jackknife_gev": lambda: bm.jackknife(sample, bm.Refit("gev")),
+        "profile_xi": lambda: bm.profile(sample, "gev", which="xi", fit=fit),
+        "profile_level100": lambda: bm.profile(sample, "gev", which="return_level", p=0.01, fit=fit),
+        "run_workflow_gev_b999": lambda: bm.run_workflow(sample, config),
+    }
+    results = {}
+    print(f"\nrefits at n=129 on one CPU and on {len(every)}, median of {CORES_REPEATS}:")
+    print(f"{'stage':<22} {'1 CPU s':>8} {'all s':>8} {'speed-up':>9} {'parent+child CPU s':>19}")
+    try:
+        for name, run in cases.items():
+            samples = {label: [] for label in masks}
+            out = {}
+            for _ in range(CORES_REPEATS):
+                for label, mask in masks.items():
+                    os.sched_setaffinity(0, mask)
+                    c0, k0 = _cpu_seconds()
+                    w0 = time.perf_counter()
+                    out[label] = run()
+                    wall = time.perf_counter() - w0
+                    c1, k1 = _cpu_seconds()
+                    samples[label].append((wall, c1 - c0, k1 - k0))
+            row = {}
+            for label, runs in samples.items():
+                wall, own, kids = (statistics.median(col) for col in zip(*runs))
+                row[label] = {"wall_s": round(wall, 4), "parent_cpu_s": round(own, 4),
+                              "child_cpu_s": round(kids, 4)}
+            row["speedup_wall"] = round(row["one_cpu"]["wall_s"] / row["all_cpus"]["wall_s"], 2)
+            row["identical_output"] = _same_output(out["one_cpu"], out["all_cpus"])
+            results[name] = row
+            a = row["all_cpus"]
+            print(f"{name:<22} {row['one_cpu']['wall_s']:>8.3f} {a['wall_s']:>8.3f} "
+                  f"{row['speedup_wall']:>8.2f}x {a['parent_cpu_s']:>9.3f}+{a['child_cpu_s']:<9.3f}")
+    finally:
+        os.sched_setaffinity(0, every)
+    return {
+        "label": "two_core",
+        "command": "python benchmarks/bench_kernels.py --cores-json BENCH_two_core.json",
+        "cores": f"one CPU (pinned) against all {len(every)} CPUs this process may use",
+        "host": _host(None),
+        "input": "bm.sample(GevParams(79, 21, 0), n=129, seed=101), the README series",
+        "statistic": f"median of {CORES_REPEATS} runs each, one-CPU and all-CPU runs alternating; "
+                     "wall seconds, and user+system CPU seconds of this process and of its "
+                     "reaped children (RUSAGE_CHILDREN)",
+        "results": results,
+    }
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -337,11 +420,15 @@ if __name__ == "__main__":
                         help="run only the refit section and write it to this file")
     parser.add_argument("--scalar-json", default=None,
                         help="run only the scalar search section and write it to this file")
+    parser.add_argument("--cores-json", default=None,
+                        help="run only the one-CPU against all-CPU section and write it to this file")
     args = parser.parse_args()
-    sections = [(bench_refits, args.refits_json), (bench_scalar, args.scalar_json)]
+    sections = [(bench_refits, args.refits_json), (bench_scalar, args.scalar_json),
+                (bench_cores, args.cores_json)]
     if not any(path for _, path in sections):
         bench_kernels()
         bench_bootstrap()
+        bench_cores()  # the next two pin this process to one CPU for good
         bench_refits()
         bench_scalar()
     for bench, path in sections:

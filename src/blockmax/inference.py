@@ -9,11 +9,13 @@ intervals, the nested likelihood-ratio test, AIC, and the delta method.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import _fork
 from .data import as_values
 from .gev import GevParams
 from .likelihood import (
@@ -48,6 +50,13 @@ __all__ = [
 ]
 
 MIN_FIT_SIZE = 10
+# A fitted scale at or below this fraction of the sample range has collapsed:
+# with most observations tied, the likelihood grows without bound as sigma -> 0.
+SCALE_FLOOR = 1e-12
+# Fewest grid points on each profile walk for the two walks to run in two
+# processes: a fork and its pipe cost about 4 ms on a 2-vCPU VM, one or two
+# warm-started grid searches at n=129.
+MIN_WALK = 4
 EULER_GAMMA = 0.5772157
 _PARAMETERS = {"gev": ("mu", "sigma", "xi"), "gumbel": ("mu", "sigma")}
 
@@ -70,7 +79,8 @@ class ConvergenceError(Exception):
 
 
 class DegenerateSampleError(ValueError):
-    """Every observation has the same value, so there is no scale to fit."""
+    """No scale can be fitted: the observations are all equal, or so tied that
+    the fitted scale collapses (at most ``SCALE_FLOOR`` times the sample range)."""
 
     cause = DEGENERATE_SAMPLE
 
@@ -173,7 +183,17 @@ def _run_fit(values, objective, x0) -> OptResult:
         raise ConvergenceError(
             "no valid parameter region found (penalized optimum)", PENALIZED_OPTIMUM
         )
+    if _collapsed(opt.x_min[1], values.max() - values.min()):
+        raise DegenerateSampleError(
+            f"the fitted scale {opt.x_min[1]:g} collapsed onto tied observations "
+            f"(sample range {values.max() - values.min():g}); the scale cannot be fitted"
+        )
     return opt
+
+
+def _collapsed(sigma, spread):
+    """Whether a fitted scale is negligible against the sample range (elementwise)."""
+    return sigma <= SCALE_FLOOR * spread
 
 
 def fit_gev(sample, compute_se: bool = True) -> FitResult:
@@ -228,9 +248,9 @@ class Refit:
     lockstep :func:`minimize_rows` search, and returns ``(theta, ok)``: row r
     of ``theta`` is bit for bit what the call on ``X[r]`` returns, and
     ``ok[r]`` is False exactly where that call raises ConvergenceError or
-    DegenerateSampleError (a constant row, which is not searched; its theta
-    is NaN).  A ``failures`` Counter, when given, gains the ``cause`` of every
-    failed row.
+    DegenerateSampleError (a constant row, which is not searched and whose
+    theta is NaN, or a row whose fitted scale collapsed).  A ``failures``
+    Counter, when given, gains the ``cause`` of every failed row.
     """
 
     def __init__(self, model: str):
@@ -276,11 +296,14 @@ class Refit:
 
         opt = minimize_rows(objective, x0, SimplexConfig())
         penalized = opt.converged & (opt.f_min >= PENALTY)
+        spread = X.max(axis=1) - X.min(axis=1)
+        collapsed = opt.converged & ~penalized & _collapsed(opt.x_min[:, 1], spread)
         if failures is not None:
-            for cause, mask in ((NOT_CONVERGED, ~opt.converged), (PENALIZED_OPTIMUM, penalized)):
+            for cause, mask in ((NOT_CONVERGED, ~opt.converged), (PENALIZED_OPTIMUM, penalized),
+                                (DEGENERATE_SAMPLE, collapsed)):
                 if mask.any():
                     failures[cause] += int(np.count_nonzero(mask))
-        return opt.x_min, opt.converged & ~penalized
+        return opt.x_min, opt.converged & ~penalized & ~collapsed
 
 
 def normal_ci(fit: FitResult, index: int, tau: float) -> tuple[float, float]:
@@ -452,31 +475,42 @@ def profile(
         extend_hi = dev[-1] <= critical
         if not (extend_lo or extend_hi):
             break
-        if extend_lo:
-            new = grid[0] - step * np.arange(n_ext, 0, -1)
-            lp = np.concatenate([_profile_values(objective, new[::-1], grid[0], start)[::-1], lp])
-            grid = np.concatenate([new, grid])
-        if extend_hi:
-            new = grid[-1] + step * np.arange(1, n_ext + 1)
-            lp = np.concatenate([lp, _profile_values(objective, new, grid[-1], start)])
-            grid = np.concatenate([grid, new])
+        new_lo = grid[0] - step * np.arange(n_ext, 0, -1) if extend_lo else grid[:0]
+        new_hi = grid[-1] + step * np.arange(1, n_ext + 1) if extend_hi else grid[:0]
+        lp_lo, lp_hi = _walks(objective, [new_lo[::-1], new_hi], start)
+        lp = np.concatenate([lp_lo[::-1], lp, lp_hi])
+        grid = np.concatenate([new_lo, grid, new_hi])
 
     ci = _deviance_interval(grid, lp, lhat, critical)
     return ProfileCurve(which=which, grid=grid, lp=lp, ci=ci, tau=tau)
 
 
 def _profile_values(objective, grid, center, start) -> np.ndarray:
-    """Maximize out the free parameters at each grid value, walking outward."""
-    lp = np.empty(grid.size)
+    """Maximize out the free parameters at each grid value, walking outward.
+
+    The walk up from the grid point nearest the center and the walk down from
+    its neighbour are independent, and may run in two processes.
+    """
     i0 = int(np.argmin(np.abs(grid - center)))
-    for indices in (range(i0, grid.size), range(i0 - 1, -1, -1)):
-        warm = start.copy()
-        for i in indices:
-            g = grid[i]
+    up, down = _walks(objective, [grid[i0:], grid[:i0][::-1]], start)
+    return np.concatenate([down[::-1], up])
+
+
+def _walks(objective, legs, start) -> list[np.ndarray]:
+    """Profile log-likelihoods along each leg of grid values, every leg from ``start``."""
+
+    def walk(leg):
+        lp = np.empty(leg.size)
+        warm = start
+        for j, g in enumerate(leg):
             opt = minimize(lambda r: objective(g, r), warm, SimplexConfig())
-            lp[i] = -opt.f_min
+            lp[j] = -opt.f_min
             warm = opt.x_min
-    return lp
+        return lp
+
+    processes = _fork.processes(len(legs), 1) if min(leg.size for leg in legs) >= MIN_WALK else 1
+    with closing(_fork.ordered(walk, legs, processes)) as results:
+        return list(results)
 
 
 def _deviance_interval(grid, lp, lhat, critical) -> tuple[float, float]:

@@ -13,17 +13,26 @@ matrix of about ``CHUNK_ELEMENTS`` values, and each batch is one ``rows``
 call.  The samples are the same as in the one-at-a-time loop used for plain
 callables, so the reports are identical.  Samples too long for
 ``MIN_LANES`` rows per batch go through the loop as well.
+
+The batches of a round are near-equal, at least one per process, and are
+split between this process and forked children wherever every process gets
+``MIN_LANES`` rows (see :mod:`blockmax._fork`); the results are consumed in
+batch order, so the reports and errors are those of a serial run.  A
+``rows`` method may therefore run in a child process: its side effects
+there, other than warnings, are not seen by the caller.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from . import _fork
 from .data import as_values
 
 __all__ = [
@@ -157,6 +166,11 @@ def _batched(statistic, n: int) -> bool:
     return hasattr(statistic, "rows") and _lanes(n) >= MIN_LANES
 
 
+def _chunk_spans(rows: int, lanes: int, processes: int) -> list[tuple[int, int]]:
+    """Near-equal batches of about ``lanes`` rows, at least one per process."""
+    return _fork.spans(rows, max(processes, round(rows / lanes)))
+
+
 def _draw(seed: int, i: int, attempt: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, attempt])))
     return rng.integers(0, n, size=n)
@@ -187,7 +201,9 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
     parallel execution order.  A replicate whose statistic raises (or returns
     non-finite values, or is not ``ok`` in a ``rows`` batch) is redrawn with
     attempt + 1; more than 10% failures aborts.  An exception raised by a
-    ``rows`` call is not a failed replicate: it propagates.
+    ``rows`` call is not a failed replicate: it propagates.  In batches the
+    budget is checked once a round is finished, and the error lists the
+    causes of every failure so far.
     """
     values = as_values(sample)
     if b < 2:
@@ -237,29 +253,42 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
 
     Every replicate goes through the same (seed, i, attempt) draws as in the
     loop, so the replicates, the failure count and whether the budget breaks
-    are the same; only the order of evaluation differs.
+    are the same; only the order of evaluation differs.  The batches of a
+    round may be split over forked processes; they are consumed in order.
     """
     b, k = replicates.shape
     n = values.size
     lanes = _lanes(n)
+
+    def evaluate(chunk):
+        idx = np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])
+        counted: Counter = Counter()
+        theta, ok = _evaluate_rows(statistic, values[idx], k, counted)
+        return theta, ok, counted
+
     failed = 0
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
     while pending:
-        redraw = []
-        for start in range(0, len(pending), lanes):
-            chunk = pending[start:start + lanes]
-            idx = np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])
-            theta, ok = _evaluate_rows(statistic, values[idx], k, failures)
-            rows = np.array([i for i, _ in chunk])
-            replicates[rows[ok]] = theta[ok]
-            redraw += [(i, attempt + 1) for (i, attempt), good in zip(chunk, ok) if not good]
-            for _ in range(len(chunk) - int(np.count_nonzero(ok))):
-                failed += 1  # one at a time, to stop at the same count as the loop
-                if failed > 0.10 * b:
-                    raise ResamplingError(
-                        f"{failed} of {b} bootstrap replicates failed "
-                        f"(limit 10%); causes: {', '.join(sorted(failures))}"
-                    )
+        processes = _fork.processes(len(pending), MIN_LANES)
+        chunks = [pending[a:z] for a, z in _chunk_spans(len(pending), lanes, processes)]
+        redraw, broke = [], None
+        with closing(_fork.ordered(evaluate, chunks, processes)) as results:
+            for chunk, (theta, ok, counted) in zip(chunks, results):
+                failures.update(counted)
+                rows = np.array([i for i, _ in chunk])
+                replicates[rows[ok]] = theta[ok]
+                for (i, attempt), good in zip(chunk, ok):
+                    if not good:
+                        redraw.append((i, attempt + 1))
+                        failed += 1  # one at a time, to break at the same count as the loop
+                        if broke is None and failed > 0.10 * b:
+                            broke = failed
+        if broke is not None:
+            # the round is finished first, so the causes do not depend on the batching
+            raise ResamplingError(
+                f"{broke} of {b} bootstrap replicates failed "
+                f"(limit 10%); causes: {', '.join(sorted(failures))}"
+            )
         pending = redraw
     return failed
 
@@ -272,7 +301,8 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     se = sqrt((n-1)/n * sum (theta_(i) - mean)^2).  Fully deterministic;
     any failed evaluation aborts with ResamplingError (there is no redraw to
     fall back on).  With a ``rows`` statistic the leave-one-out samples are
-    evaluated in batches; an exception raised by ``rows`` aborts the same way.
+    evaluated in batches; an exception raised by ``rows`` aborts the same way,
+    and a failed refit aborts once every batch is in, naming the first one.
     """
     values = as_values(sample)
     n = values.size
@@ -282,25 +312,34 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
 
     loo = np.empty((n, estimate.size))
     if _batched(statistic, n - 1):
-        lanes = _lanes(n - 1)
-        for start in range(0, n, lanes):
-            stop = min(start + lanes, n)
+        processes = _fork.processes(n, MIN_LANES)
+        spans = _chunk_spans(n, _lanes(n - 1), processes)
+
+        def evaluate(span):
+            start, stop = span
             X = np.stack([np.delete(values, i) for i in range(start, stop)])
-            failures: Counter = Counter()
+            counted: Counter = Counter()
             try:
-                theta, ok = _evaluate_rows(statistic, X, estimate.size, failures)
+                theta, ok = _evaluate_rows(statistic, X, estimate.size, counted)
             except Exception as exc:  # noqa: BLE001
                 raise ResamplingError(
                     f"jackknife refits without observations {start} to {stop - 1} "
                     f"failed: {exc!r}"
                 ) from exc
-            if not ok.all():
-                i = start + int(np.flatnonzero(~ok)[0])
-                raise ResamplingError(
-                    f"jackknife refit without observation {i} failed; "
-                    f"causes: {', '.join(sorted(failures))}"
-                )
-            loo[start:stop] = theta
+            return theta, ok, counted
+
+        failures: Counter = Counter()
+        ok = np.empty(n, dtype=bool)
+        with closing(_fork.ordered(evaluate, spans, processes)) as results:
+            for (start, stop), (theta, chunk_ok, counted) in zip(spans, results):
+                failures.update(counted)
+                loo[start:stop] = theta
+                ok[start:stop] = chunk_ok
+        if not ok.all():
+            raise ResamplingError(
+                f"jackknife refit without observation {int(np.flatnonzero(~ok)[0])} failed; "
+                f"causes: {', '.join(sorted(failures))}"
+            )
     else:
         mask = np.ones(n, dtype=bool)
         for i in range(n):
