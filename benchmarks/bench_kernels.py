@@ -5,25 +5,32 @@ refit statistic, one refit at a time) per backend, the resampling stages of
 the standard case with the batched replicate engine against the
 one-refit-at-a-time loop, and the scalar search (kernels, fits, profiles)
 against the frozen array formulation in ``tests/frozen_scalar_search.py``,
-and the refit stages pinned to one CPU against all of them.  Run as:
+the refit stages pinned to one CPU against all of them, and the wide refit
+batches against an earlier source tree.  Run as:
 
     python benchmarks/bench_kernels.py                     # print everything
     python benchmarks/bench_kernels.py --refits-json BENCH_batched_refits.json
     python benchmarks/bench_kernels.py --scalar-json BENCH_scalar_search.json
     python benchmarks/bench_kernels.py --cores-json BENCH_two_core.json
+    python benchmarks/bench_kernels.py --wide-json BENCH_wide_batches.json \
+        --parent-src <the src directory of a checkout of the parent commit>
 
-The last three forms run only the refit, the scalar or the one-CPU against
-all-CPU section and write it, with the host facts, to the named file.
+The last four forms run only the refit, the scalar, the one-CPU against
+all-CPU or the wide-batch section and write it, with the host facts, to the
+named file.
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import types
@@ -403,6 +410,162 @@ def bench_cores() -> dict:
     }
 
 
+# -- wide refit batches on reused scratch, against the parent source tree ----------
+
+WIDE_REPEATS = 5
+WIDE_LANES = (127, 500, 1000)
+
+
+def _digest(out) -> str:
+    """A hash of a resampling report's arrays and counts, or of a report dict."""
+    if isinstance(out, dict):
+        return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+    parts = [getattr(out, f).tobytes() for f in ("estimate", "bias", "se")]
+    return hashlib.sha256(b"".join(parts) + repr((out.failed, out.failures)).encode()).hexdigest()[:16]
+
+
+def _row_kernel_ns(kernel, X, params, takes_scratch) -> dict:
+    """Best ns per value of ``kernel`` on X, allocating and (if it can) on scratch."""
+    calls = {"allocating": lambda: kernel(X, *params)}
+    if takes_scratch:
+        scratch = (np.empty(X.size), np.empty(X.size))
+        calls["scratch"] = lambda: kernel(X, *params, scratch)
+    inner = max(5, 2_000_000 // X.size)
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(7):  # alternate, so host drift hits both alike
+        for name, call in calls.items():
+            best[name] = min(best[name], best_of(call, 1, inner))
+    return {name: round(1e9 * t / X.size, 2) for name, t in best.items()}
+
+
+def _refit_counts(sample) -> dict:
+    """Row-kernel calls, lanes per call and lockstep iterations of each stage."""
+    inference = bm.inference
+    real_kernel, real_search = inference.gev_nllh_rows, inference.minimize_rows
+    tally = {}
+
+    def kernel(X, *args):
+        tally["calls"] += 1
+        tally["lanes"] += X.shape[0]
+        return real_kernel(X, *args)
+
+    def search(*args, **kwargs):
+        out = real_search(*args, **kwargs)
+        tally["batches"] += 1
+        tally["iterations"] += int(out.iterations.max())  # the batch's slowest lane
+        return out
+
+    stages = {"bootstrap_b999_gev": lambda: bm.bootstrap(sample, bm.Refit("gev"), b=999, seed=4),
+              "jackknife_gev": lambda: bm.jackknife(sample, bm.Refit("gev"))}
+    counts = {}
+    inference.gev_nllh_rows, inference.minimize_rows = kernel, search
+    try:
+        for name, run in stages.items():
+            tally.update(calls=0, lanes=0, batches=0, iterations=0)
+            run()
+            counts[name] = {"batches": tally["batches"], "kernel_calls": tally["calls"],
+                            "lanes_per_call": round(tally["lanes"] / tally["calls"], 1),
+                            "lockstep_iterations": tally["iterations"]}
+    finally:
+        inference.gev_nllh_rows, inference.minimize_rows = real_kernel, real_search
+    return counts
+
+
+def _wide_side() -> dict:
+    """Every wide-batch number of the blockmax this interpreter imports, once."""
+    every = os.sched_getaffinity(0)
+    sample = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129, seed=101)
+    config = bm.WorkflowConfig(model="gev", boot_b=999, seed=4)
+    stages = {
+        "bootstrap_b999_gev": lambda: bm.bootstrap(sample, bm.Refit("gev"), b=999, seed=4),
+        "jackknife_gev": lambda: bm.jackknife(sample, bm.Refit("gev")),
+        "run_workflow_gev_b999": lambda: bm.run_workflow(sample, config),
+    }
+    side = {"kernel_ns_per_value": {}, "stages_s": {}, "digests": {}}
+    try:
+        os.sched_setaffinity(0, {min(every)})
+        kernel = _core.gev_nllh_rows
+        takes_scratch = "scratch" in inspect.signature(kernel).parameters
+        values = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129 * max(WIDE_LANES), seed=5).values
+        for lanes in WIDE_LANES:
+            X = values[:lanes * 129].reshape(lanes, 129)
+            params = (np.full(lanes, 79.0), np.full(lanes, 21.0), np.full(lanes, 0.05))
+            side["kernel_ns_per_value"][f"lanes{lanes}"] = _row_kernel_ns(kernel, X, params, takes_scratch)
+        side["counts"] = _refit_counts(sample)
+        for label, mask in (("one_cpu", {min(every)}), ("all_cpus", every)):
+            os.sched_setaffinity(0, mask)
+            for name, run in stages.items():
+                t0 = time.perf_counter()
+                out = run()
+                side["stages_s"][f"{label}.{name}"] = time.perf_counter() - t0
+                side["digests"][name] = _digest(out)
+    finally:
+        os.sched_setaffinity(0, every)
+    return side
+
+
+def _run_side(src_dir) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run([sys.executable, __file__, "--wide-side"], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def bench_wide(parent_src=None) -> dict:
+    """Row kernels with and without scratch, and the refit stages, against a parent tree.
+
+    Each side runs in a fresh interpreter on its own ``src`` directory, the
+    sides alternating, WIDE_REPEATS times; the medians are reported.  Kernel
+    and count figures are taken on one CPU; the stages on one CPU and on
+    every CPU this process may use.
+    """
+    trees = {"wide": Path(__file__).resolve().parent.parent / "src"}
+    if parent_src is not None:
+        trees = {"parent": Path(parent_src).resolve(), **trees}
+    runs = {label: [] for label in trees}
+    for _ in range(WIDE_REPEATS):
+        for label, tree in trees.items():
+            runs[label].append(_run_side(tree))
+    results = {}
+    for label, sides in runs.items():
+        first = sides[0]
+        results[label] = {
+            "kernel_ns_per_value": {
+                key: {k: statistics.median(s["kernel_ns_per_value"][key][k] for s in sides)
+                      for k in row}
+                for key, row in first["kernel_ns_per_value"].items()},
+            "counts": first["counts"],
+            "stages_s": {key: round(statistics.median(s["stages_s"][key] for s in sides), 4)
+                         for key in first["stages_s"]},
+            "digests": first["digests"],
+        }
+    if "parent" in results:
+        results["identical_output"] = results["parent"]["digests"] == results["wide"]["digests"]
+    print(f"\nwide refit batches at n=129, median of {WIDE_REPEATS} fresh interpreters:")
+    for label, res in results.items():
+        if label == "identical_output":
+            continue
+        print(f"  {label}: kernel ns/value {res['kernel_ns_per_value']}")
+        print(f"  {label}: counts {res['counts']}")
+        print(f"  {label}: stages {res['stages_s']}")
+    return {
+        "label": "wide_batches",
+        "command": "python benchmarks/bench_kernels.py --wide-json BENCH_wide_batches.json "
+                   "--parent-src <src of a checkout of the parent commit>",
+        "cores": f"kernels and counts on one CPU (pinned); stages on one CPU and on all "
+                 f"{len(os.sched_getaffinity(0))} CPUs this process may use",
+        "host": _host(None),
+        "input": "stages: bm.sample(GevParams(79, 21, 0), n=129, seed=101), the README series; "
+                 "kernels: rows of 129 values of bm.sample(GevParams(79, 21, 0), seed=5) at "
+                 "(79, 21, 0.05)",
+        "statistic": f"median of {WIDE_REPEATS} runs per side, each in a fresh interpreter, the "
+                     "sides alternating; kernels best of 7 alternating loops within a run; counts from the "
+                     "first run (they do not vary); lockstep iterations are the sum over batches "
+                     "of the slowest lane's iterations",
+        "results": results,
+    }
+
+
 def _cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
@@ -422,12 +585,22 @@ if __name__ == "__main__":
                         help="run only the scalar search section and write it to this file")
     parser.add_argument("--cores-json", default=None,
                         help="run only the one-CPU against all-CPU section and write it to this file")
+    parser.add_argument("--wide-json", default=None,
+                        help="run only the wide-batch section and write it to this file")
+    parser.add_argument("--parent-src", default=None,
+                        help="src directory of the tree the wide-batch section compares against")
+    parser.add_argument("--wide-side", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.wide_side:  # one side of bench_wide, in its own interpreter
+        json.dump(_wide_side(), sys.stdout)
+        sys.exit(0)
     sections = [(bench_refits, args.refits_json), (bench_scalar, args.scalar_json),
-                (bench_cores, args.cores_json)]
+                (bench_cores, args.cores_json),
+                (lambda: bench_wide(args.parent_src), args.wide_json)]
     if not any(path for _, path in sections):
         bench_kernels()
         bench_bootstrap()
+        bench_wide(args.parent_src)
         bench_cores()  # the next two pin this process to one CPU for good
         bench_refits()
         bench_scalar()

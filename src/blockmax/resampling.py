@@ -11,8 +11,8 @@ to the ``failures`` Counter (such as :class:`blockmax.inference.Refit`), is
 evaluated in batches: the resampled samples are gathered into the rows of a
 matrix of about ``CHUNK_ELEMENTS`` values, and each batch is one ``rows``
 call.  The samples are the same as in the one-at-a-time loop used for plain
-callables, so the reports are identical.  Samples too long for
-``MIN_LANES`` rows per batch go through the loop as well.
+callables, so the reports are identical.  Samples longer than
+``MAX_BATCHED_N`` go through the loop as well.
 
 The batches of a round are near-equal, at least one per process, and are
 split between this process and forked children wherever every process gets
@@ -52,12 +52,15 @@ __all__ = [
 IGNORE_BELOW = 0.25
 CORRECT_MAX = 1.0
 
-# Values (lanes x n) per batched ``rows`` call: about 128 lanes at n=129.
-# Larger batches save little time and cost memory for every kernel temporary.
-CHUNK_ELEMENTS = 16_384
-# Fewest rows per batch for which batching pays.  Below it (n above about
-# 2000) the lockstep bookkeeping costs more than the batch saves, and the
-# statistic is called one sample at a time instead.
+# Values (lanes x n) per batched ``rows`` call: about 508 lanes at n=129, so
+# B=999 runs as two batches, one per process on two CPUs.  Every lockstep
+# iteration has a fixed cost, and a batch runs as many iterations as its
+# slowest lane; wide batches pay both fewer times.
+CHUNK_ELEMENTS = 65_536
+# Longest sample that is resampled in batches.  Above it a lockstep lane costs
+# more than a scalar search, and the statistic is called one sample at a time.
+MAX_BATCHED_N = 2048
+# Fewest rows per process for which forking a batch pays.
 MIN_LANES = 8
 
 
@@ -163,7 +166,7 @@ def _lanes(n: int) -> int:
 
 def _batched(statistic, n: int) -> bool:
     """Whether samples of size n go through ``statistic.rows``."""
-    return hasattr(statistic, "rows") and _lanes(n) >= MIN_LANES
+    return hasattr(statistic, "rows") and n <= MAX_BATCHED_N
 
 
 def _chunk_spans(rows: int, lanes: int, processes: int) -> list[tuple[int, int]]:
@@ -262,8 +265,10 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
 
     def evaluate(chunk):
         idx = np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])
+        X = values[idx]
+        del idx  # not held through the search
         counted: Counter = Counter()
-        theta, ok = _evaluate_rows(statistic, values[idx], k, counted)
+        theta, ok = _evaluate_rows(statistic, X, k, counted)
         return theta, ok, counted
 
     failed = 0

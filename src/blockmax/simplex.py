@@ -60,7 +60,7 @@ class OptResult:
     iterations: int
     converged: bool
     restarts: int
-    evaluations: int = 0  # objective calls, the check at x0 included
+    evaluations: int = 0  # objective calls
 
 
 def _initial_simplex(x0) -> list[list[float]]:
@@ -95,7 +95,8 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
     order (stable sort).  If the first pass exhausts ``max_iter`` without
     converging, one automatic restart is taken from the incumbent best point.
     ``callback(iteration, best_x, best_f)``, when given, is invoked once per
-    iteration.  ``objective`` gets a fresh float64 array at every call.
+    iteration.  ``objective`` gets a fresh float64 array at every call; the
+    value at ``x0`` serves both the finiteness check and the default simplex.
     """
     cfg = config or SimplexConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -110,14 +111,18 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
         if verts.shape != (x0.size + 1, x0.size):
             raise ValueError("initial simplex must have shape (d+1, d)")
         verts = verts.tolist()
+        f_first = None
     else:
         verts = _initial_simplex(x0.tolist())
+        f_first = f0  # its vertex 0 is x0
 
     total_iters = 0
     evaluations = 1
     restarts = 0
     while True:
-        verts, fvals, converged, iters, evals = _run(objective, verts, cfg, callback, total_iters)
+        verts, fvals, converged, iters, evals = _run(objective, verts, cfg, callback, total_iters,
+                                                     f_first)
+        f_first = None
         total_iters += iters
         evaluations += evals
         if converged or restarts >= 1:
@@ -133,7 +138,7 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
         verts = _initial_simplex(verts[0])
 
 
-def _run(objective, verts, cfg, callback, iter_offset):
+def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
     """One Nelder-Mead pass on a simplex held as lists of floats.
 
     Every step is the float64 arithmetic of the array formulation, in the
@@ -141,7 +146,8 @@ def _run(objective, verts, cfg, callback, iter_offset):
     (as ``mean(axis=0)`` does), the moves are elementwise, and the vertices
     are kept in ``argsort(kind="stable")`` order, NaN last.  Between
     iterations only the worst vertex changes unless the simplex shrinks, so
-    it is put back in place by bisection.  Returns
+    it is put back in place by bisection.  ``f_first``, when given, is the
+    objective at vertex 0, which is then not evaluated again.  Returns
     ``(verts, fvals, converged, iterations, evaluations)``.
     """
     alpha, gamma, beta, delta = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
@@ -153,7 +159,7 @@ def _run(objective, verts, cfg, callback, iter_offset):
         return float(objective(np.array(x)))
 
     d = len(verts) - 1
-    fvals = [f(v) for v in verts]
+    fvals = [f(v) for v in verts] if f_first is None else [f_first] + [f(v) for v in verts[1:]]
     resort = True
 
     for it in range(cfg.max_iter):
@@ -222,7 +228,7 @@ class OptRows:
     iterations: np.ndarray
     converged: np.ndarray
     restarts: np.ndarray
-    # objective evaluations per lane; minimize counts one more, its check at x0
+    # objective evaluations per lane, as minimize counts them
     evaluations: np.ndarray | int = 0
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,21 @@ class TestExitCodes:
         assert _exit_code(ConvergenceError("x")) == 3
         assert _exit_code(ResamplingError("x")) == 4
         assert _exit_code(ValueError("x")) == 2
+
+    def test_tie_dominated_fit_prints_only_the_error(self, tmp_path):
+        # the search walks sigma toward 0 and overflows (x - mu)/sigma on the
+        # way; a fresh interpreter shows every warning the default filters let through
+        path = tmp_path / "tied.txt"
+        values = [5.0] * 29 + [5.5]
+        path.write_text("Year data\n" + "".join(f"{1900 + i} {v}\n" for i, v in enumerate(values)))
+        script = "import sys; from blockmax.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script, "fit", str(path), "--model", "gev"],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "collapsed" in lines[0], proc.stderr
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -76,6 +76,14 @@ def _recorded(fn):
     return objective, calls
 
 
+def _without_repeated_x0(calls):
+    # the frozen search evaluates x0 again as vertex 0 of its default simplex;
+    # the live one reuses the value of its finiteness check
+    if len(calls) > 1:
+        assert calls[1] == calls[0]
+        del calls[1]
+
+
 def _outcome(search, fn, x0, cfg, simplex):
     objective, calls = _recorded(fn)
     stream = []
@@ -84,6 +92,9 @@ def _outcome(search, fn, x0, cfg, simplex):
         r = search(objective, x0, cfg, initial_simplex=simplex, callback=callback)
     except ValueError as exc:
         return ("raised", str(exc)), calls, stream, None
+    finally:
+        if search is frozen.minimize and simplex is None:
+            _without_repeated_x0(calls)
     fields = (_bits(r.x_min), _bits(r.f_min), r.iterations, r.converged, r.restarts)
     return fields, calls, stream, r
 
@@ -165,8 +176,7 @@ def test_minimize_rows_counts_evaluations_per_lane():
     assert out.evaluations.tolist() == counts.tolist()
     for r, center in enumerate(centers):
         alone = minimize(lambda x, c=center: float(((x - c) ** 2).sum()), x0[r], SimplexConfig(max_iter=30))
-        # minimize also evaluates x0 once before the search
-        assert alone.evaluations == out.evaluations[r] + 1
+        assert alone.evaluations == out.evaluations[r]
         assert alone.iterations == out.iterations[r]
 
 
@@ -277,6 +287,7 @@ def test_fits_match_the_frozen_chain(xi, n, seed):
             return frozen.gev_nllh(values, *t)[0]
 
         want = frozen.minimize(objective, np.array(x0))
+        del calls[0]  # its repeated evaluation at x0
         assert _bits(got.x_min) == _bits(want.x_min)
         assert _bits(got.f_min) == _bits(want.f_min)
         assert (got.iterations, got.converged, got.restarts) == \

@@ -282,14 +282,15 @@ class _Shapes(_Flaky):
 
 def test_batches_are_balanced(serial):
     stat = _Shapes()
-    jackknife(STANDARD, stat)  # 129 rows at 128 lanes: one batch, not 128 + 1
+    assert (resampling._lanes(128), resampling._lanes(129)) == (512, 508)
+    jackknife(STANDARD, stat)  # 129 rows at 512 lanes: one batch
     assert stat.lanes == [129]
     stat.lanes.clear()
-    bootstrap(STANDARD, stat, b=999, seed=0)  # 999 rows at 127 lanes
-    assert stat.lanes == [125] * 7 + [124]
-    # with two processes every process gets a batch
-    assert resampling._chunk_spans(129, 128, 2) == [(0, 65), (65, 129)]
-    assert resampling._chunk_spans(999, 127, 2) == _fork.spans(999, 8)
+    bootstrap(STANDARD, stat, b=999, seed=0)  # 999 rows at 508 lanes: two near-equal batches
+    assert stat.lanes == [500, 499]
+    # with two processes every process gets a batch, and B=999 still runs as two
+    assert resampling._chunk_spans(129, 512, 2) == [(0, 65), (65, 129)]
+    assert resampling._chunk_spans(999, 508, 2) == _fork.spans(999, 2) == [(0, 500), (500, 999)]
 
 
 def test_spans_cover_the_range_in_near_equal_pieces():
@@ -334,11 +335,12 @@ def test_ordered_without_children_is_a_loop():
 TIED = np.r_[np.full(29, 5.0), 5.5]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("values", [TIED, 0.01 * TIED, 1e4 + 7.0 * TIED])
 def test_a_collapsed_gev_scale_is_a_degenerate_sample(values):
-    with pytest.raises(bm.DegenerateSampleError, match="collapsed") as err:
-        fit_gev(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the search overflows quietly on its way to sigma -> 0
+        with pytest.raises(bm.DegenerateSampleError, match="collapsed") as err:
+            fit_gev(values)
     assert err.value.cause == "degenerate_sample"
     failures = Counter()
     theta, ok = Refit("gev").rows(np.stack([values, STANDARD[:30]]), failures)
@@ -347,7 +349,6 @@ def test_a_collapsed_gev_scale_is_a_degenerate_sample(values):
     assert fit_gumbel(values, compute_se=False).params.sigma > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_fit_exits_2_on_a_tie_dominated_series(tmp_path, capsys):
     path = tmp_path / "tied.txt"
     path.write_text("Year data\n" + "".join(f"{1900 + i} {v}\n" for i, v in enumerate(TIED)))
