@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -410,10 +409,12 @@ def bench_cores() -> dict:
     }
 
 
-# -- wide refit batches on reused scratch, against the parent source tree ----------
+# -- wide refit batches, against the parent source tree ------------------------------
 
 WIDE_REPEATS = 5
 WIDE_LANES = (127, 500, 1000)
+CROSS_REPEATS = 3
+CROSS_SIZES = (1000, 2048, 4096)
 
 
 def _digest(out) -> str:
@@ -424,18 +425,10 @@ def _digest(out) -> str:
     return hashlib.sha256(b"".join(parts) + repr((out.failed, out.failures)).encode()).hexdigest()[:16]
 
 
-def _row_kernel_ns(kernel, X, params, takes_scratch) -> dict:
-    """Best ns per value of ``kernel`` on X, allocating and (if it can) on scratch."""
-    calls = {"allocating": lambda: kernel(X, *params)}
-    if takes_scratch:
-        scratch = (np.empty(X.size), np.empty(X.size))
-        calls["scratch"] = lambda: kernel(X, *params, scratch)
+def _row_kernel_ns(kernel, X, params) -> float:
+    """Best ns per value of ``kernel`` on X."""
     inner = max(5, 2_000_000 // X.size)
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(7):  # alternate, so host drift hits both alike
-        for name, call in calls.items():
-            best[name] = min(best[name], best_of(call, 1, inner))
-    return {name: round(1e9 * t / X.size, 2) for name, t in best.items()}
+    return round(1e9 * min(best_of(lambda: kernel(X, *params), 1, inner) for _ in range(7)) / X.size, 2)
 
 
 def _refit_counts(sample) -> dict:
@@ -471,7 +464,38 @@ def _refit_counts(sample) -> dict:
     return counts
 
 
-def _wide_side() -> dict:
+def _crossover_s(every) -> dict:
+    """Bootstrap B=999 of long samples through the batched path and through the loop.
+
+    The path is forced by replacing ``resampling._batched``; both give the
+    same report, which is checked.
+    """
+    resampling = bm.resampling
+    real = resampling._batched
+    times = {}
+    try:
+        for n in CROSS_SIZES:
+            sample = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7)
+            for model in ("gev", "gumbel"):
+                digests = set()
+                runs = [("one_cpu", "loop"), ("one_cpu", "batched")]
+                if model == "gev":
+                    runs.append(("all_cpus", "batched"))
+                for cpus, path in runs:
+                    os.sched_setaffinity(0, every if cpus == "all_cpus" else {min(every)})
+                    resampling._batched = lambda statistic, n, path=path: path == "batched"
+                    t0 = time.perf_counter()
+                    out = bm.bootstrap(sample, bm.Refit(model), b=999, seed=3)
+                    times[f"n{n}.{model}.{cpus}.{path}"] = time.perf_counter() - t0
+                    digests.add(_digest(out))
+                assert len(digests) == 1, (n, model)
+    finally:
+        resampling._batched = real
+        os.sched_setaffinity(0, every)
+    return times
+
+
+def _wide_side(crossover) -> dict:
     """Every wide-batch number of the blockmax this interpreter imports, once."""
     every = os.sched_getaffinity(0)
     sample = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129, seed=101)
@@ -481,16 +505,15 @@ def _wide_side() -> dict:
         "jackknife_gev": lambda: bm.jackknife(sample, bm.Refit("gev")),
         "run_workflow_gev_b999": lambda: bm.run_workflow(sample, config),
     }
-    side = {"kernel_ns_per_value": {}, "stages_s": {}, "digests": {}}
+    side = {"kernel_ns_per_value": {}, "stages_s": {}, "digests": {},
+            "batch_lanes_at_n129": bm.resampling._lanes(129)}
     try:
         os.sched_setaffinity(0, {min(every)})
-        kernel = _core.gev_nllh_rows
-        takes_scratch = "scratch" in inspect.signature(kernel).parameters
         values = bm.sample(bm.GevParams(79.0, 21.0, 0.0), 129 * max(WIDE_LANES), seed=5).values
         for lanes in WIDE_LANES:
             X = values[:lanes * 129].reshape(lanes, 129)
             params = (np.full(lanes, 79.0), np.full(lanes, 21.0), np.full(lanes, 0.05))
-            side["kernel_ns_per_value"][f"lanes{lanes}"] = _row_kernel_ns(kernel, X, params, takes_scratch)
+            side["kernel_ns_per_value"][f"lanes{lanes}"] = _row_kernel_ns(_core.gev_nllh_rows, X, params)
         side["counts"] = _refit_counts(sample)
         for label, mask in (("one_cpu", {min(every)}), ("all_cpus", every)):
             os.sched_setaffinity(0, mask)
@@ -501,67 +524,74 @@ def _wide_side() -> dict:
                 side["digests"][name] = _digest(out)
     finally:
         os.sched_setaffinity(0, every)
+    if crossover:
+        side["crossover_s"] = _crossover_s(every)
     return side
 
 
-def _run_side(src_dir) -> dict:
+def _run_side(src_dir, crossover) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src_dir))
-    proc = subprocess.run([sys.executable, __file__, "--wide-side"], env=env, check=True,
-                          capture_output=True, text=True)
+    command = [sys.executable, __file__, "--wide-side"] + (["--crossover"] if crossover else [])
+    proc = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
 
+def _medians(sides, key) -> dict:
+    return {name: round(statistics.median(s[key][name] for s in sides), 4) for name in sides[0][key]}
+
+
 def bench_wide(parent_src=None) -> dict:
-    """Row kernels with and without scratch, and the refit stages, against a parent tree.
+    """Row kernels and the refit stages of the wide batches, against a parent tree.
 
     Each side runs in a fresh interpreter on its own ``src`` directory, the
     sides alternating, WIDE_REPEATS times; the medians are reported.  Kernel
     and count figures are taken on one CPU; the stages on one CPU and on
-    every CPU this process may use.
+    every CPU this process may use.  The first CROSS_REPEATS runs of each
+    side also time bootstrap B=999 at the CROSS_SIZES through either path,
+    the batched one and the one-at-a-time loop.
     """
     trees = {"wide": Path(__file__).resolve().parent.parent / "src"}
     if parent_src is not None:
         trees = {"parent": Path(parent_src).resolve(), **trees}
     runs = {label: [] for label in trees}
-    for _ in range(WIDE_REPEATS):
+    for repeat in range(WIDE_REPEATS):
         for label, tree in trees.items():
-            runs[label].append(_run_side(tree))
+            runs[label].append(_run_side(tree, repeat < CROSS_REPEATS))
     results = {}
     for label, sides in runs.items():
         first = sides[0]
         results[label] = {
-            "kernel_ns_per_value": {
-                key: {k: statistics.median(s["kernel_ns_per_value"][key][k] for s in sides)
-                      for k in row}
-                for key, row in first["kernel_ns_per_value"].items()},
+            "batch_lanes_at_n129": first["batch_lanes_at_n129"],
+            "kernel_ns_per_value": _medians(sides, "kernel_ns_per_value"),
             "counts": first["counts"],
-            "stages_s": {key: round(statistics.median(s["stages_s"][key] for s in sides), 4)
-                         for key in first["stages_s"]},
+            "stages_s": _medians(sides, "stages_s"),
+            "crossover_s": _medians(sides[:CROSS_REPEATS], "crossover_s"),
             "digests": first["digests"],
         }
     if "parent" in results:
         results["identical_output"] = results["parent"]["digests"] == results["wide"]["digests"]
-    print(f"\nwide refit batches at n=129, median of {WIDE_REPEATS} fresh interpreters:")
+    print(f"\nwide refit batches, median of {WIDE_REPEATS} fresh interpreters:")
     for label, res in results.items():
         if label == "identical_output":
             continue
-        print(f"  {label}: kernel ns/value {res['kernel_ns_per_value']}")
-        print(f"  {label}: counts {res['counts']}")
-        print(f"  {label}: stages {res['stages_s']}")
+        for key in ("kernel_ns_per_value", "counts", "stages_s", "crossover_s"):
+            print(f"  {label}: {key} {res[key]}")
     return {
         "label": "wide_batches",
         "command": "python benchmarks/bench_kernels.py --wide-json BENCH_wide_batches.json "
                    "--parent-src <src of a checkout of the parent commit>",
         "cores": f"kernels and counts on one CPU (pinned); stages on one CPU and on all "
-                 f"{len(os.sched_getaffinity(0))} CPUs this process may use",
+                 f"{len(os.sched_getaffinity(0))} CPUs this process may use; crossover on one CPU, "
+                 "and the batched GEV path also on all of them",
         "host": _host(None),
         "input": "stages: bm.sample(GevParams(79, 21, 0), n=129, seed=101), the README series; "
                  "kernels: rows of 129 values of bm.sample(GevParams(79, 21, 0), seed=5) at "
-                 "(79, 21, 0.05)",
-        "statistic": f"median of {WIDE_REPEATS} runs per side, each in a fresh interpreter, the "
-                     "sides alternating; kernels best of 7 alternating loops within a run; counts from the "
-                     "first run (they do not vary); lockstep iterations are the sum over batches "
-                     "of the slowest lane's iterations",
+                 "(79, 21, 0.05); crossover: bm.sample(GevParams(79, 21, 0.1), n, seed=7), "
+                 "bootstrap seed 3",
+        "statistic": f"median of {WIDE_REPEATS} runs per side ({CROSS_REPEATS} for the crossover), "
+                     "each in a fresh interpreter, the sides alternating; kernels best of 7 loops "
+                     "within a run; counts from the first run (they do not vary); lockstep "
+                     "iterations are the sum over batches of the slowest lane's iterations",
         "results": results,
     }
 
@@ -590,9 +620,10 @@ if __name__ == "__main__":
     parser.add_argument("--parent-src", default=None,
                         help="src directory of the tree the wide-batch section compares against")
     parser.add_argument("--wide-side", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--crossover", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.wide_side:  # one side of bench_wide, in its own interpreter
-        json.dump(_wide_side(), sys.stdout)
+        json.dump(_wide_side(args.crossover), sys.stdout)
         sys.exit(0)
     sections = [(bench_refits, args.refits_json), (bench_scalar, args.scalar_json),
                 (bench_cores, args.cores_json),

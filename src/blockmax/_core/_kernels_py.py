@@ -83,13 +83,6 @@ def gev_nllh(x, mu, sigma, xi):
 # X[r]: the elementwise arithmetic is the same, every row sum reduces along
 # the contiguous last axis (the same pairwise order as a 1-D sum), and
 # m*log(sigma) uses math.log per lane.
-#
-# Every (lanes, n) step writes into one of two scratch arrays with out=, so a
-# call allocates nothing of that size: above glibc's 128 KiB mmap threshold
-# each fresh temporary would page-fault anew.  ``scratch``, when given, is a
-# pair of C-contiguous float64 arrays of at least X.size elements each, owned
-# by the caller and overwritten.  X is read only by the first step, so the
-# second array may hold X itself.
 
 
 def _lane_log(sigma, bad_sigma):
@@ -98,57 +91,36 @@ def _lane_log(sigma, bad_sigma):
     return np.fromiter(map(math.log, np.where(bad_sigma, 1.0, sigma).tolist()), float, sigma.size)
 
 
-def _scratch(X, scratch):
-    """Two C-ordered (lanes, n) work arrays: views of ``scratch``, or fresh ones."""
-    if scratch is None:  # one block: freed at once, it page-faults less than two
-        return tuple(np.empty((2,) + X.shape))
-    return tuple(buf.reshape(-1)[:X.size].reshape(X.shape) for buf in scratch)
-
-
-def _picked(src, rows, buf):
-    """``src[rows]`` for a boolean lane mask, gathered into the front of ``buf``."""
-    k, n = int(np.count_nonzero(rows)), src.shape[1]
-    out = buf.reshape(-1)[:k * n].reshape(k, n)
-    return np.take(src, np.flatnonzero(rows), axis=0, mode="clip", out=out)
-
-
-def gumbel_nllh_rows(X, mu, sigma, scratch=None):
+def gumbel_nllh_rows(X, mu, sigma):
     """Row-wise :func:`gumbel_nllh`: arrays ``(value, valid)`` of shape (lanes,)."""
-    z, w = _scratch(X, scratch)
     bad_sigma = sigma <= 0.0
     with np.errstate(all="ignore"):
-        np.subtract(X, mu[:, None], out=z)
+        z = X - mu[:, None]
         z /= sigma[:, None]
-        np.negative(z, out=w)
+        w = np.negative(z)
         # z is summed before exp(-z) overwrites it; w stays for the overflow grading
         value = X.shape[1] * _lane_log(sigma, bad_sigma) + z.sum(axis=1) + np.exp(w, out=z).sum(axis=1)
     valid = np.isfinite(value) & ~bad_sigma
     overflow = ~valid & ~bad_sigma
     if overflow.any():
-        excess = _picked(w, overflow, z)
-        excess -= _OVERFLOW_EDGE
-        value[overflow] = PENALTY + np.clip(excess, 0.0, None, out=excess).sum(axis=1)
+        value[overflow] = PENALTY + np.clip(w[overflow] - _OVERFLOW_EDGE, 0.0, None).sum(axis=1)
     value[bad_sigma] = PENALTY - sigma[bad_sigma]
     return value, valid
 
 
-def gev_nllh_rows(X, mu, sigma, xi, scratch=None):
+def gev_nllh_rows(X, mu, sigma, xi):
     """Row-wise :func:`gev_nllh`: arrays ``(value, valid)`` of shape (lanes,)."""
-    s, log_t = _scratch(X, scratch)
     bad_sigma = sigma <= 0.0
     with np.errstate(all="ignore"):
-        np.subtract(X, mu[:, None], out=s)
+        s = X - mu[:, None]
         s *= xi[:, None]
         s /= sigma[:, None]
         # 1 + s is exact for s in [-2, -0.5] and negative below, so the
         # scalar test t = 1 + s <= 0 holds exactly when s <= -1
-        outside = (s.min(axis=1) <= -1.0) & ~bad_sigma
+        outside = (s <= -1.0).any(axis=1) & ~bad_sigma
         if outside.any():
-            breach = _picked(s, outside, log_t)  # -(1 + s), in place
-            np.add(1.0, breach, out=breach)
-            np.negative(breach, out=breach)
-            violation = np.clip(breach, 0.0, None, out=breach).sum(axis=1)
-        np.log1p(s, out=log_t)
+            violation = np.clip(-(1.0 + s[outside]), 0.0, None).sum(axis=1)
+        log_t = np.log1p(s)
         e = np.divide(log_t, -xi[:, None], out=s)  # == -log_t / xi, bit for bit
         # log_t is summed before exp(e) overwrites it; e stays for the overflow grading
         value = (
@@ -159,9 +131,7 @@ def gev_nllh_rows(X, mu, sigma, xi, scratch=None):
     valid = np.isfinite(value) & ~bad_sigma & ~outside
     overflow = ~valid & ~bad_sigma & ~outside
     if overflow.any():
-        excess = _picked(e, overflow, log_t)
-        excess -= _OVERFLOW_EDGE
-        value[overflow] = PENALTY + np.clip(excess, 0.0, None, out=excess).sum(axis=1)
+        value[overflow] = PENALTY + np.clip(e[overflow] - _OVERFLOW_EDGE, 0.0, None).sum(axis=1)
     if outside.any():
         value[outside] = PENALTY + violation
     value[bad_sigma] = PENALTY - sigma[bad_sigma]

@@ -282,27 +282,20 @@ class Refit:
                 ok[ok] = searched
             return theta, ok
         x0 = np.array([_moment_start(row) for row in X])
-        # the kernels' work arrays, for every call of this search; a subset of
-        # the rows is gathered into the second, which the kernel then reuses
-        scratch = (np.empty(X.size), np.empty(X.size))
 
         def lane_rows(lanes):
             # lanes is an ascending subset of the rows; all of them needs no copy
-            if lanes.size == X.shape[0]:
-                return X
-            out = scratch[1][:lanes.size * X.shape[1]].reshape(lanes.size, X.shape[1])
-            return np.take(X, lanes, axis=0, mode="clip", out=out)  # "raise" would buffer out
+            return X if lanes.size == X.shape[0] else X[lanes]
 
         if self.model == "gev":
             x0 = np.column_stack([x0, np.full(X.shape[0], 0.1)])
 
             def objective(lanes, points):
-                return gev_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1], points[:, 2],
-                                     scratch)[0]
+                return gev_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1], points[:, 2])[0]
         else:
 
             def objective(lanes, points):
-                return gumbel_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1], scratch)[0]
+                return gumbel_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1])[0]
 
         opt = minimize_rows(objective, x0, SimplexConfig())
         penalized = opt.converged & (opt.f_min >= PENALTY)

@@ -78,29 +78,27 @@ def gumbel_nllh_value(values: np.ndarray, mu: float, sigma: float):
     return _core.gumbel_nllh(values, mu, sigma)
 
 
-def gev_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray,
-                  scratch=None):
+def gev_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray):
     """Row-wise :func:`gev_nllh_value`: one (mu, sigma, xi) lane per row of ``X``.
 
     Returns ``(value, valid)`` arrays; lane r equals ``gev_nllh_value(X[r], ...)``
     bit for bit, lanes with ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface.
-    ``scratch`` is the row kernels' optional pair of work arrays.
     """
     gumbel = np.abs(xi) < GUMBEL_XI_EPS
     if not gumbel.any():
-        return _core.gev_nllh_rows(X, mu, sigma, xi, scratch)
-    # the Gumbel rows are copied out first, as the scratch may hold X itself;
-    # the GEV kernel runs on every row (each lane on its own) and their lanes
-    # are then overwritten
-    X_gumbel = X[gumbel]
-    value, valid = _core.gev_nllh_rows(X, mu, sigma, xi, scratch)
-    value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X_gumbel, mu[gumbel], sigma[gumbel], scratch)
+        return _core.gev_nllh_rows(X, mu, sigma, xi)
+    value = np.empty(xi.size)
+    valid = np.empty(xi.size, dtype=bool)
+    value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X[gumbel], mu[gumbel], sigma[gumbel])
+    rest = ~gumbel
+    if rest.any():
+        value[rest], valid[rest] = _core.gev_nllh_rows(X[rest], mu[rest], sigma[rest], xi[rest])
     return value, valid
 
 
-def gumbel_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, scratch=None):
+def gumbel_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     """Row-wise :func:`gumbel_nllh_value`: ``(value, valid)`` arrays."""
-    return _core.gumbel_nllh_rows(X, mu, sigma, scratch)
+    return _core.gumbel_nllh_rows(X, mu, sigma)
 
 
 def _check_nonempty(values):

@@ -8,8 +8,6 @@ the scalar oracle runs on the numpy kernels too: the compiled ones sum in
 another order.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +23,6 @@ from blockmax.likelihood import (
     gumbel_nllh_value,
 )
 from blockmax import resampling
-from blockmax._core import _kernels_py as kernels
 from blockmax.cli import main
 from blockmax.resampling import bootstrap, jackknife
 from blockmax.simplex import SimplexConfig, minimize, minimize_rows
@@ -113,86 +110,6 @@ def test_row_kernels_match_scalar_kernels(lanes, n, seed):
         assert _same_bits(gev_value[r], value) and gev_valid[r] == valid
         value, valid = gumbel_nllh_value(X[r], mu[r], sigma[r])
         assert _same_bits(gum_value[r], value) and gum_valid[r] == valid
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    lanes=st.lists(lane, min_size=1, max_size=8),
-    n=st.sampled_from([1, 8, 40, 129, 300]),
-    extra=st.integers(0, 4),
-    seed=st.integers(0, 2**32 - 1),
-    gathered=st.booleans(),
-)
-@example(lanes=ALL_BRANCHES, n=129, extra=3, seed=0, gathered=True)
-@example(lanes=ALL_BRANCHES, n=12, extra=0, seed=1, gathered=False)
-def test_row_kernels_with_scratch_match_the_allocating_call(lanes, n, extra, seed, gathered):
-    # the lanes are a subset of the rows of a larger matrix, and the scratch
-    # is sized for all of them and filled with NaN; with ``gathered`` the
-    # subset is taken into the second scratch array, as Refit.rows does
-    rng = np.random.Generator(np.random.PCG64(seed))
-    M = BASE[rng.integers(0, BASE.size, size=(len(lanes) + extra, n))]
-    rows = np.sort(rng.choice(M.shape[0], size=len(lanes), replace=False))
-    X = M[rows]
-    params = [_lane_params(kind, X[r], u, free) for r, (kind, u, free) in enumerate(lanes)]
-    mu, sigma, xi = (np.array(c) for c in zip(*params))
-
-    def call(rows_kernel, *args):
-        scratch = (np.full(M.size, np.nan), np.full(M.size, np.nan))
-        lane_rows = X
-        if gathered:
-            lane_rows = np.take(M, rows, axis=0, out=scratch[1][:X.size].reshape(X.shape))
-        return rows_kernel(lane_rows, *args, scratch)
-
-    for rows_kernel, args, scalar in (
-        (gev_nllh_rows, (mu, sigma, xi), gev_nllh_value),
-        (gumbel_nllh_rows, (mu, sigma), gumbel_nllh_value),
-        (kernels.gev_nllh_rows, (mu, sigma, xi), None),  # near-zero xi unrouted
-    ):
-        want = rows_kernel(X, *args)
-        got = call(rows_kernel, *args)
-        assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
-        for r in range(X.shape[0]) if scalar else ():
-            value, valid = scalar(X[r], *(a[r] for a in args))
-            assert _same_bits(got[0][r], value) and got[1][r] == valid
-
-
-class _Measured(Exception):
-    pass
-
-
-def test_one_refit_objective_call_allocates_no_sample_sized_array(monkeypatch):
-    # every (lanes, n) step of the row kernels, and the gather of a subset of
-    # the lanes, writes into the scratch Refit.rows allocates once per search
-    lanes, n = 500, 129
-    X = np.stack([bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=s).values for s in range(lanes)])
-    lo = X.min(axis=1)
-    peaks = {}
-
-    def measuring(objective, x0, config):
-        points = x0.copy()
-        points[0::7, 1] = -1.0  # sigma <= 0
-        points[1::7] = np.column_stack([lo[1::7] + 5.0 / 0.5 * 1.5, np.full(lo[1::7].size, 5.0),
-                                        np.full(lo[1::7].size, 0.5)])  # outside the support
-        points[2::7] = np.column_stack([lo[2::7] + 1.0 / 0.02 * (1.0 - 1e-12),
-                                        np.ones(lo[2::7].size), np.full(lo[2::7].size, 0.02)])  # overflow
-        points[3::97, 2] = 1e-10  # the Gumbel surface: those rows are copied
-        for label, subset in (("all", np.arange(lanes)), ("subset", np.arange(1, lanes, 2))):
-            objective(subset, points[subset])  # warm up
-            tracemalloc.start()
-            try:
-                objective(subset, points[subset])
-                peaks[label] = (tracemalloc.get_traced_memory()[1], subset.size)
-            finally:
-                tracemalloc.stop()
-        raise _Measured
-
-    monkeypatch.setattr(bm.inference, "minimize_rows", measuring)
-    with pytest.raises(_Measured):
-        Refit("gev").rows(X)
-    for label, (peak, k) in peaks.items():
-        # numpy's broadcasting ufuncs take a fixed 64 KiB iterator buffer; one
-        # fresh float64 (k, n) array would not fit
-        assert peak < 8 * k * n, (label, peak)
 
 
 # -- minimize_rows ------------------------------------------------------------
