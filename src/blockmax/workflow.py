@@ -1,17 +1,21 @@
 """End-to-end analysis workflow and the machine-readable report.
 
-``run_workflow`` fits both models, selects one (likelihood-ratio verdict,
-AIC reported alongside), quantifies estimator uncertainty by bootstrap and
-jackknife, screens and applies bias corrections, computes return levels with
-confidence bounds, order-statistic exceedance probabilities and the four
-diagnostic series, and returns everything as one JSON-ready dict.  All floats
-in the report are rounded to 10 significant digits; rendering helpers build
-the human-readable tables from the same dict, so every displayed number is in
-the report.
+The analysis runs in stages, one function each, which the CLI subcommands
+call as well: ``select_model`` fits the models and picks one
+(likelihood-ratio verdict, AIC reported alongside), ``resample`` quantifies
+estimator uncertainty by bootstrap and jackknife, ``correct`` screens and
+applies the bias corrections, ``return_levels`` computes return levels with
+confidence bounds, ``diagnostic_series`` the diagnostic plot series and
+``order_statistics`` order-statistic exceedance probabilities.
+``run_workflow`` composes the stages into one JSON-ready dict.  All floats in
+the report are rounded to 10 significant digits; ``report_tables`` builds
+both the human-readable tables and the CSV tables from that dict, so every
+displayed number is in the report.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from contextlib import contextmanager
@@ -22,13 +26,17 @@ import numpy as np
 from . import diagnostics as diag
 from .data import MaximaSample
 from .gev import GevParams, cdf
-from .inference import FitResult, Refit, aic, fit_gev, fit_gumbel, lrt
+from .inference import FitResult, LrtResult, Refit, aic, fit_gev, fit_gumbel, lrt
 from .orderstats import order_cdf
 from .resampling import Verdict, bootstrap, jackknife, screen
 from .returns import return_level_ci
 from .special import chi2_quantile
 
-__all__ = ["WorkflowConfig", "WorkflowError", "render_tables", "run_workflow"]
+__all__ = [
+    "Correction", "Selection", "Table", "WorkflowConfig", "WorkflowError", "correct",
+    "diagnostic_series", "order_statistics", "render_tables", "report_tables", "resample",
+    "return_levels", "round_tree", "run_workflow", "select_model",
+]
 
 REPORT_SCHEMA = "blockmax-report/1"
 
@@ -76,7 +84,6 @@ class WorkflowConfig:
     order_n: int = 10
     order_ranks: tuple[int, ...] = ()
     holdout: tuple[float, ...] = ()
-    density_bins: int | None = None
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -95,18 +102,23 @@ def _sig10(x):
     return float(f"{x:.10g}")
 
 
-def _round_tree(obj):
+def round_tree(obj):
+    """A JSON-ready copy of ``obj`` with every float rounded by ``_sig10``."""
     if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
+        return {k: round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
+        return [round_tree(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return _sig10(obj)
     if isinstance(obj, (np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return _round_tree(obj.tolist())
+        return round_tree(obj.tolist())
     return obj
+
+
+def _labels(fit: FitResult) -> tuple[str, ...]:
+    return ("mu", "sigma", "xi")[: fit.n_params]
 
 
 def _fit_dict(fit: FitResult) -> dict:
@@ -122,7 +134,7 @@ def _fit_dict(fit: FitResult) -> dict:
     }
 
 
-def _report_dict(rep, verdicts) -> dict:
+def _report_dict(rep) -> dict:
     d = {
         "labels": list(rep.labels),
         "estimate": list(rep.estimate),
@@ -131,7 +143,7 @@ def _report_dict(rep, verdicts) -> dict:
         "ratio": list(rep.ratio),
         "rmse": list(rep.rmse),
         "corrected": list(rep.corrected),
-        "verdicts": [v.value for v in verdicts],
+        "verdicts": [v.value for v in screen(rep)],
     }
     if rep.method == "bootstrap":
         d.update({"B": rep.b, "seed": rep.seed, "failed": rep.failed})
@@ -145,6 +157,130 @@ def _series_dict(series: diag.PlotSeries) -> dict:
         "bands": None if series.bands is None else series.bands.tolist(),
         "reference": series.reference,
     }
+
+
+# -- stages -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Selection:
+    """The models fitted and the one the analysis goes on with."""
+
+    fits: dict[str, FitResult]  # by model name, in fitting order
+    model: str  # the selected model
+    test: LrtResult | None  # None when a forced model was fitted alone
+
+    @property
+    def fit(self) -> FitResult:
+        return self.fits[self.model]
+
+
+def select_model(sample, model: str = "auto", compare: bool = True) -> Selection:
+    """Stages "fit" and "model_selection".
+
+    "auto" fits both models and keeps the GEV when the likelihood-ratio test
+    rejects the Gumbel.  A forced model is fitted alone unless ``compare``.
+    """
+    with _stage("fit"):
+        if compare or model == "auto":
+            fits = {"gumbel": fit_gumbel(sample), "gev": fit_gev(sample)}
+        else:
+            fits = {model: (fit_gev if model == "gev" else fit_gumbel)(sample)}
+    with _stage("model_selection"):
+        test = lrt(fits["gumbel"], fits["gev"]) if len(fits) == 2 else None
+        if model == "auto":
+            model = "gev" if test.reject_at_5pct else "gumbel"
+    return Selection(fits, model, test)
+
+
+def resample(values, fit: FitResult, boot_b: int = 999, seed: int | None = None,
+             run_jackknife: bool = True) -> dict:
+    """Stage "resampling": the report sections of the bootstrap (``boot_b``
+    replicates; 0 skips it) and the jackknife of ``fit``'s model, by method."""
+    stat, labels = Refit(fit.model), _labels(fit)
+    sections = {}
+    with _stage("resampling"):
+        if boot_b:
+            rep = bootstrap(values, stat, b=boot_b, seed=resolve_seed(seed), labels=labels)
+            sections["bootstrap"] = _report_dict(rep)
+        if run_jackknife:
+            sections["jackknife"] = _report_dict(jackknife(values, stat, labels=labels))
+    return sections
+
+
+@dataclass(frozen=True)
+class Correction:
+    """The parameters after bias correction, and where the corrections came from."""
+
+    params: GevParams  # the fit's parameters with the corrected ones replaced
+    applied: list[str]  # names of the corrected parameters
+    source: str | None  # the resampling method the corrections come from
+
+    @property
+    def sigma(self) -> float | None:
+        """The corrected scale, or None when the scale was not corrected."""
+        return self.params.sigma if "sigma" in self.applied else None
+
+
+def correct(fit: FitResult, resampling: dict, bias_correct: str = "auto") -> Correction:
+    """Stage "correction".
+
+    The corrections come from the jackknife section of ``resampling`` when
+    there is one, otherwise from the bootstrap.  "auto" corrects the
+    parameters whose screening verdict is CORRECT, "on" all, "off" none.
+    """
+    with _stage("correction"):
+        source = next((m for m in ("jackknife", "bootstrap") if m in resampling), None)
+        if source is None or bias_correct == "off":
+            return Correction(fit.params, [], source)
+        rep = resampling[source]
+        corrected = {
+            name: value
+            for name, value, verdict in zip(rep["labels"], rep["corrected"], rep["verdicts"])
+            if bias_correct == "on" or verdict == Verdict.CORRECT.value
+        }
+        return Correction(dataclasses.replace(fit.params, **corrected), list(corrected), source)
+
+
+def return_levels(fit: FitResult, periods, tau: float = 0.05, one_sided: bool = False,
+                  sigma_corrected: float | None = None) -> dict:
+    """Stage "return_levels": level and confidence bounds per return period."""
+    with _stage("return_levels"):
+        rows = []
+        for period in periods:
+            est = return_level_ci(fit, 1.0 / period, tau=tau, one_sided=one_sided,
+                                  sigma_corrected=sigma_corrected)
+            rows.append({"period": period, "p": est.p, "level": est.level,
+                         "variance": est.variance, "lower": est.ci[0], "upper": est.ci[1]})
+    return {
+        "tau": tau,
+        "one_sided": one_sided,
+        "basis": "bias_corrected" if sigma_corrected is not None else "raw_fit",
+        "rows": rows,
+    }
+
+
+def diagnostic_series(values, fit: FitResult, periods=(), tau: float = 0.05,
+                      one_sided: bool = False, sigma_corrected: float | None = None) -> list:
+    """Stage "diagnostics": probability, quantile and density series, and the
+    return-level curve when there are periods."""
+    with _stage("diagnostics"):
+        series = [
+            diag.probability_plot(values, fit.params),
+            diag.quantile_plot(values, fit.params),
+            diag.density_overlay(values, fit.params),
+        ]
+        if periods:
+            series.append(diag.return_curve(fit, periods, tau=tau, one_sided=one_sided,
+                                            sigma_corrected=sigma_corrected))
+    return series
+
+
+def order_statistics(params: GevParams, x: float, n: int, ranks) -> dict:
+    """Stage "order_statistics": P(X_(r:n) <= x) per rank r under ``params``."""
+    with _stage("order_statistics"):
+        f_val = cdf(params, x)
+        rows = [{"r": int(r), "prob": order_cdf(f_val, int(r), n)} for r in ranks]
+    return {"x": x, "n": n, "parent_cdf": f_val, "rows": rows}
 
 
 def run_workflow(sample: MaximaSample, config: WorkflowConfig | None = None) -> dict:
@@ -177,117 +313,40 @@ def run_workflow(sample: MaximaSample, config: WorkflowConfig | None = None) -> 
         "bias_correct": config.bias_correct,
     }
 
-    with _stage("fit"):
-        gumbel_fit = fit_gumbel(sample)
-        gev_fit = fit_gev(sample)
-        report["fits"] = {"gumbel": _fit_dict(gumbel_fit), "gev": _fit_dict(gev_fit)}
+    selection = select_model(sample, config.model)
+    fit, test = selection.fit, selection.test
+    report["fits"] = {name: _fit_dict(f) for name, f in selection.fits.items()}
+    report["model_selection"] = {
+        "lrt": {
+            "D": test.d,
+            "df": test.df,
+            "critical_95": chi2_quantile(0.95, test.df),
+            "reject": test.reject_at_5pct,
+        },
+        "aic": {name: aic(f) for name, f in selection.fits.items()},
+        "selected": selection.model,
+        "forced": config.model != "auto",
+    }
 
-    with _stage("model_selection"):
-        test = lrt(gumbel_fit, gev_fit)
-        selected = config.model if config.model != "auto" else (
-            "gev" if test.reject_at_5pct else "gumbel"
-        )
-        report["model_selection"] = {
-            "lrt": {
-                "D": test.d,
-                "df": test.df,
-                "critical_95": chi2_quantile(0.95, test.df),
-                "reject": test.reject_at_5pct,
-            },
-            "aic": {"gumbel": aic(gumbel_fit), "gev": aic(gev_fit)},
-            "selected": selected,
-            "forced": config.model != "auto",
-        }
-    fit = gev_fit if selected == "gev" else gumbel_fit
-    labels = ("mu", "sigma", "xi")[: fit.n_params]
-    stat = Refit(selected)
+    resampling = resample(values, fit, config.boot_b, seed, config.run_jackknife)
+    report["resampling"] = resampling or None
+    correction = correct(fit, resampling, config.bias_correct)
+    report["correction"] = {
+        "source": correction.source,
+        "applied": correction.applied,
+        "params": {name: getattr(correction.params, name) for name in _labels(fit)},
+    }
 
-    with _stage("resampling"):
-        resampling: dict = {}
-        boot_rep = jack_rep = None
-        if config.boot_b >= 2:
-            boot_rep = bootstrap(values, stat, b=config.boot_b, seed=seed, labels=labels)
-            resampling["bootstrap"] = _report_dict(boot_rep, screen(boot_rep))
-        if config.run_jackknife:
-            jack_rep = jackknife(values, stat, labels=labels)
-            resampling["jackknife"] = _report_dict(jack_rep, screen(jack_rep))
-        report["resampling"] = resampling or None
-
-    with _stage("correction"):
-        source = jack_rep if jack_rep is not None else boot_rep
-        applied: list[str] = []
-        effective = fit.params
-        if source is not None and config.bias_correct != "off":
-            verdicts = screen(source)
-            corrected = dict(zip(source.labels, source.corrected))
-            take = {
-                "auto": [l for l, v in zip(source.labels, verdicts) if v is Verdict.CORRECT],
-                "on": list(source.labels),
-            }[config.bias_correct]
-            if take:
-                raw = {"mu": fit.params.mu, "sigma": fit.params.sigma, "xi": fit.params.xi}
-                raw.update({name: corrected[name] for name in take})
-                effective = GevParams(raw["mu"], raw["sigma"], raw["xi"])
-                applied = take
-        report["correction"] = {
-            "source": None if source is None else source.method,
-            "applied": applied,
-            "params": {name: getattr(effective, name) for name in labels},
-        }
-    sigma_corrected = effective.sigma if "sigma" in applied else None
-
-    with _stage("return_levels"):
-        if config.periods:
-            rows = []
-            for period in config.periods:
-                est = return_level_ci(
-                    fit, 1.0 / period, tau=config.tau,
-                    one_sided=config.one_sided, sigma_corrected=sigma_corrected,
-                )
-                rows.append({
-                    "period": period,
-                    "p": est.p,
-                    "level": est.level,
-                    "variance": est.variance,
-                    "lower": est.ci[0],
-                    "upper": est.ci[1],
-                })
-            report["return_levels"] = {
-                "tau": config.tau,
-                "one_sided": config.one_sided,
-                "basis": ("bias_corrected" if sigma_corrected is not None else "raw_fit"),
-                "rows": rows,
-            }
-        else:
-            report["return_levels"] = None
-
-    with _stage("diagnostics"):
-        series = [
-            diag.probability_plot(values, fit.params),
-            diag.quantile_plot(values, fit.params),
-            diag.density_overlay(values, fit.params, bins=config.density_bins),
-        ]
-        if config.periods:
-            series.append(diag.return_curve(
-                fit, config.periods, tau=config.tau,
-                one_sided=config.one_sided, sigma_corrected=sigma_corrected,
-            ))
-        report["diagnostics"] = {s.kind.value: _series_dict(s) for s in series}
-
-    with _stage("order_statistics"):
-        if config.order_x is not None and config.order_ranks:
-            f_val = cdf(effective, config.order_x)
-            report["order_statistics"] = {
-                "x": config.order_x,
-                "n": config.order_n,
-                "parent_cdf": f_val,
-                "rows": [
-                    {"r": int(r), "prob": order_cdf(f_val, int(r), config.order_n)}
-                    for r in config.order_ranks
-                ],
-            }
-        else:
-            report["order_statistics"] = None
+    ci = {"tau": config.tau, "one_sided": config.one_sided, "sigma_corrected": correction.sigma}
+    report["return_levels"] = (
+        return_levels(fit, config.periods, **ci) if config.periods else None
+    )
+    series = diagnostic_series(values, fit, config.periods, **ci)
+    report["diagnostics"] = {s.kind.value: _series_dict(s) for s in series}
+    report["order_statistics"] = (
+        order_statistics(correction.params, config.order_x, config.order_n, config.order_ranks)
+        if config.order_x is not None and config.order_ranks else None
+    )
 
     with _stage("holdout"):
         if config.holdout and report["return_levels"] is not None:
@@ -303,7 +362,92 @@ def run_workflow(sample: MaximaSample, config: WorkflowConfig | None = None) -> 
         else:
             report["holdout"] = None
 
-    return _round_tree(report)
+    return round_tree(report)
+
+
+# -- tables -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Table:
+    """One table of the report, in the text and in the CSV form.
+
+    Each column has a (text header, CSV header) pair; a None header leaves
+    the column out of that form.  ``csv`` names the CSV file; None keeps the
+    table out of the CSVs.
+    """
+
+    title: str
+    csv: str | None
+    columns: list[tuple[str | None, str | None]]
+    rows: list[list]
+
+    def form(self, csv: bool) -> tuple[list[str], list[list]]:
+        """Header and rows of the CSV form (``csv``) or of the text form."""
+        side = 1 if csv else 0
+        keep = [i for i, c in enumerate(self.columns) if c[side] is not None]
+        return [self.columns[i][side] for i in keep], [[row[i] for i in keep] for row in self.rows]
+
+
+def report_tables(report: dict) -> list[Table]:
+    """The report's tables; every number is taken verbatim from the report."""
+    fits, sel = report["fits"], report["model_selection"]
+    tables = [
+        Table(
+            "Model comparison", "model_selection.csv",
+            [("model", "model"), ("xi", "xi"), ("log-lik", None), (None, "nllh"),
+             ("AIC", "aic"), (None, "selected")],
+            [[name, fits[name]["params"]["xi"], -fits[name]["nllh"], fits[name]["nllh"],
+              sel["aic"][name], sel["selected"] == name] for name in ("gumbel", "gev")],
+        ),
+        Table(
+            "Likelihood-ratio test", None,
+            [(h, None) for h in ("D", "df", "critical(95%)", "reject", "selected")],
+            [[sel["lrt"]["D"], sel["lrt"]["df"], sel["lrt"]["critical_95"],
+              sel["lrt"]["reject"], sel["selected"]]],
+        ),
+    ]
+
+    if report.get("resampling"):
+        keys = ("estimate", "bias", "se", "ratio", "rmse", "corrected", "verdicts")
+        tables.append(Table(
+            "Resampling bias and standard error", "resampling.csv",
+            [("method", "method"), ("param", "param"), ("estimate", "estimate"), ("bias", "bias"),
+             ("se", "se"), ("|bias|/se", "ratio"), ("rmse", "rmse"),
+             ("corrected", "corrected"), ("verdict", "verdict")],
+            [[method, label, *(rep[k][i] for k in keys)]
+             for method, rep in report["resampling"].items()
+             for i, label in enumerate(rep["labels"])],
+        ))
+
+    if report.get("return_levels"):
+        rl = report["return_levels"]
+        tables.append(Table(
+            f"Return levels (tau={_fmt(rl['tau'])}, "
+            f"{'one-sided' if rl['one_sided'] else 'two-sided'}, basis={rl['basis']})",
+            "return_levels.csv",
+            [("period", "period"), (None, "p"), ("level", "level"), (None, "variance"),
+             ("lower", "lower"), ("upper", "upper")],
+            [[r[k] for k in ("period", "p", "level", "variance", "lower", "upper")]
+             for r in rl["rows"]],
+        ))
+
+    if report.get("order_statistics"):
+        os_sec = report["order_statistics"]
+        tables.append(Table(
+            f"Order statistics P(X_(r:{os_sec['n']}) <= {_fmt(os_sec['x'])})",
+            "order_statistics.csv",
+            [("r", "r"), ("probability", "prob")],
+            [[r["r"], r["prob"]] for r in os_sec["rows"]],
+        ))
+
+    if report.get("holdout"):
+        tables.append(Table(
+            f"Holdout values {report['holdout']['values']} vs return levels", None,
+            [(h, None) for h in ("period", "level", "n_under", "n_total")],
+            [[c["period"], c["level"], sum(c["under"]), len(c["under"])]
+             for c in report["holdout"]["comparisons"]],
+        ))
+    return tables
 
 
 def _fmt(x) -> str:
@@ -328,64 +472,4 @@ def _table(title: str, header: list[str], rows: list[list]) -> str:
 
 def render_tables(report: dict) -> str:
     """Human-readable tables; every number is taken verbatim from the report."""
-    blocks = []
-
-    fits, sel = report["fits"], report["model_selection"]
-    blocks.append(_table(
-        "Model comparison",
-        ["model", "xi", "log-lik", "AIC"],
-        [
-            [name, fits[name]["params"]["xi"], -fits[name]["nllh"], sel["aic"][name]]
-            for name in ("gumbel", "gev")
-        ],
-    ))
-    blocks.append(_table(
-        "Likelihood-ratio test",
-        ["D", "df", "critical(95%)", "reject", "selected"],
-        [[sel["lrt"]["D"], sel["lrt"]["df"], sel["lrt"]["critical_95"],
-          sel["lrt"]["reject"], sel["selected"]]],
-    ))
-
-    if report.get("resampling"):
-        rows = []
-        for method, rep in report["resampling"].items():
-            for i, label in enumerate(rep["labels"]):
-                rows.append([
-                    method, label, rep["estimate"][i], rep["bias"][i], rep["se"][i],
-                    rep["ratio"][i], rep["rmse"][i], rep["corrected"][i], rep["verdicts"][i],
-                ])
-        blocks.append(_table(
-            "Resampling bias and standard error",
-            ["method", "param", "estimate", "bias", "se", "|bias|/se", "rmse", "corrected", "verdict"],
-            rows,
-        ))
-
-    if report.get("return_levels"):
-        rl = report["return_levels"]
-        blocks.append(_table(
-            f"Return levels (tau={_fmt(rl['tau'])}, "
-            f"{'one-sided' if rl['one_sided'] else 'two-sided'}, basis={rl['basis']})",
-            ["period", "level", "lower", "upper"],
-            [[r["period"], r["level"], r["lower"], r["upper"]] for r in rl["rows"]],
-        ))
-
-    if report.get("order_statistics"):
-        os_sec = report["order_statistics"]
-        blocks.append(_table(
-            f"Order statistics P(X_(r:{os_sec['n']}) <= {_fmt(os_sec['x'])})",
-            ["r", "probability"],
-            [[r["r"], r["prob"]] for r in os_sec["rows"]],
-        ))
-
-    if report.get("holdout"):
-        rows = [
-            [c["period"], c["level"], sum(c["under"]), len(c["under"])]
-            for c in report["holdout"]["comparisons"]
-        ]
-        blocks.append(_table(
-            f"Holdout values {report['holdout']['values']} vs return levels",
-            ["period", "level", "n_under", "n_total"],
-            rows,
-        ))
-
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(_table(t.title, *t.form(csv=False)) for t in report_tables(report)) + "\n"

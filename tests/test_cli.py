@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockmax import cli
 from blockmax.cli import main
+
+README_INPUT = Path(__file__).with_name("data") / "maxima.txt"
 
 
 def run(capsys, *argv):
@@ -111,10 +116,13 @@ class TestReport:
             assert code == 0
         assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
 
-    def test_csv_format_requires_out_dir(self, data_file, capsys):
+    def test_csv_format_requires_out_dir(self, data_file, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_workflow", lambda *args: calls.append(args))
         code, _, err = run(capsys, "report", str(data_file), "--format", "csv",
                            "--boot-B", "0")
         assert code == 2 and "out-dir" in err
+        assert calls == []  # rejected before any stage ran
 
     def test_env_seed_default(self, data_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EVT_SEED", "123")
@@ -187,3 +195,83 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["fit", "file.txt", "--model", "weibull"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", "--tau 0.1"), ("fit", "--one-sided"), ("fit", "--bias-correct on"),
+    ("fit", "--out-dir d"), ("fit", "--seed 1"), ("fit", "--boot-B 9"),
+    ("resample", "--tau 0.1"), ("resample", "--one-sided"), ("resample", "--bias-correct on"),
+    ("resample", "--out-dir d"), ("rlevel", "--out-dir d"), ("rlevel", "--seed 1"),
+    ("ostat", "--tau 0.1"), ("ostat", "--one-sided"), ("ostat", "--out-dir d"),
+    ("ostat", "--periods 10"), ("diag", "--format json"), ("diag", "--seed 1"),
+])
+def test_a_flag_the_subcommand_ignores_exits_2(capsys, command, flags):
+    required = ["--x", "100", "--ranks", "2"] if command == "ostat" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, "maxima.txt", *required, *flags.split()])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def gev_reports(tmp_path_factory):
+    """Output directory of the README report, GEV forced and B=99, per --bias-correct."""
+    dirs = {}
+
+    def get(policy):
+        if policy not in dirs:
+            dirs[policy] = tmp_path_factory.mktemp(f"report_{policy}")
+            _stdout("report", README_INPUT, "--model", "gev", "--boot-B", "99", "--seed", "4",
+                    "--bias-correct", policy, "--ostat-x", "100", "--ostat-ranks", "2,4,5,8,10",
+                    "--out-dir", dirs[policy])
+        return dirs[policy]
+    return get
+
+
+FIT_KEYS = ("params", "se", "nllh", "regularity", "converged")
+PLOTS = ("probability_plot.csv", "quantile_plot.csv", "density_overlay.csv", "return_curve.csv")
+
+
+def _plots(directory):
+    return {name: (directory / name).read_bytes() for name in PLOTS}
+
+
+def _ostat_case(policy):
+    return (policy, ["ostat", "--bias-correct", policy, "--x", "100", "--ranks", "2,4,5,8,10",
+                     "--format", "json"],
+            lambda out, _: json.loads(out)["rows"],
+            lambda report, _: report["order_statistics"]["rows"])
+
+
+# (--bias-correct of the report, subcommand and flags, its result, the report's)
+SAME_AS_REPORT = {
+    "fit": ("auto", ["fit", "--format", "json"],
+            lambda out, _: {k: json.loads(out)[k] for k in FIT_KEYS},
+            lambda report, _: {k: report["fits"]["gev"][k] for k in FIT_KEYS}),
+    "resample": ("auto", ["resample", "--boot-B", "99", "--seed", "4", "--format", "json"],
+                 lambda out, _: {k: v for k, v in json.loads(out).items() if k != "model"},
+                 lambda report, _: report["resampling"]),
+    "rlevel": ("auto", ["rlevel", "--format", "json"],
+               lambda out, _: json.loads(out)["rows"],
+               lambda report, _: report["return_levels"]["rows"]),
+    "diag": ("auto", ["diag"], lambda _, directory: _plots(directory),
+             lambda _, directory: _plots(directory)),
+    **{f"ostat-{policy}": _ostat_case(policy) for policy in ("auto", "on", "off")},
+}
+
+
+@pytest.mark.parametrize("case", SAME_AS_REPORT)
+def test_subcommand_matches_the_report(case, gev_reports, tmp_path, monkeypatch):
+    policy, (command, *flags), got, want = SAME_AS_REPORT[case]
+    report_dir = gev_reports(policy)
+    report = json.loads((report_dir / "report.json").read_text())
+    monkeypatch.chdir(tmp_path)  # diag writes its files into the working directory
+    out = _stdout(command, README_INPUT, "--model", "gev", *flags)
+    assert got(out, tmp_path) == want(report, report_dir)

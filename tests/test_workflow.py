@@ -103,6 +103,12 @@ class TestReport:
             run_workflow(tiny, WorkflowConfig())
         assert err.value.stage == "fit"
 
+    def test_one_bootstrap_replicate_is_an_error(self, station_like_sample):
+        # boot_b=0 skips the bootstrap; any other count below 2 is rejected
+        with pytest.raises(bm.WorkflowError, match="at least 2 replicates") as err:
+            run_workflow(station_like_sample, WorkflowConfig(boot_b=1, run_jackknife=False))
+        assert err.value.stage == "resampling"
+
 
 class TestTables:
     def test_tables_only_use_report_numbers(self, full_report):
