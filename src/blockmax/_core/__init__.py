@@ -6,7 +6,9 @@ module attributes (``_core.gev_nllh``) so :func:`use_backend` can swap them,
 which the benchmark and the backend-parity tests rely on.
 
 The row kernels (``gev_nllh_rows``, ``gumbel_nllh_rows``) evaluate one
-parameter point per row of a sample matrix for the batched replicate engine.
+parameter point per row of a sample matrix for the batched replicate engine,
+and the derivative row kernels (``gev_derivatives_rows``,
+``gumbel_derivatives_rows``) add the score and the observed information.
 They are numpy only and serve either backend.
 """
 
@@ -26,6 +28,8 @@ if _compiled is not None:
 PENALTY = _kernels_py.PENALTY
 gumbel_nllh_rows = _kernels_py.gumbel_nllh_rows
 gev_nllh_rows = _kernels_py.gev_nllh_rows
+gumbel_derivatives_rows = _kernels_py.gumbel_derivatives_rows
+gev_derivatives_rows = _kernels_py.gev_derivatives_rows
 
 gumbel_nllh = None
 gev_nllh = None

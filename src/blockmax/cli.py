@@ -46,6 +46,12 @@ _FLAGS = {
     "--out-dir": dict(default=None, help="directory for report/table/plot files"),
     "--format": dict(choices=["csv", "json", "table"], default="table"),
 }
+# the flags that act on the fit, which rlevel and ostat skip with --params:
+# given together with it, they are rejected
+_FIT_FLAGS = {
+    "rlevel": ("--model", "--tau", "--one-sided", "--bias-correct"),
+    "ostat": ("--model", "--bias-correct"),
+}
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -61,6 +67,21 @@ def _parse_params(text: str) -> GevParams:
     if len(parts) not in (2, 3):
         raise ValueError("--params expects MU,SIGMA or MU,SIGMA,XI")
     return GevParams(*parts)
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _check_fit_flags(args, command: str):
+    """Reject ``command``'s fit flags next to --params, else give them their defaults."""
+    flags = _FIT_FLAGS[command]
+    given = [flag for flag in flags if hasattr(args, _dest(flag))]
+    if args.params and given:
+        raise ValueError(f"{given[0]} has no effect with --params")
+    for flag in flags:
+        if not hasattr(args, _dest(flag)):
+            setattr(args, _dest(flag), _FLAGS[flag].get("default", False))
 
 
 def _load_sample(args):
@@ -84,29 +105,38 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload, indent=2))
 
 
-def _write_series(out_dir: Path, series, svg: bool):
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def _write_series(out_dir: Path, series, svg: bool) -> list[Path]:
+    """Write the plot series as CSV (and SVG); the paths written."""
+    paths = []
     for s in series:
-        stem = _PLOT_FILES[s.kind]
-        (out_dir / f"{stem}.csv").write_text(series_to_csv(s))
+        stem = out_dir / _PLOT_FILES[s.kind]
+        paths.append(_write(stem.with_suffix(".csv"), series_to_csv(s)))
         if svg:
-            (out_dir / f"{stem}.svg").write_text(series_to_svg(s))
+            paths.append(_write(stem.with_suffix(".svg"), series_to_svg(s)))
+    return paths
 
 
-def _write_report_files(out_dir: Path, report: dict):
+def _write_report_files(out_dir: Path, report: dict) -> list[Path]:
+    """Write report.json, the CSV tables and the plot series; the paths written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    paths = [_write(out_dir / "report.json", json.dumps(report, indent=2) + "\n")]
     for table in report_tables(report):
         if table.csv:
             header, rows = table.form(csv=True)
             lines = [",".join(header)]
             lines += [",".join("" if c is None else f"{c}" for c in row) for row in rows]
-            (out_dir / table.csv).write_text("\n".join(lines) + "\n")
+            paths.append(_write(out_dir / table.csv, "\n".join(lines) + "\n"))
     series = [
         PlotSeries(PlotKind(kind), np.asarray(s["points"]),
                    None if s["bands"] is None else np.asarray(s["bands"]))
         for kind, s in (report.get("diagnostics") or {}).items()
     ]
-    _write_series(out_dir, series, svg=False)
+    return paths + _write_series(out_dir, series, svg=False)
 
 
 def _cmd_fit(args):
@@ -133,9 +163,7 @@ def _cmd_diag(args):
                                one_sided=args.one_sided, sigma_corrected=correction.sigma)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_series(out_dir, series, svg=True)
-    print("\n".join(str(out_dir / f"{_PLOT_FILES[s.kind]}.{ext}")
-                    for s in series for ext in ("csv", "svg")))
+    print("\n".join(str(p) for p in _write_series(out_dir, series, svg=True)))
     return 0
 
 
@@ -154,6 +182,7 @@ def _cmd_resample(args):
 
 
 def _cmd_rlevel(args):
+    _check_fit_flags(args, "rlevel")
     periods = _parse_floats(args.periods)
     if args.params:
         params = _parse_params(args.params)
@@ -173,6 +202,7 @@ def _cmd_rlevel(args):
 
 
 def _cmd_ostat(args):
+    _check_fit_flags(args, "ostat")
     ranks = _parse_ints(args.ranks)
     params = _parse_params(args.params) if args.params else _corrected_fit(args)[2].params
     payload = round_tree(order_statistics(params, args.x, args.n, ranks))
@@ -207,10 +237,9 @@ def _cmd_report(args):
         holdout=_parse_floats(args.holdout) if args.holdout else (),
     )
     report = run_workflow(sample, config)
-    if args.out_dir:
-        _write_report_files(Path(args.out_dir), report)
+    written = _write_report_files(Path(args.out_dir), report) if args.out_dir else []
     if args.format == "csv":
-        print("\n".join(str(p) for p in sorted(Path(args.out_dir).iterdir())))
+        print("\n".join(str(p) for p in sorted(written)))
     else:
         _emit(args, report, render_tables(report))
     return 0
@@ -225,7 +254,10 @@ def _subcommand(sub, name, func, help, *flags):
     p.add_argument("--value-col", default=None, help="value column name (default: first non-year)")
     p.add_argument("--max-bad", type=int, default=10, help="tolerated bad rows before failing")
     for flag in flags:
-        p.add_argument(flag, **_FLAGS[flag])
+        spec = _FLAGS[flag]
+        if flag in _FIT_FLAGS.get(name, ()):  # absent unless given; see _check_fit_flags
+            spec = dict(spec, default=argparse.SUPPRESS)
+        p.add_argument(flag, **spec)
     p.set_defaults(func=func)
     return p
 

@@ -9,6 +9,7 @@ intervals, the nested likelihood-ratio test, AIC, and the delta method.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
@@ -21,8 +22,10 @@ from .gev import GevParams
 from .likelihood import (
     PENALTY,
     SingularInformationError,
+    gev_derivatives_rows,
     gev_nllh_rows,
     gev_nllh_value,
+    gumbel_derivatives_rows,
     gumbel_nllh_rows,
     gumbel_nllh_value,
     observed_information,
@@ -58,12 +61,36 @@ SCALE_FLOOR = 1e-12
 # warm-started grid searches at n=129.
 MIN_WALK = 4
 EULER_GAMMA = 0.5772157
+# Newton refits (Refit with a start point).  A lane stops once its squared
+# Newton decrement g'H^-1 g, the squared length of its step in standard
+# errors, is at most NEWTON_TOL, after one last full step; steps with a
+# decrement at most FULL_STEP are taken whole, larger ones are halved until
+# the nllh drops by ARMIJO times the predicted decrease, at most HALVINGS
+# times.  A lane that is not done after NEWTON_STEPS steps falls back to the
+# simplex search, as does one that enters the nonregular shapes.
+NEWTON_TOL = 1e-10
+FULL_STEP = 1e-6
+ARMIJO = 1e-4
+HALVINGS = 30
+NEWTON_STEPS = 20
+NONREGULAR_XI = -0.5
+# Values per derivative-pass call.  The pass holds four arrays of its size,
+# so a wide batch is cut into blocks of rows, which keeps the peak memory of
+# a Newton refit at that of the simplex search.
+BLOCK_ELEMENTS = 16_384
 _PARAMETERS = {"gev": ("mu", "sigma", "xi"), "gumbel": ("mu", "sigma")}
 
 
 NOT_CONVERGED = "not_converged"
 PENALIZED_OPTIMUM = "penalized_optimum"
 DEGENERATE_SAMPLE = "degenerate_sample"
+
+# why a Newton lane fell back to the simplex search
+INDEFINITE = "indefinite"  # the information is not positive definite
+SUPPORT = "support"  # the point, or every point tried along the step, is outside the support
+LINE_SEARCH = "line_search"  # no sufficient decrease along the step
+STEP_CAP = "step_cap"  # not converged in NEWTON_STEPS steps
+NONREGULAR = "nonregular"  # xi <= NONREGULAR_XI (Smith 1985)
 
 
 class ConvergenceError(Exception):
@@ -254,16 +281,42 @@ class Refit:
     DegenerateSampleError (a constant row, which is not searched and whose
     theta is NaN, or a row whose fitted scale collapsed).  A ``failures``
     Counter, when given, gains the ``cause`` of every failed row.
+
+    ``Refit(model, start)``, with ``start`` the full-sample estimate, refits
+    each row by damped Newton steps from ``start`` on the closed-form score
+    and information instead (see NEWTON_TOL).  A row whose information is
+    not positive definite, that leaves the support, that does not converge
+    in NEWTON_STEPS steps or that enters the nonregular shapes falls back to
+    the simplex search from the moment start, and gets exactly the bits of
+    ``Refit(model)``.  ``ok`` and the failure causes follow the same rules,
+    and the call is the one-row case of ``rows``.  ``counts`` tallies, in
+    this process, the rows refitted by Newton (``newton``), their steps
+    (``steps``) and the fallbacks by cause.
     """
 
-    def __init__(self, model: str):
+    def __init__(self, model: str, start=None):
         if model not in ("gev", "gumbel"):
             raise ValueError(f"unknown model {model!r}")
         self.model = model
+        self.start = None
+        if start is not None:
+            self.start = np.array(start, dtype=float)
+            if self.start.shape != (len(_PARAMETERS[model]),) or not np.all(np.isfinite(self.start)):
+                raise ValueError(f"start must be a finite {model} parameter vector")
+        self.counts: Counter = Counter()
 
     def __call__(self, values) -> np.ndarray:
-        fit = fit_gev if self.model == "gev" else fit_gumbel
-        return fit(values, compute_se=False).theta
+        if self.start is None:
+            fit = fit_gev if self.model == "gev" else fit_gumbel
+            return fit(values, compute_se=False).theta
+        failures: Counter = Counter()
+        theta, ok = self.rows(_check_fit_sample(values)[None, :], failures)
+        if not ok[0]:
+            (cause,) = failures
+            if cause == DEGENERATE_SAMPLE:
+                raise DegenerateSampleError(f"the fitted scale {theta[0, 1]:g} collapsed")
+            raise ConvergenceError(f"refit failed ({cause})", cause)
+        return theta[0]
 
     def rows(self, X, failures=None) -> tuple[np.ndarray, np.ndarray]:
         X = np.ascontiguousarray(X, dtype=float)
@@ -281,6 +334,19 @@ class Refit:
                 theta[ok], searched = self.rows(X[ok], failures)
                 ok[ok] = searched
             return theta, ok
+        x_min, f_min, converged = (self._simplex if self.start is None else self._newton)(X)
+        penalized = converged & (f_min >= PENALTY)
+        spread = X.max(axis=1) - X.min(axis=1)
+        collapsed = converged & ~penalized & _collapsed(x_min[:, 1], spread)
+        if failures is not None:
+            for cause, mask in ((NOT_CONVERGED, ~converged), (PENALIZED_OPTIMUM, penalized),
+                                (DEGENERATE_SAMPLE, collapsed)):
+                if mask.any():
+                    failures[cause] += int(np.count_nonzero(mask))
+        return x_min, converged & ~penalized & ~collapsed
+
+    def _simplex(self, X):
+        """``(x_min, f_min, converged)`` of the lockstep simplex search from the moment start."""
         x0 = np.array([_moment_start(row) for row in X])
 
         def lane_rows(lanes):
@@ -298,15 +364,132 @@ class Refit:
                 return gumbel_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1])[0]
 
         opt = minimize_rows(objective, x0, SimplexConfig())
-        penalized = opt.converged & (opt.f_min >= PENALTY)
-        spread = X.max(axis=1) - X.min(axis=1)
-        collapsed = opt.converged & ~penalized & _collapsed(opt.x_min[:, 1], spread)
-        if failures is not None:
-            for cause, mask in ((NOT_CONVERGED, ~opt.converged), (PENALIZED_OPTIMUM, penalized),
-                                (DEGENERATE_SAMPLE, collapsed)):
-                if mask.any():
-                    failures[cause] += int(np.count_nonzero(mask))
-        return opt.x_min, opt.converged & ~penalized & ~collapsed
+        return opt.x_min, opt.f_min, opt.converged
+
+    def _newton(self, X):
+        """``(x_min, f_min, converged)``: Newton from ``start``, the simplex where it falls back."""
+        theta, f_min, cause, steps = _newton_rows(X, self.start, self.model)
+        fallback = cause != ""
+        converged = np.ones(X.shape[0], dtype=bool)
+        if fallback.any():
+            theta[fallback], f_min[fallback], converged[fallback] = self._simplex(X[fallback])
+        self.counts.update(cause[fallback].tolist())
+        self.counts["newton"] += int(np.count_nonzero(~fallback))
+        self.counts["steps"] += steps
+        return theta, f_min, converged
+
+
+def _newton_direction(g, H):
+    """Per lane: the step -H^-1 g, the squared decrement g'H^-1 g, and whether
+    H is positive definite, by a Cholesky factorization written out lane-wise."""
+    d = g.shape[1]
+    L = np.zeros_like(H)
+    definite = np.ones(g.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(d):
+            pivot = H[:, j, j].copy()
+            for k in range(j):
+                pivot -= L[:, j, k] * L[:, j, k]
+            definite &= pivot > 0.0
+            L[:, j, j] = np.sqrt(np.where(definite, pivot, 1.0))
+            for i in range(j + 1, d):
+                entry = H[:, i, j].copy()
+                for k in range(j):
+                    entry -= L[:, i, k] * L[:, j, k]
+                L[:, i, j] = entry / L[:, j, j]
+        w = np.empty_like(g)  # L w = g
+        for i in range(d):
+            entry = g[:, i].copy()
+            for k in range(i):
+                entry -= L[:, i, k] * w[:, k]
+            w[:, i] = entry / L[:, i, i]
+        step = np.empty_like(g)  # L' step = -w
+        for i in reversed(range(d)):
+            entry = -w[:, i]
+            for k in range(i + 1, d):
+                entry -= L[:, k, i] * step[:, k]
+            step[:, i] = entry / L[:, i, i]
+        decrement = w[:, 0] * w[:, 0]
+        for i in range(1, d):
+            decrement += w[:, i] * w[:, i]
+    definite &= np.isfinite(decrement) & np.isfinite(step).all(axis=1)
+    return step, decrement, definite
+
+
+def _in_blocks(derivatives, rows, point):
+    """``derivatives`` of the rows at their points, at most BLOCK_ELEMENTS values per call."""
+    size = max(1, BLOCK_ELEMENTS // rows.shape[1])
+    if rows.shape[0] <= size:
+        return derivatives(rows, *point.T)
+    parts = [derivatives(rows[a:a + size], *point[a:a + size].T)
+             for a in range(0, rows.shape[0], size)]
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _newton_rows(X, start, model):
+    """Damped Newton from ``start`` on every row of X, in lockstep.
+
+    Returns ``(theta, f_min, cause, steps)``: per lane the optimum and its
+    nllh, ``""`` or the cause of a fallback (theta and f_min are then
+    meaningless), and the number of derivative passes over all lanes.  Each
+    lane's arithmetic is elementwise in the lane, so its result does not
+    depend on the other rows.
+    """
+    gev = model == "gev"
+    derivatives = gev_derivatives_rows if gev else gumbel_derivatives_rows
+    nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
+    lanes = X.shape[0]
+    theta = np.tile(start, (lanes, 1))
+    f_min = np.full(lanes, np.nan)
+    cause = np.full(lanes, "", dtype=object)
+    active = np.arange(lanes)
+    steps = 0
+    for k in range(NEWTON_STEPS + 1):
+        if not active.size:
+            break
+        rows = X if active.size == lanes else X[active]
+        point = theta[active]
+        value, valid, score, info = _in_blocks(derivatives, rows, point)
+        steps += active.size
+        step, decrement, definite = _newton_direction(score, info)
+        why = np.full(active.size, "", dtype=object)
+        why[~definite] = INDEFINITE
+        if gev:
+            why[point[:, 2] <= NONREGULAR_XI] = NONREGULAR
+        why[~valid] = SUPPORT
+        going = why == ""
+        done = going & (decrement <= NEWTON_TOL)
+        going &= ~done
+        if k == NEWTON_STEPS:
+            why[going] = STEP_CAP
+            going[:] = False
+
+        if done.any():  # one last full step, kept unless it is outside the support
+            last = point[done] + step[done]
+            f_last, ok_last = nllh_rows(rows[done], *last.T)
+            theta[active[done]] = np.where(ok_last[:, None], last, point[done])
+            f_min[active[done]] = np.where(ok_last, f_last, value[done])
+
+        small = going & (decrement <= FULL_STEP)
+        theta[active[small]] += step[small]
+        search = np.flatnonzero(going & ~small)
+        alpha = 1.0
+        for _ in range(HALVINGS + 1):
+            if not search.size:
+                break
+            trial = point[search] + alpha * step[search]
+            f_trial, ok_trial = nllh_rows(rows[search], *trial.T)
+            accept = ok_trial & (f_trial <= value[search] - ARMIJO * alpha * decrement[search])
+            theta[active[search[accept]]] = trial[accept]
+            search, last_ok = search[~accept], ok_trial[~accept]
+            alpha *= 0.5
+        if search.size:
+            why[search] = np.where(last_ok, LINE_SEARCH, SUPPORT)
+            going[search] = False
+
+        cause[active] = why
+        active = active[going]
+    return theta, f_min, cause, steps
 
 
 def normal_ci(fit: FitResult, index: int, tau: float) -> tuple[float, float]:

@@ -25,8 +25,10 @@ __all__ = [
     "NegLogLik",
     "ObservedInfo",
     "SingularInformationError",
+    "gev_derivatives_rows",
     "gev_nllh_rows",
     "gev_nllh_value",
+    "gumbel_derivatives_rows",
     "gumbel_nllh_rows",
     "gumbel_nllh_value",
     "nllh_gev",
@@ -60,7 +62,7 @@ class NegLogLik:
 
 @dataclass(frozen=True)
 class ObservedInfo:
-    """Central-difference Hessian of the negative log-likelihood."""
+    """Hessian of the negative log-likelihood, with its condition number."""
 
     matrix: np.ndarray
     condition_estimate: float
@@ -101,6 +103,27 @@ def gumbel_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     return _core.gumbel_nllh_rows(X, mu, sigma)
 
 
+def gev_derivatives_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray):
+    """Row-wise ``(value, valid, score, info)`` of the GEV surface in (mu, sigma, xi).
+
+    ``value`` and ``valid`` are :func:`gev_nllh_rows`' bit for bit, lanes with
+    ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface; ``score`` (lanes, 3) and
+    ``info`` (lanes, 3, 3) are the gradient and the Hessian of the GEV
+    negative log-likelihood, continuous through xi = 0.  Lane r equals the
+    call on ``X[r:r+1]`` bit for bit.
+    """
+    value, valid, score, info = _core.gev_derivatives_rows(X, mu, sigma, xi)
+    gumbel = np.abs(xi) < GUMBEL_XI_EPS
+    if gumbel.any():
+        value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X[gumbel], mu[gumbel], sigma[gumbel])
+    return value, valid, score, info
+
+
+def gumbel_derivatives_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """Row-wise ``(value, valid, score, info)`` of the Gumbel surface in (mu, sigma)."""
+    return _core.gumbel_derivatives_rows(X, mu, sigma)
+
+
 def _check_nonempty(values):
     if values.size == 0:
         raise ValueError("sample must be nonempty")
@@ -122,63 +145,28 @@ def nllh_gumbel(sample, mu: float, sigma: float) -> NegLogLik:
     return NegLogLik(value, valid)
 
 
-def _hessian(fun, theta: np.ndarray, step_scale: float) -> np.ndarray:
-    """Central finite-difference Hessian with per-coordinate steps.
-
-    Step h_i = max(step_scale, step_scale*|theta_i|).  Off-diagonal entries
-    use the four-point cross stencil; the upper triangle is mirrored.  Raises
-    SingularInformationError if any stencil point is invalid (e.g. the stencil
-    crossed the support boundary).
-    """
-    d = theta.size
-    h = np.maximum(step_scale, step_scale * np.abs(theta))
-    hess = np.empty((d, d))
-
-    def f(t):
-        value, valid = fun(t)
-        if not valid:
-            raise SingularInformationError(
-                "finite-difference stencil left the valid parameter region"
-            )
-        return value
-
-    f0 = f(theta)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        hess[i, i] = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            hess[i, j] = (
-                f(theta + ei + ej) - f(theta + ei - ej) - f(theta - ei + ej) + f(theta - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-            hess[j, i] = hess[i, j]
-    return hess
-
-
-def observed_information(
-    sample, p: GevParams, model: str = "gev", step_scale: float = 1e-5
-) -> ObservedInfo:
+def observed_information(sample, p: GevParams, model: str = "gev") -> ObservedInfo:
     """Observed information: Hessian of the negative log-likelihood at ``p``.
 
     ``model="gumbel"`` differentiates over (mu, sigma) only, giving a 2x2
-    matrix; the default differentiates over (mu, sigma, xi).  All observations
-    must be strictly inside the support at every stencil point.  A non-finite
-    or hopelessly ill-conditioned matrix raises SingularInformationError with
-    the condition estimate attached.
+    matrix; the default differentiates over (mu, sigma, xi).  The matrix is
+    the closed form of the derivative row kernels, so it scales exactly with
+    the units of the data.  Parameters outside the support, and a non-finite
+    or hopelessly ill-conditioned matrix, raise SingularInformationError
+    with the condition estimate attached.
     """
-    values = _check_nonempty(as_values(sample))
+    values = _check_nonempty(as_values(sample))[None, :]
+    mu, sigma = np.array([p.mu]), np.array([p.sigma])
     if model == "gumbel":
-        theta = np.array([p.mu, p.sigma])
-        fun = lambda t: gumbel_nllh_value(values, t[0], t[1])
+        _, valid, _, info = gumbel_derivatives_rows(values, mu, sigma)
     elif model == "gev":
-        theta = np.array([p.mu, p.sigma, p.xi])
-        fun = lambda t: gev_nllh_value(values, t[0], t[1], t[2])
+        _, valid, _, info = gev_derivatives_rows(values, mu, sigma, np.array([p.xi]))
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    matrix = _hessian(fun, theta, step_scale)
+    if not valid[0]:
+        raise SingularInformationError("parameters outside the valid region")
+    matrix = info[0]
     if not np.all(np.isfinite(matrix)):
         raise SingularInformationError("observed information has non-finite entries")
     condition = float(np.linalg.cond(matrix))

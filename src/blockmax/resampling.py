@@ -59,10 +59,12 @@ CORRECT_MAX = 1.0
 CHUNK_ELEMENTS = 65_536
 # Longest sample that is resampled in batches; longer ones are passed to the
 # statistic one sample at a time.  On one CPU of a 2-vCPU Xeon VM, bootstrap
-# B=999 of a GEV sample took 5.9 s batched (32 rows per batch) against 8.2 s
-# in the loop at n=2048, and 11.1 s both ways at n=4096 (16 rows), where the
-# Gumbel refits lost (4.2 s against 4.0 s); see BENCH_wide_batches.json.
-MAX_BATCHED_N = 2048
+# B=999 of a GEV sample with Newton refits from the estimate took 0.40 s
+# batched against 1.34 s in the loop at n=2048, and 2.09 s against 2.48 s at
+# n=10 000 (6 rows per batch); longer samples were not timed.  Simplex-only
+# refits, Refit(model) without a start, are 10-20% slower batched than in
+# the loop at n=8192 to 10 000.  See BENCH_newton.json.
+MAX_BATCHED_N = 10_000
 # Fewest rows per process for which forking a batch pays.
 MIN_LANES = 8
 

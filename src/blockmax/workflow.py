@@ -195,8 +195,9 @@ def select_model(sample, model: str = "auto", compare: bool = True) -> Selection
 def resample(values, fit: FitResult, boot_b: int = 999, seed: int | None = None,
              run_jackknife: bool = True) -> dict:
     """Stage "resampling": the report sections of the bootstrap (``boot_b``
-    replicates; 0 skips it) and the jackknife of ``fit``'s model, by method."""
-    stat, labels = Refit(fit.model), _labels(fit)
+    replicates; 0 skips it) and the jackknife of ``fit``'s model, by method.
+    Every refit starts from ``fit``'s estimate (see :class:`Refit`)."""
+    stat, labels = Refit(fit.model, start=fit.theta), _labels(fit)
     sections = {}
     with _stage("resampling"):
         if boot_b:

@@ -340,7 +340,7 @@ class _RowsForbidden(_RowsMean):
 def test_long_samples_use_the_loop():
     # samples longer than MAX_BATCHED_N are evaluated one at a time
     n = resampling.MAX_BATCHED_N
-    assert n == 2048
+    assert n == 10_000
     long = np.arange(n + 1.0)
     bootstrap(long, _RowsForbidden(), b=3, seed=0)
     jackknife(np.arange(n + 2.0), _RowsForbidden())  # leave-one-out rows of n + 1

@@ -82,6 +82,17 @@ class TestRlevelAndOstat:
             probs, [0.99983162, 0.98818640, 0.94843246, 0.36806786, 0.02607971], atol=1e-6
         )
 
+    @pytest.mark.parametrize("command, flags", [
+        ("rlevel", "--model gev"), ("rlevel", "--tau 0.1"), ("rlevel", "--one-sided"),
+        ("rlevel", "--bias-correct on"), ("ostat", "--model gumbel"), ("ostat", "--bias-correct off"),
+    ])
+    def test_fit_flags_with_params_exit_2(self, capsys, command, flags):
+        required = ["--x", "100", "--ranks", "2"] if command == "ostat" else []
+        code, out, err = run(capsys, command, "ignored.txt", "--params", "78.7,21.1",
+                             *required, *flags.split())
+        assert code == 2 and out == ""
+        assert f"{flags.split()[0]} has no effect with --params" in err
+
     def test_rlevel_from_fit(self, data_file, capsys):
         code, out, _ = run(capsys, "rlevel", str(data_file), "--model", "gumbel",
                            "--bias-correct", "off", "--format", "json")
@@ -107,6 +118,20 @@ class TestReport:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["schema"] == "blockmax-report/1"
         assert "Model comparison" in out
+
+    def test_csv_format_lists_only_the_files_it_wrote(self, data_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "diag", str(data_file), "--model", "gumbel",
+                           "--bias-correct", "off", "--out-dir", str(out_dir))
+        assert code == 0 and ".svg" in out
+        code, out, _ = run(capsys, "report", str(data_file), "--model", "gumbel",
+                           "--boot-B", "0", "--bias-correct", "off",
+                           "--out-dir", str(out_dir), "--format", "csv")
+        assert code == 0
+        listed = out.split()
+        assert listed == sorted(listed) and not any(p.endswith(".svg") for p in listed)
+        assert {Path(p).name for p in listed} == {p.name for p in out_dir.iterdir()
+                                                  if p.suffix != ".svg"}
 
     def test_byte_identical_reports(self, data_file, tmp_path, capsys):
         dirs = [tmp_path / "a", tmp_path / "b"]

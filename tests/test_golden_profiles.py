@@ -1,10 +1,12 @@
 """Profile curves against golden bits written by the array-based search.
 
 ``tests/data/profiles.json`` holds, for each case below, the grid, the
-profile log-likelihood and the deviance interval as ``float.hex`` strings,
-written by the numpy-array Nelder-Mead and kernels that
-``tests/frozen_scalar_search.py`` keeps.  The plain-float search and the
-in-place kernels must reproduce every bit.  Regenerate (only on purpose) with
+profile log-likelihood and the deviance interval as ``float.hex`` strings.
+They were first written by the numpy-array Nelder-Mead and kernels that
+``tests/frozen_scalar_search.py`` keeps, which the plain-float search and
+the in-place kernels reproduce bit for bit, and rewritten when the observed
+information, whose standard errors set the default grids, became closed
+form (the explicit-grid case did not move).  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """

@@ -4,8 +4,9 @@
 --sigma 21 --n 129 --seed 101 --start-year 1881``).  ``report_readme/``
 holds the report.json and CSVs of the README ``report`` example, and
 ``report_gev/`` those of the same run with the GEV model forced and B=199,
-both written by the one-refit-at-a-time resampling loop on the numpy kernel
-backend.  The batched replicate engine must write the same bytes there.
+on the numpy kernel backend, with the refits by Newton steps from the
+full-sample estimate.  The batched replicate engine and the
+one-refit-at-a-time loop write the same bytes there.
 """
 
 import contextlib

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from blockmax import GevParams, nllh_gev, nllh_gumbel, observed_information
 from blockmax.likelihood import PENALTY, SingularInformationError
 
 from conftest import central_gradient
+
+DATA = Path(__file__).with_name("data")
 
 
 class TestValues:
@@ -112,12 +115,14 @@ class TestObservedInformation:
             ) / (2 * h)
         assert np.allclose(fd, info.matrix, rtol=1e-4)
 
-    def test_step_robustness(self):
-        s = bm.sample(GevParams(0, 1, 0), 1000, seed=17)
-        fit = bm.fit_gumbel(s)
-        a = observed_information(s, fit.params, model="gumbel", step_scale=1e-5).matrix
-        b = observed_information(s, fit.params, model="gumbel", step_scale=2e-5).matrix
-        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-3
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1e5, 1.0), (1e6, 1.0), (1e7, 1.0),
+                                      (1e4, 1e-3), (0.0, 1e3)])
+    def test_standard_errors_follow_the_units_of_the_data(self, a, b):
+        x = np.loadtxt(DATA / "maxima.txt", skiprows=1)[:, 1]
+        base = bm.fit_gev(x).se
+        se = bm.fit_gev(a + b * x).se
+        assert se is not None
+        assert np.allclose(se / np.array([b, b, 1.0]), base, rtol=1e-5, atol=0.0)
 
     def test_symmetric_and_positive_definite_at_fit(self, gev_2k):
         fit = bm.fit_gev(gev_2k)
