@@ -1,7 +1,7 @@
 """Benchmark: the per-layer table of blockmax, for this tree or against another.
 
     python benchmarks/bench_kernels.py                          # print the table
-    python benchmarks/bench_kernels.py --layers-json BENCH_newton.json \
+    python benchmarks/bench_kernels.py --layers-json BENCH_newton_profiles.json \
         --src <the src directory of another checkout>
 
 The table holds, for the source tree it runs on:
@@ -15,15 +15,26 @@ The table holds, for the source tree it runs on:
   on every CPU the process may use: wall seconds, and user+system CPU
   seconds of this process and of its reaped children (RUSAGE_CHILDREN);
 * the refit counts of the standard case on one CPU (``Refit.counts``: rows
-  refitted by Newton, their derivative passes and the fallbacks by cause).
+  refitted by Newton, their derivative passes and the fallbacks by cause);
+* the profile stage: the four profiles of the profile-scan workload (xi and
+  the 10-, 40- and 100-block levels, n=129) after one ``fit_gev``, each in ms
+  on one CPU and on every CPU (median of 5), with its grid points and, where
+  the tree has Newton walks (``ProfileCurve.counts``), its derivative passes
+  and fallbacks.
 
 With ``--layers-json`` each tree (this one as "change", ``--src`` as
 "parent") runs in fresh interpreters, the sides alternating, REPEATS times,
 and the file gets the medians with the host facts.  The first run of each
 tree also takes the slow parts, on one CPU: a straggler sweep of small,
 strongly bounded or heavy-tailed samples (wall time, outcomes and refit
-counts) and, for a tree with Newton refits, bootstrap B=999 at n = 2048 to
-10 000 through the batched path and through the one-at-a-time loop.
+counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
+10 000 through the batched path and through the one-at-a-time loop, the
+heavy-tailed profile sweep (xi and the 100-block level of GEV(0, 1, 0.3)
+samples of 40 and GEV(0, 1, 0.4) samples of 30, seeds 0-17), and, where the
+process may use two CPUs, the walk split: the four profiles on grids of 10
+to 100 points with the two walks of each forked against run in turn
+(``inference.MIN_WALK`` forced), which sets MIN_WALK.  With ``--src`` the
+file also gets the agreement of the two trees' heavy sweeps.
 ``best_of`` is also the kernel timer of ``perfbench/run.py``.
 """
 
@@ -50,6 +61,12 @@ CROSS_SIZES = (2048, 4096, 8192, 10_000)
 # (n, xi, seeds): samples where refits fail or straggle
 SWEEP = ((12, -0.8, range(10)), (12, 0.5, range(10)), (15, 1.0, range(10)))
 SWEEP_B = 400
+PROFILES = (("xi", None), ("level10", 0.1), ("level40", 0.025), ("level100", 0.01))
+# (xi, n): heavy-tailed samples whose profiles branch, seeds 0-17
+HEAVY = ((0.3, 40), (0.4, 30))
+HEAVY_SEEDS = range(18)
+SPLIT_GRIDS = (10, 16, 24, 50, 100)
+SPLIT_REPEATS = 15
 
 
 def best_of(fn, repeats=5, inner=200):
@@ -165,6 +182,145 @@ def _crossover() -> dict:
     return out
 
 
+def _profile_runs(values, fit, n_grid=100):
+    """The four profile-scan profiles, by name: ``(which, p) -> curve`` callables."""
+    inference = bm.inference
+    runs = {}
+    for name, p in PROFILES:
+        which = "xi" if p is None else "return_level"
+        runs[name] = lambda which=which, p=p: inference.profile(
+            values, "gev", which, p=p, fit=fit, n_grid=n_grid)
+    return runs
+
+
+def _profiles(values, fit, one, every) -> dict:
+    """Per profile: ms on one and on every CPU, grid points, derivative passes and fallbacks."""
+    out = {}
+    for name, run in _profile_runs(values, fit).items():
+        row = {}
+        for label, mask in (("one_cpu", one), ("all_cpus", every)):
+            os.sched_setaffinity(0, mask)
+            row[f"{label}_ms"] = 1e3 * _timed(run, repeats=5)["wall_s"]
+        os.sched_setaffinity(0, one)
+        curve = run()
+        row["grid_points"] = int(curve.grid.size)
+        counts = getattr(curve, "counts", None)
+        if counts is not None:
+            row["derivative_passes"] = counts["steps"]
+            row["fallbacks"] = sum(v for k, v in counts.items() if k not in ("newton", "steps"))
+        out[name] = row
+    return out
+
+
+def _heavy_sweep() -> dict:
+    """Profiles of xi and of the 100-block level on heavy-tailed samples, one CPU.
+
+    Per case: the grid, the profile log-likelihoods (read where the interval
+    is formed, so a grid that does not bracket keeps them), the interval or
+    the side that failed, and the curve's counts where the tree has them.
+    """
+    inference = bm.inference
+    formed = {}
+    interval = inference._deviance_interval
+
+    def spy(grid, lp, lhat, critical):
+        formed.update(grid=grid.tolist(), lp=lp.tolist())
+        return interval(grid, lp, lhat, critical)
+
+    out = {}
+    inference._deviance_interval = spy
+    try:
+        t0 = time.perf_counter()
+        for xi, n in HEAVY:
+            for seed in HEAVY_SEEDS:
+                values = bm.sample(bm.GevParams(0.0, 1.0, xi), n, seed=seed).values
+                fit = bm.fit_gev(values)
+                for name, p in (("xi", None), ("level100", 0.01)):
+                    formed.clear()
+                    case = {"lhat": -fit.nllh}
+                    try:
+                        curve = inference.profile(values, "gev", "xi" if p is None else "return_level",
+                                                  p=p, fit=fit)
+                        case["ci"] = list(curve.ci)
+                        case["counts"] = dict(getattr(curve, "counts", {}))
+                    except inference.ProfileBracketError as error:
+                        case["unbracketed"] = error.side
+                    out[f"xi{xi}_n{n}_seed{seed}_{name}"] = {**case, **formed}
+        wall = time.perf_counter() - t0
+    finally:
+        inference._deviance_interval = interval
+    return {"wall_s": wall, "cases": out}
+
+
+def _agreement(parent: dict, change: dict) -> dict:
+    """The heavy sweep of the change against the parent's, case by case.
+
+    Intervals are compared in units of the parent's width where the parent
+    left no grid point on the penalty surface; the nllh of the change is
+    compared at every shared grid point, split at a deviance of twice the
+    critical value.
+    """
+    critical = bm.special.chi2_quantile(0.95, 1)
+    shift, near, far, far_gap, penalized, fallbacks = 0.0, 0, 0, 0.0, {}, Counter()
+    points = 0
+    for name, old in parent["cases"].items():
+        new = change["cases"][name]
+        fallbacks.update({k: v for k, v in new.get("counts", {}).items() if k not in ("newton", "steps")})
+        old_lp = dict(zip(old["grid"], old["lp"]))
+        points += len(new["grid"])
+        for g, lp in zip(new["grid"], new["lp"]):
+            if g in old_lp and -lp > -old_lp[g] + 1e-9 * abs(old_lp[g]):
+                if 2.0 * (new["lhat"] - lp) <= 2.0 * critical:
+                    near += 1
+                else:
+                    far += 1
+                    far_gap = max(far_gap, old_lp[g] - lp)
+        on_penalty = sum(lp <= -bm.likelihood.PENALTY for lp in old["lp"])
+        if on_penalty:
+            penalized[name] = {"parent_penalized_points": on_penalty,
+                               "parent": old.get("ci", old.get("unbracketed")),
+                               "change": new.get("ci", new.get("unbracketed"))}
+        elif "ci" in old and "ci" in new:
+            width = old["ci"][1] - old["ci"][0]
+            shift = max(shift, max(abs(a - b) for a, b in zip(old["ci"], new["ci"])) / width)
+        elif old.get("unbracketed") != new.get("unbracketed"):
+            penalized[name] = {"parent": old.get("ci", old.get("unbracketed")),
+                               "change": new.get("ci", new.get("unbracketed"))}
+    return {
+        "critical": critical,
+        "cases": len(parent["cases"]),
+        "grid_points": points,
+        "max_ci_shift_per_width": shift,
+        "worse_nllh_points_within_2x_critical": near,
+        "worse_nllh_points_beyond": far,
+        "worse_nllh_largest_gap_beyond": far_gap,
+        "fallbacks": dict(fallbacks),
+        "cases_with_penalized_parent_points": penalized,
+    }
+
+
+def _walk_split(values, fit) -> dict:
+    """ms of the four profiles per grid size, the walks of each forked and in turn."""
+    inference = bm.inference
+    saved = inference.MIN_WALK
+    out = {}
+    try:
+        for n_grid in SPLIT_GRIDS:
+            runs = _profile_runs(values, fit, n_grid).values()
+            times = {"forked_ms": [], "in_turn_ms": []}
+            for _ in range(SPLIT_REPEATS):  # alternating, so drift hits both alike
+                for label, min_walk in (("forked_ms", 1), ("in_turn_ms", 10**9)):
+                    inference.MIN_WALK = min_walk
+                    t0 = time.perf_counter()
+                    for run in runs:
+                        run()
+                    times[label].append(1e3 * (time.perf_counter() - t0))
+            out[f"n_grid{n_grid}"] = {k: statistics.median(v) for k, v in times.items()}
+    finally:
+        inference.MIN_WALK = saved
+    return out
+
+
 def layers(slow: bool) -> dict:
     """Every number of the table for the blockmax this interpreter imports.
 
@@ -203,10 +359,18 @@ def layers(slow: bool) -> dict:
             stages["bootstrap_b999"]()
             stages["jackknife"]()
         side["standard_counts"] = dict(counts)
+        scan = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 129, seed=1).values
+        scan_fit = bm.fit_gev(scan)
+        side["profiles"] = _profiles(scan, scan_fit, one, every)
+        os.sched_setaffinity(0, one)
         if slow:
             side["straggler_sweep"] = _sweep()
             if hasattr(bm.likelihood, "gev_derivatives_rows"):  # a tree with Newton refits
                 side["crossover"] = _crossover()
+            side["heavy_sweep"] = _heavy_sweep()
+            if len(every) >= 2:
+                os.sched_setaffinity(0, every)
+                side["walk_split"] = _walk_split(scan, scan_fit)
     finally:
         os.sched_setaffinity(0, every)
     return side
@@ -238,7 +402,7 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def compare(src=None) -> dict:
+def compare(label, src=None) -> dict:
     """The table for this tree ("change") and ``src`` ("parent"), in alternating fresh runs."""
     trees = {"change": Path(__file__).resolve().parent.parent / "src"}
     if src is not None:
@@ -251,15 +415,20 @@ def compare(src=None) -> dict:
     results = {}
     for label, sides in runs.items():
         results[label] = _median([{k: v for k, v in s.items() if k in sides[1]} for s in sides])
-        for slow in ("straggler_sweep", "crossover"):
+        for slow in ("straggler_sweep", "crossover", "walk_split"):
             if slow in sides[0]:
                 results[label][slow] = sides[0][slow]
+        results[label]["heavy_sweep_s"] = sides[0]["heavy_sweep"]["wall_s"]
+    if src is not None:
+        results["heavy_sweep"] = _agreement(runs["parent"][0]["heavy_sweep"],
+                                            runs["change"][0]["heavy_sweep"])
     return {
-        "label": "newton",
-        "command": "python benchmarks/bench_kernels.py --layers-json BENCH_newton.json "
+        "label": label,
+        "command": f"python benchmarks/bench_kernels.py --layers-json BENCH_{label}.json "
                    "--src <src of a checkout of the parent commit>",
         "cores": f"kernels, fit, counts, the sweep and the crossover on one CPU (pinned); "
-                 f"stages on one CPU and on all {len(os.sched_getaffinity(0))} CPUs",
+                 f"stages and profiles on one CPU and on all {len(os.sched_getaffinity(0))} CPUs; "
+                 "the walk split on all CPUs",
         "host": {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
                  "platform": platform.platform(), "python": platform.python_version(),
                  "numpy": np.__version__, "kernel_backend": _core.BACKEND},
@@ -267,10 +436,13 @@ def compare(src=None) -> dict:
                  "README series; kernels: bm.sample(GevParams(80, 20, -0.05), n, seed=1); sweep: "
                  f"bm.sample(GevParams(0, 1, xi), n, seed) for (n, xi) in "
                  f"{[(n, xi) for n, xi, _ in SWEEP]}, seeds 0-9, bootstrap B={SWEEP_B}; crossover: "
-                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3",
+                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3; profiles "
+                 "and walk split: bm.sample(GevParams(79, 21, 0.1), n=129, seed=1)",
         "statistic": f"median of {REPEATS} runs per tree, each in a fresh interpreter, the trees "
                      "alternating; kernels best of 7 loops and stages median of 3 calls within a "
-                     "run; the sweep and the crossover from the first run only",
+                     "run; profiles median of 5 calls within a run; the sweep, the crossover and "
+                     f"the walk split (median of {SPLIT_REPEATS} alternating calls) from the first "
+                     "run only",
         "results": results,
     }
 
@@ -296,6 +468,6 @@ if __name__ == "__main__":
     elif args.layers_json is None:
         _print(layers(slow=False))
     else:
-        report = compare(args.src)
+        report = compare(Path(args.layers_json).stem.removeprefix("BENCH_"), args.src)
         Path(args.layers_json).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.layers_json}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,7 @@ from .likelihood import (
     gumbel_nllh_value,
     observed_information,
 )
-from .returns import level_location, return_level, return_level_gradient
+from .returns import level_location, level_location_shape, return_level, return_level_gradient
 from .simplex import OptResult, SimplexConfig, minimize, minimize_rows
 from .special import chi2_quantile, normal_quantile
 
@@ -57,9 +57,11 @@ MIN_FIT_SIZE = 10
 # with most observations tied, the likelihood grows without bound as sigma -> 0.
 SCALE_FLOOR = 1e-12
 # Fewest grid points on each profile walk for the two walks to run in two
-# processes: a fork and its pipe cost about 4 ms on a 2-vCPU VM, one or two
-# warm-started grid searches at n=129.
-MIN_WALK = 4
+# processes.  On a 2-vCPU VM, forking the walks of the four profile-scan
+# profiles (n=129) saved 13-29 ms with walks of 12-13 Newton points; with
+# 5-9 points two runs disagreed, from 5 ms lost to 14 ms saved (the walk
+# split of BENCH_newton_profiles.json).
+MIN_WALK = 12
 EULER_GAMMA = 0.5772157
 # Newton refits (Refit with a start point).  A lane stops once its squared
 # Newton decrement g'H^-1 g, the squared length of its step in standard
@@ -348,27 +350,31 @@ class Refit:
     def _simplex(self, X):
         """``(x_min, f_min, converged)`` of the lockstep simplex search from the moment start."""
         x0 = np.array([_moment_start(row) for row in X])
-
-        def lane_rows(lanes):
-            # lanes is an ascending subset of the rows; all of them needs no copy
-            return X if lanes.size == X.shape[0] else X[lanes]
-
         if self.model == "gev":
             x0 = np.column_stack([x0, np.full(X.shape[0], 0.1)])
 
             def objective(lanes, points):
-                return gev_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1], points[:, 2])[0]
+                rows = _lane_rows(X, lanes)
+                return gev_nllh_rows(rows, points[:, 0], points[:, 1], points[:, 2])[0]
         else:
 
             def objective(lanes, points):
-                return gumbel_nllh_rows(lane_rows(lanes), points[:, 0], points[:, 1])[0]
+                return gumbel_nllh_rows(_lane_rows(X, lanes), points[:, 0], points[:, 1])[0]
 
         opt = minimize_rows(objective, x0, SimplexConfig())
         return opt.x_min, opt.f_min, opt.converged
 
     def _newton(self, X):
         """``(x_min, f_min, converged)``: Newton from ``start``, the simplex where it falls back."""
-        theta, f_min, cause, steps = _newton_rows(X, self.start, self.model)
+        gev = self.model == "gev"
+        kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
+        nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
+        theta, f_min, cause, steps = _newton_rows(
+            lambda lanes, points: _in_blocks(kernel, _lane_rows(X, lanes), points),
+            lambda lanes, points: nllh_rows(_lane_rows(X, lanes), *points.T),
+            np.tile(self.start, (X.shape[0], 1)),
+            2 if gev else None,
+        )
         fallback = cause != ""
         converged = np.ones(X.shape[0], dtype=bool)
         if fallback.any():
@@ -379,39 +385,46 @@ class Refit:
         return theta, f_min, converged
 
 
+def _lane_rows(X, lanes):
+    """Rows ``lanes`` (an ascending subset) of X; all of them need no copy."""
+    return X if lanes.size == X.shape[0] else X[lanes]
+
+
 def _newton_direction(g, H):
     """Per lane: the step -H^-1 g, the squared decrement g'H^-1 g, and whether
-    H is positive definite, by a Cholesky factorization written out lane-wise."""
+    H is positive definite, by a Cholesky factorization written out lane-wise
+    (on columns of lanes, reading the lower triangle of H)."""
     d = g.shape[1]
-    L = np.zeros_like(H)
+    L = [[None] * d for _ in range(d)]
     definite = np.ones(g.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(d):
-            pivot = H[:, j, j].copy()
+            pivot = H[:, j, j]
             for k in range(j):
-                pivot -= L[:, j, k] * L[:, j, k]
+                pivot = pivot - L[j][k] * L[j][k]
             definite &= pivot > 0.0
-            L[:, j, j] = np.sqrt(np.where(definite, pivot, 1.0))
+            L[j][j] = np.sqrt(np.where(definite, pivot, 1.0))
             for i in range(j + 1, d):
-                entry = H[:, i, j].copy()
+                entry = H[:, i, j]
                 for k in range(j):
-                    entry -= L[:, i, k] * L[:, j, k]
-                L[:, i, j] = entry / L[:, j, j]
-        w = np.empty_like(g)  # L w = g
+                    entry = entry - L[i][k] * L[j][k]
+                L[i][j] = entry / L[j][j]
+        w = [None] * d  # L w = g
         for i in range(d):
-            entry = g[:, i].copy()
+            entry = g[:, i]
             for k in range(i):
-                entry -= L[:, i, k] * w[:, k]
-            w[:, i] = entry / L[:, i, i]
-        step = np.empty_like(g)  # L' step = -w
+                entry = entry - L[i][k] * w[k]
+            w[i] = entry / L[i][i]
+        step = [None] * d  # L' step = -w
         for i in reversed(range(d)):
-            entry = -w[:, i]
+            entry = -w[i]
             for k in range(i + 1, d):
-                entry -= L[:, k, i] * step[:, k]
-            step[:, i] = entry / L[:, i, i]
-        decrement = w[:, 0] * w[:, 0]
+                entry = entry - L[k][i] * step[k]
+            step[i] = entry / L[i][i]
+        decrement = w[0] * w[0]
         for i in range(1, d):
-            decrement += w[:, i] * w[:, i]
+            decrement = decrement + w[i] * w[i]
+    step = np.stack(step, axis=1)
     definite &= np.isfinite(decrement) & np.isfinite(step).all(axis=1)
     return step, decrement, definite
 
@@ -426,20 +439,21 @@ def _in_blocks(derivatives, rows, point):
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def _newton_rows(X, start, model):
-    """Damped Newton from ``start`` on every row of X, in lockstep.
+def _newton_rows(derivatives, nllh_rows, theta, xi_column=None):
+    """Damped Newton from every row of ``theta`` (lanes, d), the lanes in lockstep.
 
-    Returns ``(theta, f_min, cause, steps)``: per lane the optimum and its
-    nllh, ``""`` or the cause of a fallback (theta and f_min are then
+    ``derivatives(lanes, points)`` returns ``(value, valid, score, info)`` and
+    ``nllh_rows(lanes, points)`` returns ``(value, valid)`` of the objective
+    of the lanes at the indices ``lanes`` (ascending) at ``points``.  A lane
+    whose column ``xi_column`` reaches NONREGULAR_XI falls back.  Returns
+    ``(theta, f_min, cause, steps)``: per lane the optimum and its value,
+    ``""`` or the cause of a fallback (theta and f_min are then
     meaningless), and the number of derivative passes over all lanes.  Each
     lane's arithmetic is elementwise in the lane, so its result does not
-    depend on the other rows.
+    depend on the other lanes.
     """
-    gev = model == "gev"
-    derivatives = gev_derivatives_rows if gev else gumbel_derivatives_rows
-    nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
-    lanes = X.shape[0]
-    theta = np.tile(start, (lanes, 1))
+    theta = theta.copy()
+    lanes = theta.shape[0]
     f_min = np.full(lanes, np.nan)
     cause = np.full(lanes, "", dtype=object)
     active = np.arange(lanes)
@@ -447,15 +461,14 @@ def _newton_rows(X, start, model):
     for k in range(NEWTON_STEPS + 1):
         if not active.size:
             break
-        rows = X if active.size == lanes else X[active]
         point = theta[active]
-        value, valid, score, info = _in_blocks(derivatives, rows, point)
+        value, valid, score, info = derivatives(active, point)
         steps += active.size
         step, decrement, definite = _newton_direction(score, info)
         why = np.full(active.size, "", dtype=object)
         why[~definite] = INDEFINITE
-        if gev:
-            why[point[:, 2] <= NONREGULAR_XI] = NONREGULAR
+        if xi_column is not None:
+            why[point[:, xi_column] <= NONREGULAR_XI] = NONREGULAR
         why[~valid] = SUPPORT
         going = why == ""
         done = going & (decrement <= NEWTON_TOL)
@@ -466,7 +479,7 @@ def _newton_rows(X, start, model):
 
         if done.any():  # one last full step, kept unless it is outside the support
             last = point[done] + step[done]
-            f_last, ok_last = nllh_rows(rows[done], *last.T)
+            f_last, ok_last = nllh_rows(active[done], last)
             theta[active[done]] = np.where(ok_last[:, None], last, point[done])
             f_min[active[done]] = np.where(ok_last, f_last, value[done])
 
@@ -478,7 +491,7 @@ def _newton_rows(X, start, model):
             if not search.size:
                 break
             trial = point[search] + alpha * step[search]
-            f_trial, ok_trial = nllh_rows(rows[search], *trial.T)
+            f_trial, ok_trial = nllh_rows(active[search], trial)
             accept = ok_trial & (f_trial <= value[search] - ARMIJO * alpha * decrement[search])
             theta[active[search[accept]]] = trial[accept]
             search, last_ok = search[~accept], ok_trial[~accept]
@@ -545,13 +558,21 @@ def aic(fit: FitResult) -> float:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Profile log-likelihood over a grid with the deviance-based interval."""
+    """Profile log-likelihood over a grid with the deviance-based interval.
+
+    ``counts`` tallies the grid points solved by Newton (``newton``), their
+    derivative passes (``steps``) and the points that fell back to the
+    simplex search, by cause; ``expansions`` is how often the default grid
+    was widened.
+    """
 
     which: str
     grid: np.ndarray
     lp: np.ndarray
     ci: tuple[float, float]
     tau: float
+    counts: Counter = field(default_factory=Counter)
+    expansions: int = 0
 
 
 def _pinned(model, which, p):
@@ -587,6 +608,55 @@ def _restricted(values, model, k, location=None):
     return objective
 
 
+def _restricted_derivatives(values, model, k, p=None):
+    """Derivatives of :func:`_restricted`'s objective at ``(g, r)``, one lane.
+
+    Returns ``(value, valid, score, info, cross)``: the objective's value and
+    validity, its gradient and Hessian in the free parameters r, and the
+    column d2/dr dg, each with a leading lane axis of length 1.  With k
+    pinned they are the free rows and columns of the full ones.  For a
+    return level (``p`` given) the location is ``g + sigma*a(xi)``, and they
+    come by the chain rule: J'g and J'HJ + g_mu * d2mu, with J the Jacobian
+    of (mu, sigma[, xi]) in (g, sigma[, xi]).
+    """
+    X = values[None, :]
+    gev = model == "gev"
+    kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
+    d = len(_PARAMETERS[model])
+    free = [i for i in range(d) if i != k]
+    if p is None:
+
+        def derivatives(g, r):
+            theta = r.tolist()
+            theta.insert(k, g)
+            value, valid, score, info = kernel(X, *np.array(theta)[:, None])
+            return value, valid, score[:, free], info[:, free][:, :, free], info[:, free, k]
+
+        return derivatives
+    location, shape = level_location(p), level_location_shape(p)
+
+    def derivatives(g, r):
+        free_values = r.tolist()
+        theta = [location(g, *free_values), *free_values]
+        value, valid, score, info = kernel(X, *np.array(theta)[:, None])
+        # mu moves with the free parameters by v = (a, sigma*a') (GEV) or (a,)
+        # (Gumbel): with h the mu column of H, the free block of J'HJ is
+        # H_rr + v h' + h v' + H_mumu v v', and its g column h + H_mumu v
+        a, a1, a2 = shape(free_values[1] if gev else 0.0)
+        v = np.array([a, free_values[0] * a1] if gev else [a])
+        g_mu, h_mumu, h = score[0, 0], info[0, 0, 0], info[0, 1:, 0]
+        spread = np.multiply.outer(v, h)
+        hessian = info[0, 1:, 1:] + (spread + spread.T) + h_mumu * np.multiply.outer(v, v)
+        if gev:  # the second derivatives of mu: d2/dsigma dxi = a', d2/dxi2 = sigma*a''
+            hessian[0, 1] += g_mu * a1
+            hessian[1, 0] += g_mu * a1
+            hessian[1, 1] += g_mu * free_values[0] * a2
+        gradient = score[0, 1:] + g_mu * v
+        return value, valid, gradient[None], hessian[None], (h + h_mumu * v)[None]
+
+    return derivatives
+
+
 def _profile_center(fit: FitResult, which: str, k: int, p):
     """(center value, its standard error, free-parameter start vector)."""
     start = np.delete(fit.theta, k)
@@ -616,12 +686,19 @@ def profile(
     """Profile log-likelihood and deviance confidence interval.
 
     For each grid value of the profiled quantity the remaining parameters are
-    re-maximized (warm-started from the neighbouring grid point).  The
-    interval is the set where the deviance 2*(lhat - lp) stays below the
-    1-tau chi-square(1) quantile, with endpoints found by linear
-    interpolation between grid points.  A default grid spans the estimate
-    +- 4 standard errors and is widened automatically if it fails to bracket
-    a crossing; a grid that still fails raises :class:`ProfileBracketError`.
+    re-maximized by damped Newton steps on the restricted score and
+    information (Venzon & Moolgavkar 1988), walking outward from the
+    estimate: each point starts from its neighbour's optimum plus the
+    tangent step along the profile path, and falls back to the simplex
+    search from the neighbour's optimum where Newton does not apply (see
+    :class:`_Walk`).  The interval is the set where the deviance
+    2*(lhat - lp) stays below the 1-tau chi-square(1) quantile, with
+    endpoints found by linear interpolation between grid points.  A default
+    grid spans the estimate +- 4 standard errors and is widened
+    automatically, each new leg continuing from the optimum at the edge it
+    extends, if it fails to bracket a crossing; a grid that still fails, or
+    whose crossing would be taken against a point left on the penalty
+    surface, raises :class:`ProfileBracketError`.
 
     Profiling ``which="return_level"`` re-expresses the model in terms of
     (x_p, sigma[, xi]) by substituting the matching location parameter.
@@ -633,7 +710,7 @@ def profile(
     if fit is None:
         fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
     lhat = -fit.nllh
-    objective = _restricted(values, model, k, location)
+    walk = _Walk(values, model, k, location, p)
     center, center_se, start = _profile_center(fit, which, k, p)
 
     if grid is not None:
@@ -649,8 +726,15 @@ def profile(
         expandable = True
 
     critical = chi2_quantile(1.0 - tau, 1)
-    lp = _profile_values(objective, grid, center, start)
+    counts = Counter()
+    # walk up from the grid point nearest the center, and down from its neighbour
+    i0 = int(np.argmin(np.abs(grid - center)))
+    anchor = (grid[i0], start, None)
+    legs = [(grid[i0:], anchor), (grid[:i0][::-1], anchor)]
+    (up, hi_edge), (down, lo_edge) = _walks(walk, legs, counts)
+    lp = np.concatenate([down[::-1], up])
 
+    expansions = 0
     for _ in range(3):
         if not expandable:
             break
@@ -663,40 +747,91 @@ def profile(
             break
         new_lo = grid[0] - step * np.arange(n_ext, 0, -1) if extend_lo else grid[:0]
         new_hi = grid[-1] + step * np.arange(1, n_ext + 1) if extend_hi else grid[:0]
-        lp_lo, lp_hi = _walks(objective, [new_lo[::-1], new_hi], start)
+        legs = [(new_lo[::-1], lo_edge), (new_hi, hi_edge)]
+        (lp_lo, lo_edge), (lp_hi, hi_edge) = _walks(walk, legs, counts)
         lp = np.concatenate([lp_lo[::-1], lp, lp_hi])
         grid = np.concatenate([new_lo, grid, new_hi])
+        expansions += 1
 
     ci = _deviance_interval(grid, lp, lhat, critical)
-    return ProfileCurve(which=which, grid=grid, lp=lp, ci=ci, tau=tau)
+    return ProfileCurve(which=which, grid=grid, lp=lp, ci=ci, tau=tau, counts=counts,
+                        expansions=expansions)
 
 
-def _profile_values(objective, grid, center, start) -> np.ndarray:
-    """Maximize out the free parameters at each grid value, walking outward.
+class _Walk:
+    """The grid points of one profile, solved leg by leg.
 
-    The walk up from the grid point nearest the center and the walk down from
-    its neighbour are independent, and may run in two processes.
+    A leg is a run of grid values walked in order from an anchor
+    ``(g, r, slope)``: a grid value already solved, its optimum r of the free
+    parameters, and the slope dr/dg of the optimum path there (None where
+    unknown).  Each point starts from its neighbour's optimum plus the
+    tangent step ``slope * (g - g_neighbour)``, with the slope
+    -H_rr^-1 h_rg from the neighbour's last derivative pass, and takes
+    damped Newton steps on the restricted score and information.  A point
+    whose information is indefinite, that leaves the support, whose line
+    search fails, that hits the step cap or that is nonregular (pinned or
+    free xi <= NONREGULAR_XI) falls back to the simplex search from the
+    neighbour's optimum, as a walk without Newton steps would run it.
     """
-    i0 = int(np.argmin(np.abs(grid - center)))
-    up, down = _walks(objective, [grid[i0:], grid[:i0][::-1]], start)
-    return np.concatenate([down[::-1], up])
+
+    def __init__(self, values, model, k, location=None, p=None):
+        self.objective = _restricted(values, model, k, location)
+        self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
+        # the slot of xi among the free parameters, or whether xi is the pinned one
+        gev = model == "gev"
+        self.xi_column = 1 if gev and k != 2 else None
+        self.xi_pinned = gev and k == 2
+
+    def __call__(self, leg):
+        """``((lp, edge), counts)`` of a leg ``(values, anchor)``: its profile
+        log-likelihoods, and the anchor at its last point for a leg that continues it."""
+        values, (g0, r0, slope0) = leg
+        counts = Counter()
+        lp = np.empty(values.size)
+        for j, g in enumerate(values):
+            warm = r0 if slope0 is None else r0 + slope0 * (g - g0)
+            r, f_min, slope, cause, steps = self.solve(g, warm, r0)
+            counts["steps"] += steps
+            counts[cause or "newton"] += 1
+            lp[j] = -f_min
+            g0, r0, slope0 = g, r, slope
+        return (lp, (g0, r0, slope0)), counts
+
+    def solve(self, g, warm, neighbour):
+        """``(r, f_min, slope, cause, steps)`` at grid value g, from ``warm``."""
+        steps, last = 0, []
+        cause = NONREGULAR if self.xi_pinned and g <= NONREGULAR_XI else ""
+        if not cause:
+
+            def derivatives(lanes, points):
+                value, valid, score, info, cross = self.derivatives(g, points[0])
+                last[:] = info, cross
+                return value, valid, score, info
+
+            def nllh_rows(lanes, points):
+                value = self.objective(g, points[0])
+                return np.array([value]), np.array([value < PENALTY])
+
+            theta, f_min, why, steps = _newton_rows(
+                derivatives, nllh_rows, warm[None, :], self.xi_column)
+            cause = why[0]
+        if cause:
+            opt = minimize(lambda r: self.objective(g, r), neighbour, SimplexConfig())
+            return opt.x_min, opt.f_min, None, cause, steps
+        slope = _newton_direction(last[1], last[0])[0][0]  # -H_rr^-1 h_rg
+        return theta[0], float(f_min[0]), slope, cause, steps
 
 
-def _walks(objective, legs, start) -> list[np.ndarray]:
-    """Profile log-likelihoods along each leg of grid values, every leg from ``start``."""
-
-    def walk(leg):
-        lp = np.empty(leg.size)
-        warm = start
-        for j, g in enumerate(leg):
-            opt = minimize(lambda r: objective(g, r), warm, SimplexConfig())
-            lp[j] = -opt.f_min
-            warm = opt.x_min
-        return lp
-
-    processes = _fork.processes(len(legs), 1) if min(leg.size for leg in legs) >= MIN_WALK else 1
+def _walks(walk, legs, counts) -> list:
+    """``walk`` of each leg, the legs split over processes; ``counts`` gains theirs."""
+    shortest = min(leg[0].size for leg in legs)
+    processes = _fork.processes(len(legs), 1) if shortest >= MIN_WALK else 1
     with closing(_fork.ordered(walk, legs, processes)) as results:
-        return list(results)
+        out = []
+        for result, leg_counts in results:
+            counts.update(leg_counts)
+            out.append(result)
+        return out
 
 
 def _deviance_interval(grid, lp, lhat, critical) -> tuple[float, float]:
@@ -704,13 +839,16 @@ def _deviance_interval(grid, lp, lhat, critical) -> tuple[float, float]:
     i0 = int(np.argmin(dev))
 
     def crossing(indices, inner):
+        side = "lower" if indices.step < 0 else "upper"
         prev = inner
         for j in indices:
             if dev[j] > critical:
+                if -lp[j] >= PENALTY:  # the optimum there stayed on the penalty surface
+                    raise ProfileBracketError(side)
                 frac = (dev[j] - critical) / (dev[j] - dev[prev])
                 return float(grid[j] + frac * (grid[prev] - grid[j]))
             prev = j
-        raise ProfileBracketError("lower" if indices.step < 0 else "upper")
+        raise ProfileBracketError(side)
 
     lower = crossing(range(i0 - 1, -1, -1), i0)
     upper = crossing(range(i0 + 1, grid.size), i0)

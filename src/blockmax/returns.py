@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._core._kernels_py import SERIES_RADIUS, SERIES_TERMS
 from .gev import GUMBEL_XI_EPS, GevParams, quantile
 from .special import normal_quantile
 
@@ -30,6 +31,7 @@ __all__ = [
     "LevelBasis",
     "ReturnLevelEstimate",
     "level_location",
+    "level_location_shape",
     "location_for_level",
     "return_level",
     "return_level_ci",
@@ -106,6 +108,47 @@ def level_location(p: float):
         return level - sigma * math.expm1(-xi * log_y) / xi
 
     return location
+
+
+def level_location_shape(p: float):
+    """``xi -> (a, da/dxi, d2a/dxi2)`` for the location of :func:`level_location`.
+
+    That location is ``level + sigma*a(xi)`` with ``a = -expm1(-xi*log y_p)/xi``
+    (``log y_p`` below the Gumbel switch), so these are the derivatives a
+    profile of the level needs by the chain rule.  With w = xi*log y_p and
+    phi(w) = -expm1(-w)/w, they are log y_p**2 * phi'(w) and
+    log y_p**3 * phi''(w).  For |w| <= SERIES_RADIUS they come from the power
+    series of phi, because the closed forms lose their digits to the
+    cancelling 1/w**2 and 1/w**3 terms there.
+    """
+    _check_p(p)
+    log_y = math.log(-math.log1p(-p))
+    location = level_location(p)
+
+    def shape(xi: float) -> tuple[float, float, float]:
+        a = location(0.0, 1.0, xi)
+        w = xi * log_y
+        if abs(w) <= SERIES_RADIUS:
+            d1 = d2 = 0.0
+            for c1, c2 in _PHI_SERIES:  # Horner's rule in w
+                d1 = d1 * w + c1
+                d2 = d2 * w + c2
+        else:
+            e, one_minus_e = math.exp(-w), -math.expm1(-w)
+            d1 = (w * e - one_minus_e) / w**2
+            d2 = (2.0 * one_minus_e - w * (w + 2.0) * e) / w**3
+        return a, log_y**2 * d1, log_y**3 * d2
+
+    return shape
+
+
+# The coefficients of w**j in phi'(w) and phi''(w), phi(w) = -expm1(-w)/w =
+# sum (-w)**j/(j+1)!, highest power first.
+_PHI_SERIES = tuple(
+    ((-1.0) ** (j + 1) * (j + 1) / math.factorial(j + 2),
+     (-1.0) ** j * (j + 1) * (j + 2) / math.factorial(j + 3))
+    for j in reversed(range(SERIES_TERMS))
+)
 
 
 def location_for_level(level: float, sigma: float, xi: float, p: float) -> float:

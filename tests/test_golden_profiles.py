@@ -6,7 +6,9 @@ They were first written by the numpy-array Nelder-Mead and kernels that
 ``tests/frozen_scalar_search.py`` keeps, which the plain-float search and
 the in-place kernels reproduce bit for bit, and rewritten when the observed
 information, whose standard errors set the default grids, became closed
-form (the explicit-grid case did not move).  Regenerate (only on purpose) with
+form (the explicit-grid case did not move), and again when the grid points
+became Newton solves of the restricted problem.  Regenerate (only on
+purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """
@@ -40,7 +42,6 @@ CASES = {
     "gumbel_mu": ("gev_xi0.1_n129", "gumbel", dict(which="mu")),
     "gumbel_sigma": ("gev_xi0.1_n129", "gumbel", dict(which="sigma")),
     "heavy_xi": ("gev_xi0.3_n40", "gev", dict(which="xi")),
-    "heavy_level100": ("gev_xi0.3_n40", "gev", dict(which="return_level", p=0.01)),
     "bounded_xi": ("gev_xi-0.3_n129", "gev", dict(which="xi")),
     "bounded_mu": ("gev_xi-0.3_n129", "gev", dict(which="mu")),
     "bounded_sigma": ("gev_xi-0.3_n129", "gev", dict(which="sigma")),
@@ -72,6 +73,17 @@ pytestmark = pytest.mark.usefixtures("numpy_kernels")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_profile_bits_match_golden(golden, name):
     assert compute(name) == golden[name]
+
+
+def test_heavy_tailed_level_leaves_its_upper_bound_unbracketed():
+    # Each widening leg continues from the optimum at the edge it extends, so
+    # the 100-block level of this sample keeps a deviance of about 3.76 at the
+    # last grid point (near 652), below the 3.84 cutoff: no upper bound.
+    params, n, seed = SAMPLES["gev_xi0.3_n40"]
+    values = bm.sample(params, n, seed=seed).values
+    with pytest.raises(bm.inference.ProfileBracketError) as caught:
+        profile(values, "gev", which="return_level", p=0.01, fit=fit_gev(values))
+    assert caught.value.side == "upper"
 
 
 def test_expansion_case_widens_its_grid(golden):

@@ -210,7 +210,10 @@ def test_fallback_rows_are_the_simplex_rows_bit_for_bit():
     x = bm.sample(bm.GevParams(0.0, 1.0, -0.3), 20, seed=2).values
     fit = bm.fit_gev(x)
     X = _resamples(x, 40, 1)
-    *_, cause, _ = _newton_rows(X, fit.theta, "gev")
+    *_, cause, _ = _newton_rows(
+        lambda lanes, points: gev_derivatives_rows(X[lanes], *points.T),
+        lambda lanes, points: gev_nllh_rows(X[lanes], *points.T),
+        np.tile(fit.theta, (X.shape[0], 1)), 2)
     fallback = cause != ""
     assert 0 < np.count_nonzero(fallback) < X.shape[0]
     assert NONREGULAR in set(cause)
