@@ -1,7 +1,7 @@
 """Benchmark: the per-layer table of blockmax, for this tree or against another.
 
     python benchmarks/bench_kernels.py                          # print the table
-    python benchmarks/bench_kernels.py --layers-json BENCH_newton_profiles.json \
+    python benchmarks/bench_kernels.py --layers-json BENCH_lockstep_profiles.json \
         --src <the src directory of another checkout>
 
 The table holds, for the source tree it runs on:
@@ -19,8 +19,9 @@ The table holds, for the source tree it runs on:
 * the profile stage: the four profiles of the profile-scan workload (xi and
   the 10-, 40- and 100-block levels, n=129) after one ``fit_gev``, each in ms
   on one CPU and on every CPU (median of 5), with its grid points and, where
-  the tree has Newton walks (``ProfileCurve.counts``), its derivative passes
-  and fallbacks.
+  the tree has Newton profiles (``ProfileCurve.counts``), its derivative
+  passes (in all and per grid point), fallbacks and, for lockstep grids,
+  waves.
 
 With ``--layers-json`` each tree (this one as "change", ``--src`` as
 "parent") runs in fresh interpreters, the sides alternating, REPEATS times,
@@ -30,11 +31,10 @@ strongly bounded or heavy-tailed samples (wall time, outcomes and refit
 counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
 10 000 through the batched path and through the one-at-a-time loop, the
 heavy-tailed profile sweep (xi and the 100-block level of GEV(0, 1, 0.3)
-samples of 40 and GEV(0, 1, 0.4) samples of 30, seeds 0-17), and, where the
-process may use two CPUs, the walk split: the four profiles on grids of 10
-to 100 points with the two walks of each forked against run in turn
-(``inference.MIN_WALK`` forced), which sets MIN_WALK.  With ``--src`` the
-file also gets the agreement of the two trees' heavy sweeps.
+samples of 40 and GEV(0, 1, 0.4) samples of 30, seeds 0-17), timed on one
+CPU and, where the process may use two, again on every CPU.  With ``--src``
+the file also gets the agreement of the two trees' heavy sweeps: interval
+shifts, worse optima and fallbacks by cause.
 ``best_of`` is also the kernel timer of ``perfbench/run.py``.
 """
 
@@ -65,8 +65,8 @@ PROFILES = (("xi", None), ("level10", 0.1), ("level40", 0.025), ("level100", 0.0
 # (xi, n): heavy-tailed samples whose profiles branch, seeds 0-17
 HEAVY = ((0.3, 40), (0.4, 30))
 HEAVY_SEEDS = range(18)
-SPLIT_GRIDS = (10, 16, 24, 50, 100)
-SPLIT_REPEATS = 15
+# ProfileCurve.counts keys that are not fallback causes
+_NOT_FALLBACKS = ("newton", "steps", "waves")
 
 
 def best_of(fn, repeats=5, inner=200):
@@ -194,7 +194,8 @@ def _profile_runs(values, fit, n_grid=100):
 
 
 def _profiles(values, fit, one, every) -> dict:
-    """Per profile: ms on one and on every CPU, grid points, derivative passes and fallbacks."""
+    """Per profile: ms on one and on every CPU, grid points, derivative passes,
+    fallbacks and waves."""
     out = {}
     for name, run in _profile_runs(values, fit).items():
         row = {}
@@ -207,7 +208,10 @@ def _profiles(values, fit, one, every) -> dict:
         counts = getattr(curve, "counts", None)
         if counts is not None:
             row["derivative_passes"] = counts["steps"]
-            row["fallbacks"] = sum(v for k, v in counts.items() if k not in ("newton", "steps"))
+            row["passes_per_point"] = counts["steps"] / curve.grid.size
+            row["fallbacks"] = sum(v for k, v in counts.items() if k not in _NOT_FALLBACKS)
+            if "waves" in counts:
+                row["waves"] = counts["waves"]
         out[name] = row
     return out
 
@@ -258,14 +262,17 @@ def _agreement(parent: dict, change: dict) -> dict:
     Intervals are compared in units of the parent's width where the parent
     left no grid point on the penalty surface; the nllh of the change is
     compared at every shared grid point, split at a deviance of twice the
-    critical value.
+    critical value.  Fallbacks are counted by cause in each tree.
     """
     critical = bm.special.chi2_quantile(0.95, 1)
-    shift, near, far, far_gap, penalized, fallbacks = 0.0, 0, 0, 0.0, {}, Counter()
+    shift, near, far, far_gap, penalized = 0.0, 0, 0, 0.0, {}
+    fallbacks = {"parent": Counter(), "change": Counter()}
     points = 0
     for name, old in parent["cases"].items():
         new = change["cases"][name]
-        fallbacks.update({k: v for k, v in new.get("counts", {}).items() if k not in ("newton", "steps")})
+        for tree, case in (("parent", old), ("change", new)):
+            fallbacks[tree].update({k: v for k, v in case.get("counts", {}).items()
+                                    if k not in _NOT_FALLBACKS})
         old_lp = dict(zip(old["grid"], old["lp"]))
         points += len(new["grid"])
         for g, lp in zip(new["grid"], new["lp"]):
@@ -294,31 +301,9 @@ def _agreement(parent: dict, change: dict) -> dict:
         "worse_nllh_points_within_2x_critical": near,
         "worse_nllh_points_beyond": far,
         "worse_nllh_largest_gap_beyond": far_gap,
-        "fallbacks": dict(fallbacks),
+        "fallbacks": {tree: dict(counts) for tree, counts in fallbacks.items()},
         "cases_with_penalized_parent_points": penalized,
     }
-
-
-def _walk_split(values, fit) -> dict:
-    """ms of the four profiles per grid size, the walks of each forked and in turn."""
-    inference = bm.inference
-    saved = inference.MIN_WALK
-    out = {}
-    try:
-        for n_grid in SPLIT_GRIDS:
-            runs = _profile_runs(values, fit, n_grid).values()
-            times = {"forked_ms": [], "in_turn_ms": []}
-            for _ in range(SPLIT_REPEATS):  # alternating, so drift hits both alike
-                for label, min_walk in (("forked_ms", 1), ("in_turn_ms", 10**9)):
-                    inference.MIN_WALK = min_walk
-                    t0 = time.perf_counter()
-                    for run in runs:
-                        run()
-                    times[label].append(1e3 * (time.perf_counter() - t0))
-            out[f"n_grid{n_grid}"] = {k: statistics.median(v) for k, v in times.items()}
-    finally:
-        inference.MIN_WALK = saved
-    return out
 
 
 def layers(slow: bool) -> dict:
@@ -370,7 +355,7 @@ def layers(slow: bool) -> dict:
             side["heavy_sweep"] = _heavy_sweep()
             if len(every) >= 2:
                 os.sched_setaffinity(0, every)
-                side["walk_split"] = _walk_split(scan, scan_fit)
+                side["heavy_sweep_all_cpus_s"] = _heavy_sweep()["wall_s"]
     finally:
         os.sched_setaffinity(0, every)
     return side
@@ -407,18 +392,18 @@ def compare(label, src=None) -> dict:
     trees = {"change": Path(__file__).resolve().parent.parent / "src"}
     if src is not None:
         trees = {"parent": Path(src).resolve(), **trees}
-    runs = {label: [] for label in trees}
+    runs = {side: [] for side in trees}
     for repeat in range(REPEATS):
-        for label, tree in trees.items():
-            runs[label].append(_run_side(tree, slow=repeat == 0))
-            print(f"run {repeat + 1}/{REPEATS} {label} done", file=sys.stderr)
+        for side, tree in trees.items():
+            runs[side].append(_run_side(tree, slow=repeat == 0))
+            print(f"run {repeat + 1}/{REPEATS} {side} done", file=sys.stderr)
     results = {}
-    for label, sides in runs.items():
-        results[label] = _median([{k: v for k, v in s.items() if k in sides[1]} for s in sides])
-        for slow in ("straggler_sweep", "crossover", "walk_split"):
+    for side, sides in runs.items():
+        results[side] = _median([{k: v for k, v in s.items() if k in sides[1]} for s in sides])
+        for slow in ("straggler_sweep", "crossover", "heavy_sweep_all_cpus_s"):
             if slow in sides[0]:
-                results[label][slow] = sides[0][slow]
-        results[label]["heavy_sweep_s"] = sides[0]["heavy_sweep"]["wall_s"]
+                results[side][slow] = sides[0][slow]
+        results[side]["heavy_sweep_s"] = sides[0]["heavy_sweep"]["wall_s"]
     if src is not None:
         results["heavy_sweep"] = _agreement(runs["parent"][0]["heavy_sweep"],
                                             runs["change"][0]["heavy_sweep"])
@@ -427,8 +412,8 @@ def compare(label, src=None) -> dict:
         "command": f"python benchmarks/bench_kernels.py --layers-json BENCH_{label}.json "
                    "--src <src of a checkout of the parent commit>",
         "cores": f"kernels, fit, counts, the sweep and the crossover on one CPU (pinned); "
-                 f"stages and profiles on one CPU and on all {len(os.sched_getaffinity(0))} CPUs; "
-                 "the walk split on all CPUs",
+                 f"stages, profiles and the heavy sweep on one CPU and on all "
+                 f"{len(os.sched_getaffinity(0))} CPUs",
         "host": {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
                  "platform": platform.platform(), "python": platform.python_version(),
                  "numpy": np.__version__, "kernel_backend": _core.BACKEND},
@@ -436,13 +421,13 @@ def compare(label, src=None) -> dict:
                  "README series; kernels: bm.sample(GevParams(80, 20, -0.05), n, seed=1); sweep: "
                  f"bm.sample(GevParams(0, 1, xi), n, seed) for (n, xi) in "
                  f"{[(n, xi) for n, xi, _ in SWEEP]}, seeds 0-9, bootstrap B={SWEEP_B}; crossover: "
-                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3; profiles "
-                 "and walk split: bm.sample(GevParams(79, 21, 0.1), n=129, seed=1)",
+                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3; profiles: "
+                 "bm.sample(GevParams(79, 21, 0.1), n=129, seed=1); heavy sweep: "
+                 f"bm.sample(GevParams(0, 1, xi), n, seed) for (xi, n) in {list(HEAVY)}, seeds 0-17",
         "statistic": f"median of {REPEATS} runs per tree, each in a fresh interpreter, the trees "
                      "alternating; kernels best of 7 loops and stages median of 3 calls within a "
                      "run; profiles median of 5 calls within a run; the sweep, the crossover and "
-                     f"the walk split (median of {SPLIT_REPEATS} alternating calls) from the first "
-                     "run only",
+                     "the heavy sweep from the first run only",
         "results": results,
     }
 

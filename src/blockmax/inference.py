@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import _fork
 from .data import as_values
 from .gev import GevParams
 from .likelihood import (
@@ -56,12 +54,6 @@ MIN_FIT_SIZE = 10
 # A fitted scale at or below this fraction of the sample range has collapsed:
 # with most observations tied, the likelihood grows without bound as sigma -> 0.
 SCALE_FLOOR = 1e-12
-# Fewest grid points on each profile walk for the two walks to run in two
-# processes.  On a 2-vCPU VM, forking the walks of the four profile-scan
-# profiles (n=129) saved 13-29 ms with walks of 12-13 Newton points; with
-# 5-9 points two runs disagreed, from 5 ms lost to 14 ms saved (the walk
-# split of BENCH_newton_profiles.json).
-MIN_WALK = 12
 EULER_GAMMA = 0.5772157
 # Newton refits (Refit with a start point).  A lane stops once its squared
 # Newton decrement g'H^-1 g, the squared length of its step in standard
@@ -80,6 +72,17 @@ NONREGULAR_XI = -0.5
 # so a wide batch is cut into blocks of rows, which keeps the peak memory of
 # a Newton refit at that of the simplex search.
 BLOCK_ELEMENTS = 16_384
+# Profile grids: a grid point takes at most this many Newton solves from a
+# start that is not its inner neighbour's optimum (see _lockstep).  Such a
+# solve steps on the information with its eigenvalues made positive where it
+# is indefinite (_modified_direction, eigenvalues at least EIGEN_FLOOR times
+# the largest), and stops after FREE_STEPS steps or FREE_HALVINGS halvings
+# of one step, to be tried again from a nearer start: so every wave ends
+# within a few steps.
+NEWTON_TRIES = 8
+FREE_STEPS = 8
+FREE_HALVINGS = 4
+EIGEN_FLOOR = 1e-6
 _PARAMETERS = {"gev": ("mu", "sigma", "xi"), "gumbel": ("mu", "sigma")}
 
 
@@ -429,6 +432,28 @@ def _newton_direction(g, H):
     return step, decrement, definite
 
 
+def _modified_direction(g, H):
+    """Per lane: the step -M^-1 g and the squared decrement g'M^-1 g, with M
+    the symmetric H with each eigenvalue replaced by its absolute value, at
+    least EIGEN_FLOOR times the largest: a descent direction also where H is
+    indefinite (Nocedal & Wright 2006, section 3.4).  For one or two
+    parameters, in closed form, reading the lower triangle of H."""
+    if g.shape[1] == 1:
+        m = np.abs(H[:, 0, 0])
+        return -g / m[:, None], g[:, 0] * g[:, 0] / m
+    a, b, c = H[:, 0, 0], H[:, 1, 0], H[:, 1, 1]
+    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    upper, lower = mean + radius, mean - radius  # the eigenvalues
+    # the eigenvector of upper is (cos t, sin t) with tan 2t = 2b / (a - c)
+    t = 0.5 * np.arctan2(2.0 * b, a - c)
+    cos, sin = np.cos(t), np.sin(t)
+    floor = EIGEN_FLOOR * np.maximum(np.abs(upper), np.abs(lower))
+    m1, m2 = np.maximum(np.abs(upper), floor), np.maximum(np.abs(lower), floor)
+    p1, p2 = cos * g[:, 0] + sin * g[:, 1], cos * g[:, 1] - sin * g[:, 0]
+    q1, q2 = p1 / m1, p2 / m2
+    return -np.stack([cos * q1 - sin * q2, sin * q1 + cos * q2], axis=1), p1 * q1 + p2 * q2
+
+
 def _in_blocks(derivatives, rows, point):
     """``derivatives`` of the rows at their points, at most BLOCK_ELEMENTS values per call."""
     size = max(1, BLOCK_ELEMENTS // rows.shape[1])
@@ -439,13 +464,18 @@ def _in_blocks(derivatives, rows, point):
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def _newton_rows(derivatives, nllh_rows, theta, xi_column=None):
+def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None):
     """Damped Newton from every row of ``theta`` (lanes, d), the lanes in lockstep.
 
     ``derivatives(lanes, points)`` returns ``(value, valid, score, info)`` and
     ``nllh_rows(lanes, points)`` returns ``(value, valid)`` of the objective
     of the lanes at the indices ``lanes`` (ascending) at ``points``.  A lane
-    whose column ``xi_column`` reaches NONREGULAR_XI falls back.  Returns
+    whose column ``xi_column`` reaches NONREGULAR_XI falls back.  The lanes
+    of the boolean mask ``free`` (one or two parameters) step on
+    :func:`_modified_direction` where their information is indefinite, and
+    give up (with the cause STEP_CAP or that of the line search) after
+    FREE_STEPS steps or FREE_HALVINGS halvings of one step; they converge
+    as the others do, with a positive definite information.  Returns
     ``(theta, f_min, cause, steps)``: per lane the optimum and its value,
     ``""`` or the cause of a fallback (theta and f_min are then
     meaningless), and the number of derivative passes over all lanes.  Each
@@ -467,15 +497,27 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None):
         step, decrement, definite = _newton_direction(score, info)
         why = np.full(active.size, "", dtype=object)
         why[~definite] = INDEFINITE
+        bent = np.zeros(active.size, dtype=bool)  # stepping on the modified information
+        if free is not None:
+            bent = ~definite & free[active]
+            if bent.any():
+                with np.errstate(all="ignore"):
+                    step[bent], decrement[bent] = _modified_direction(score[bent], info[bent])
+                bent &= np.isfinite(step).all(axis=1) & (decrement > 0.0) & np.isfinite(decrement)
+                why[bent] = ""
         if xi_column is not None:
             why[point[:, xi_column] <= NONREGULAR_XI] = NONREGULAR
         why[~valid] = SUPPORT
         going = why == ""
-        done = going & (decrement <= NEWTON_TOL)
+        done = going & ~bent & (decrement <= NEWTON_TOL)
         going &= ~done
         if k == NEWTON_STEPS:
             why[going] = STEP_CAP
             going[:] = False
+        elif free is not None and k == FREE_STEPS:
+            capped = going & free[active]
+            why[capped] = STEP_CAP
+            going &= ~capped
 
         if done.any():  # one last full step, kept unless it is outside the support
             last = point[done] + step[done]
@@ -483,11 +525,16 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None):
             theta[active[done]] = np.where(ok_last[:, None], last, point[done])
             f_min[active[done]] = np.where(ok_last, f_last, value[done])
 
-        small = going & (decrement <= FULL_STEP)
+        small = going & ~bent & (decrement <= FULL_STEP)
         theta[active[small]] += step[small]
         search = np.flatnonzero(going & ~small)
         alpha = 1.0
-        for _ in range(HALVINGS + 1):
+        for halving in range(HALVINGS + 1):
+            if free is not None and halving == FREE_HALVINGS + 1:
+                cut = free[active[search]]
+                why[search[cut]] = np.where(last_ok[cut], LINE_SEARCH, SUPPORT)
+                going[search[cut]] = False
+                search, last_ok = search[~cut], last_ok[~cut]
             if not search.size:
                 break
             trial = point[search] + alpha * step[search]
@@ -560,10 +607,11 @@ def aic(fit: FitResult) -> float:
 class ProfileCurve:
     """Profile log-likelihood over a grid with the deviance-based interval.
 
-    ``counts`` tallies the grid points solved by Newton (``newton``), their
-    derivative passes (``steps``) and the points that fell back to the
-    simplex search, by cause; ``expansions`` is how often the default grid
-    was widened.
+    ``counts`` tallies the grid points solved by Newton (``newton``), the
+    derivative passes over all of them (``steps``), the lockstep waves that
+    solved them (``waves``) and the points that fell back to the simplex
+    search, by cause; ``expansions`` is how often the default grid was
+    widened.
     """
 
     which: str
@@ -595,6 +643,8 @@ def _restricted(values, model, k, location=None):
 
     The free parameters ``r`` fill the other slots in order; with
     ``location``, g is a return level and slot 0 gets ``location(*theta)``.
+    Where no finite location puts the level at g the point is outside the
+    support, and the objective is the penalty ``PENALTY + |theta[-1]|``.
     """
     nllh = gev_nllh_value if model == "gev" else gumbel_nllh_value
 
@@ -603,56 +653,105 @@ def _restricted(values, model, k, location=None):
         theta.insert(k, g)
         if location is not None:
             theta[0] = location(*theta)
+            if not math.isfinite(theta[0]):
+                return PENALTY + abs(theta[-1])
         return nllh(values, *theta)[0]
 
     return objective
 
 
-def _restricted_derivatives(values, model, k, p=None):
-    """Derivatives of :func:`_restricted`'s objective at ``(g, r)``, one lane.
+def _lane_matrix(values):
+    """``lanes -> X``: a (lanes, n) view that repeats ``values`` in every row, no copy."""
+    view = np.broadcast_to(values, (0, values.size))
 
-    Returns ``(value, valid, score, info, cross)``: the objective's value and
-    validity, its gradient and Hessian in the free parameters r, and the
-    column d2/dr dg, each with a leading lane axis of length 1.  With k
-    pinned they are the free rows and columns of the full ones.  For a
-    return level (``p`` given) the location is ``g + sigma*a(xi)``, and they
-    come by the chain rule: J'g and J'HJ + g_mu * d2mu, with J the Jacobian
-    of (mu, sigma[, xi]) in (g, sigma[, xi]).
+    def rows(lanes):
+        nonlocal view
+        if view.shape[0] < lanes:
+            view = np.broadcast_to(values, (2 * lanes, values.size))
+        return view[:lanes]
+
+    return rows
+
+
+def _lane_theta(k, location, G, R):
+    """``(theta, outside)`` of the lanes ``(G[i], R[i])``: the full parameter
+    vectors, and for a return level (``location`` given) the lanes without a
+    finite location, whose location slot then holds the level instead."""
+    theta = np.empty((G.size, R.shape[1] + 1))
+    theta[:, k] = G
+    theta[:, :k] = R[:, :k]
+    theta[:, k + 1:] = R[:, k:]
+    if location is None:
+        return theta, None
+    # the scalar location per lane, so every lane has the objective's bits
+    mu = np.fromiter(map(location, *theta.T.tolist()), float, G.size)
+    outside = ~np.isfinite(mu)
+    theta[:, 0] = np.where(outside, G, mu)
+    return theta, outside
+
+
+def _outside(value, valid, theta, outside):
+    """Give the lanes without a finite location :func:`_restricted`'s penalty."""
+    if outside is not None and outside.any():
+        value[outside] = PENALTY + np.abs(theta[outside, -1])
+        valid[outside] = False
+
+
+def _restricted_rows(values, model, k, location=None):
+    """Lane-wise :func:`_restricted`: ``(G, R) -> (value, valid)`` of the lanes
+    ``(G[i], R[i])``, each value bit for bit the objective's."""
+    nllh = gev_nllh_rows if model == "gev" else gumbel_nllh_rows
+    rows = _lane_matrix(values)
+
+    def objective(G, R):
+        theta, outside = _lane_theta(k, location, G, R)
+        value, valid = _in_blocks(nllh, rows(G.size), theta)
+        _outside(value, valid, theta, outside)
+        return value, valid
+
+    return objective
+
+
+def _restricted_derivatives(values, model, k, p=None):
+    """Derivatives of :func:`_restricted`'s objective, lane-wise: ``(G, R) -> ...``.
+
+    Returns ``(value, valid, score, info, cross)`` of the lanes
+    ``(G[i], R[i])``: the objective's value (bit for bit) and validity, its
+    gradient and Hessian in the free parameters r, and the column d2/dr dg.
+    With k pinned they are the free rows and columns of the full ones.  For
+    a return level (``p`` given) the location is ``g + sigma*a(xi)``, and
+    they come by the chain rule on lane columns: J'g and J'HJ + g_mu * d2mu,
+    with J the Jacobian of (mu, sigma[, xi]) in (g, sigma[, xi]).  A lane
+    without a finite location is not valid.
     """
-    X = values[None, :]
     gev = model == "gev"
     kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
-    d = len(_PARAMETERS[model])
-    free = [i for i in range(d) if i != k]
-    if p is None:
+    free = [i for i in range(len(_PARAMETERS[model])) if i != k]
+    location = None if p is None else level_location(p)
+    shape = None if p is None else level_location_shape(p)
+    rows = _lane_matrix(values)
 
-        def derivatives(g, r):
-            theta = r.tolist()
-            theta.insert(k, g)
-            value, valid, score, info = kernel(X, *np.array(theta)[:, None])
+    def derivatives(G, R):
+        theta, outside = _lane_theta(k, location, G, R)
+        value, valid, score, info = _in_blocks(kernel, rows(G.size), theta)
+        if p is None:
             return value, valid, score[:, free], info[:, free][:, :, free], info[:, free, k]
-
-        return derivatives
-    location, shape = level_location(p), level_location_shape(p)
-
-    def derivatives(g, r):
-        free_values = r.tolist()
-        theta = [location(g, *free_values), *free_values]
-        value, valid, score, info = kernel(X, *np.array(theta)[:, None])
+        _outside(value, valid, theta, outside)
         # mu moves with the free parameters by v = (a, sigma*a') (GEV) or (a,)
         # (Gumbel): with h the mu column of H, the free block of J'HJ is
         # H_rr + v h' + h v' + H_mumu v v', and its g column h + H_mumu v
-        a, a1, a2 = shape(free_values[1] if gev else 0.0)
-        v = np.array([a, free_values[0] * a1] if gev else [a])
-        g_mu, h_mumu, h = score[0, 0], info[0, 0, 0], info[0, 1:, 0]
-        spread = np.multiply.outer(v, h)
-        hessian = info[0, 1:, 1:] + (spread + spread.T) + h_mumu * np.multiply.outer(v, v)
+        a, a1, a2 = shape(R[:, 1] if gev else np.zeros(G.size))
+        v = np.stack([a, R[:, 0] * a1], axis=1) if gev else a[:, None]
+        g_mu, h_mumu, h = score[:, 0], info[:, 0, 0], info[:, 1:, 0]
+        spread = v[:, :, None] * h[:, None, :]
+        hessian = (info[:, 1:, 1:] + (spread + spread.transpose(0, 2, 1))
+                   + h_mumu[:, None, None] * (v[:, :, None] * v[:, None, :]))
         if gev:  # the second derivatives of mu: d2/dsigma dxi = a', d2/dxi2 = sigma*a''
-            hessian[0, 1] += g_mu * a1
-            hessian[1, 0] += g_mu * a1
-            hessian[1, 1] += g_mu * free_values[0] * a2
-        gradient = score[0, 1:] + g_mu * v
-        return value, valid, gradient[None], hessian[None], (h + h_mumu * v)[None]
+            hessian[:, 0, 1] += g_mu * a1
+            hessian[:, 1, 0] += g_mu * a1
+            hessian[:, 1, 1] += g_mu * R[:, 0] * a2
+        gradient = score[:, 1:] + g_mu[:, None] * v
+        return value, valid, gradient, hessian, h + h_mumu[:, None] * v
 
     return derivatives
 
@@ -687,15 +786,17 @@ def profile(
 
     For each grid value of the profiled quantity the remaining parameters are
     re-maximized by damped Newton steps on the restricted score and
-    information (Venzon & Moolgavkar 1988), walking outward from the
-    estimate: each point starts from its neighbour's optimum plus the
-    tangent step along the profile path, and falls back to the simplex
-    search from the neighbour's optimum where Newton does not apply (see
-    :class:`_Walk`).  The interval is the set where the deviance
-    2*(lhat - lp) stays below the 1-tau chi-square(1) quantile, with
-    endpoints found by linear interpolation between grid points.  A default
+    information (Venzon & Moolgavkar 1988), every grid point a lane of one
+    lockstep solve: each starts from the estimate plus the tangent step
+    along the profile path, stepping through indefinite information on the
+    way, and a point that fails is restarted from the nearest solved point
+    between it and the estimate, or falls back to the simplex search from
+    its inner neighbour's optimum (see :func:`_lockstep`).  The interval is
+    the set where the deviance 2*(lhat - lp) stays below the 1-tau
+    chi-square(1) quantile, with endpoints found by linear interpolation
+    between grid points.  A default
     grid spans the estimate +- 4 standard errors and is widened
-    automatically, each new leg continuing from the optimum at the edge it
+    automatically, each new leg anchored at the optimum at the edge it
     extends, if it fails to bracket a crossing; a grid that still fails, or
     whose crossing would be taken against a point left on the penalty
     surface, raises :class:`ProfileBracketError`.
@@ -710,7 +811,7 @@ def profile(
     if fit is None:
         fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
     lhat = -fit.nllh
-    walk = _Walk(values, model, k, location, p)
+    problem = _Problem(values, model, k, location, p)
     center, center_se, start = _profile_center(fit, which, k, p)
 
     if grid is not None:
@@ -727,11 +828,11 @@ def profile(
 
     critical = chi2_quantile(1.0 - tau, 1)
     counts = Counter()
-    # walk up from the grid point nearest the center, and down from its neighbour
+    # a leg up from the estimate's grid point and one down from its neighbour
     i0 = int(np.argmin(np.abs(grid - center)))
-    anchor = (grid[i0], start, None)
+    anchor = problem.anchor(grid[i0], start, counts)
     legs = [(grid[i0:], anchor), (grid[:i0][::-1], anchor)]
-    (up, hi_edge), (down, lo_edge) = _walks(walk, legs, counts)
+    (up, hi_edge), (down, lo_edge) = _lockstep(problem, legs, counts)
     lp = np.concatenate([down[::-1], up])
 
     expansions = 0
@@ -748,7 +849,7 @@ def profile(
         new_lo = grid[0] - step * np.arange(n_ext, 0, -1) if extend_lo else grid[:0]
         new_hi = grid[-1] + step * np.arange(1, n_ext + 1) if extend_hi else grid[:0]
         legs = [(new_lo[::-1], lo_edge), (new_hi, hi_edge)]
-        (lp_lo, lo_edge), (lp_hi, hi_edge) = _walks(walk, legs, counts)
+        (lp_lo, lo_edge), (lp_hi, hi_edge) = _lockstep(problem, legs, counts)
         lp = np.concatenate([lp_lo[::-1], lp, lp_hi])
         grid = np.concatenate([new_lo, grid, new_hi])
         expansions += 1
@@ -758,80 +859,156 @@ def profile(
                         expansions=expansions)
 
 
-class _Walk:
-    """The grid points of one profile, solved leg by leg.
+class _Problem:
+    """The restricted problem of one profile: coordinate k pinned, lane-wise.
 
-    A leg is a run of grid values walked in order from an anchor
-    ``(g, r, slope)``: a grid value already solved, its optimum r of the free
-    parameters, and the slope dr/dg of the optimum path there (None where
-    unknown).  Each point starts from its neighbour's optimum plus the
-    tangent step ``slope * (g - g_neighbour)``, with the slope
-    -H_rr^-1 h_rg from the neighbour's last derivative pass, and takes
-    damped Newton steps on the restricted score and information.  A point
-    whose information is indefinite, that leaves the support, whose line
-    search fails, that hits the step cap or that is nonregular (pinned or
-    free xi <= NONREGULAR_XI) falls back to the simplex search from the
-    neighbour's optimum, as a walk without Newton steps would run it.
+    ``objective`` is :func:`_restricted`'s scalar objective, which the
+    simplex fallback searches; ``nllh`` and ``derivatives`` are its
+    lane-wise value and derivatives, on which the Newton lanes step.
     """
 
     def __init__(self, values, model, k, location=None, p=None):
         self.objective = _restricted(values, model, k, location)
+        self.nllh = _restricted_rows(values, model, k, location)
         self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
         # the slot of xi among the free parameters, or whether xi is the pinned one
         gev = model == "gev"
         self.xi_column = 1 if gev and k != 2 else None
         self.xi_pinned = gev and k == 2
 
-    def __call__(self, leg):
-        """``((lp, edge), counts)`` of a leg ``(values, anchor)``: its profile
-        log-likelihoods, and the anchor at its last point for a leg that continues it."""
-        values, (g0, r0, slope0) = leg
-        counts = Counter()
-        lp = np.empty(values.size)
-        for j, g in enumerate(values):
-            warm = r0 if slope0 is None else r0 + slope0 * (g - g0)
-            r, f_min, slope, cause, steps = self.solve(g, warm, r0)
+    def anchor(self, g, r, counts):
+        """``(g, r, slope)`` at the estimate: the slope dr/dg of the optimum path
+        there, None where the restricted information is not positive definite."""
+        value, valid, _, info, cross = self.derivatives(np.array([g]), r[None, :])
+        counts["steps"] += 1
+        slope = _slope(info, cross)[0]
+        return g, r, slope if valid[0] and np.isfinite(slope).all() else None
+
+
+def _slope(info, cross):
+    """Per lane the slope -H_rr^-1 h_rg of the optimum path, NaN where H_rr is indefinite."""
+    slope, _, definite = _newton_direction(cross, info)
+    slope[~definite] = np.nan
+    return slope
+
+
+def _newton_lanes(problem, g, start, free=None):
+    """``(r, f_min, cause, steps, slope)`` of :func:`_newton_rows` on lanes pinned
+    at ``g`` from ``start`` (``free`` as there), with each lane's slope from
+    its last derivative pass."""
+    d = start.shape[1]
+    info_last, cross_last = np.empty((g.size, d, d)), np.empty((g.size, d))
+
+    def derivatives(lanes, points):
+        value, valid, score, info, cross = problem.derivatives(g[lanes], points)
+        info_last[lanes], cross_last[lanes] = info, cross
+        return value, valid, score, info
+
+    theta, f_min, cause, steps = _newton_rows(
+        derivatives, lambda lanes, points: problem.nllh(g[lanes], points), start, problem.xi_column,
+        free)
+    return theta, f_min, cause, steps, _slope(info_last, cross_last)
+
+
+def _lockstep(problem, legs, counts) -> list:
+    """``[(lp, edge), ...]`` of the legs, every grid point a lane of lockstep Newton solves.
+
+    A leg ``(values, anchor)`` is a run of grid values outward from an
+    anchor ``(g, r, slope)``: a grid value already solved (or the
+    estimate), the optimum r of the free parameters there, and the slope
+    dr/dg of the optimum path (None where unknown).  A point's inner
+    neighbour is the point before it on its leg, or the anchor.  The points
+    are solved in waves of :func:`_newton_rows`: in each, a point not yet
+    solved starts from the nearest solved point between it and the anchor,
+    at that point's optimum plus ``slope * (g - g_there)``.  A solve from a
+    start that is not the point's inner neighbour is a ``free`` lane of
+    :func:`_newton_rows`: it steps through indefinite information and gives
+    up after FREE_STEPS steps, so a far start costs every wave a bounded
+    number of passes.  A point whose solve fails is tried again once a point
+    nearer to it is solved, at most NEWTON_TRIES times from starts that are
+    not its inner neighbour; one that fails from its inner neighbour's
+    optimum (its information is indefinite, it leaves the support, its line
+    search fails, it hits the step cap or it is nonregular, pinned or free
+    xi <= NONREGULAR_XI) falls back to the simplex search from there, as a
+    walk from point to point would run it.  Each wave solves at least the innermost open point of
+    every leg, so a profile takes at most as many waves as its longest leg
+    has points, and at worst a point costs the walk's solve and fallback
+    plus NEWTON_TRIES failed solves.
+
+    ``edge`` is the anchor at the leg's last point, for a leg that extends
+    it; ``counts`` gains the Newton points, derivative passes, waves and
+    fallbacks by cause.
+    """
+    sizes = [leg[0].size for leg in legs]
+    stops = np.cumsum(sizes)
+    begins = stops - sizes
+    total = int(stops[-1])
+    d = legs[0][1][1].size
+    # slots 0..total-1 are the grid points, total + l the anchor of leg l
+    g = np.concatenate([leg[0] for leg in legs] + [[anchor[0] for _, anchor in legs]])
+    r = np.empty((g.size, d))
+    slope = np.full((g.size, d), np.nan)
+    solved = np.zeros(g.size, dtype=bool)
+    inner = np.arange(total) - 1
+    for l, (_, (_, r0, slope0)) in enumerate(legs):
+        r[total + l] = r0
+        if slope0 is not None:
+            slope[total + l] = slope0
+        solved[total + l] = True
+        if sizes[l]:
+            inner[begins[l]] = total + l
+    f_min = np.full(total, np.nan)
+    tries = np.zeros(total, dtype=int)
+    tried_from = np.full(total, -1)
+    nonregular = problem.xi_pinned & (g[:total] <= NONREGULAR_XI)
+
+    while not solved.all():
+        # per point, the nearest solved slot on its way to the anchor
+        source = np.empty(total, dtype=int)
+        for l in range(len(legs)):
+            span = np.arange(begins[l], stops[l])
+            last = np.maximum.accumulate(np.where(solved[span], span, -1))
+            source[span] = np.where(last >= 0, last, total + l)
+        pending = ~solved[:total]
+        adjacent = pending & (source == inner)
+        retry = pending & ~nonregular & (tries < NEWTON_TRIES) & (source != tried_from)
+        lanes = np.flatnonzero((adjacent | retry) & ~nonregular)
+        fallback = [(j, NONREGULAR) for j in np.flatnonzero(adjacent & nonregular)]
+        counts["waves"] += 1
+
+        if lanes.size:
+            from_ = source[lanes]
+            start = r[from_].copy()
+            known = ~np.isnan(slope[from_, 0])
+            start[known] += slope[from_[known]] * (g[lanes[known]] - g[from_[known]])[:, None]
+            theta, f_lanes, why, steps, tangent = _newton_lanes(
+                problem, g[lanes], start, ~adjacent[lanes])
             counts["steps"] += steps
-            counts[cause or "newton"] += 1
-            lp[j] = -f_min
-            g0, r0, slope0 = g, r, slope
-        return (lp, (g0, r0, slope0)), counts
+            done = why == ""
+            solved[lanes[done]] = True
+            r[lanes[done]], f_min[lanes[done]] = theta[done], f_lanes[done]
+            slope[lanes[done]] = tangent[done]
+            counts["newton"] += int(np.count_nonzero(done))
+            from_inner = adjacent[lanes]
+            again = ~done & ~from_inner
+            tries[lanes[again]] += 1
+            tried_from[lanes[again]] = from_[again]
+            fallback += zip(lanes[~done & from_inner], why[~done & from_inner])
 
-    def solve(self, g, warm, neighbour):
-        """``(r, f_min, slope, cause, steps)`` at grid value g, from ``warm``."""
-        steps, last = 0, []
-        cause = NONREGULAR if self.xi_pinned and g <= NONREGULAR_XI else ""
-        if not cause:
+        for j, cause in fallback:
+            g_j = g[j]
+            opt = minimize(lambda x: problem.objective(g_j, x), r[source[j]], SimplexConfig())
+            r[j], f_min[j], solved[j] = opt.x_min, opt.f_min, True
+            counts[cause] += 1
 
-            def derivatives(lanes, points):
-                value, valid, score, info, cross = self.derivatives(g, points[0])
-                last[:] = info, cross
-                return value, valid, score, info
-
-            def nllh_rows(lanes, points):
-                value = self.objective(g, points[0])
-                return np.array([value]), np.array([value < PENALTY])
-
-            theta, f_min, why, steps = _newton_rows(
-                derivatives, nllh_rows, warm[None, :], self.xi_column)
-            cause = why[0]
-        if cause:
-            opt = minimize(lambda r: self.objective(g, r), neighbour, SimplexConfig())
-            return opt.x_min, opt.f_min, None, cause, steps
-        slope = _newton_direction(last[1], last[0])[0][0]  # -H_rr^-1 h_rg
-        return theta[0], float(f_min[0]), slope, cause, steps
-
-
-def _walks(walk, legs, counts) -> list:
-    """``walk`` of each leg, the legs split over processes; ``counts`` gains theirs."""
-    shortest = min(leg[0].size for leg in legs)
-    processes = _fork.processes(len(legs), 1) if shortest >= MIN_WALK else 1
-    with closing(_fork.ordered(walk, legs, processes)) as results:
-        out = []
-        for result, leg_counts in results:
-            counts.update(leg_counts)
-            out.append(result)
-        return out
+    out = []
+    for l, (_, anchor) in enumerate(legs):
+        last = stops[l] - 1
+        edge = anchor
+        if sizes[l]:
+            edge = (g[last], r[last].copy(), None if np.isnan(slope[last, 0]) else slope[last].copy())
+        out.append((-f_min[begins[l]:stops[l]], edge))
+    return out
 
 
 def _deviance_interval(grid, lp, lhat, critical) -> tuple[float, float]:

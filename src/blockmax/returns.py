@@ -97,7 +97,9 @@ def _gumbel_limit_xi_gradient(sigma: float, log_y: float) -> float:
 def level_location(p: float):
     """:func:`location_for_level` at a fixed ``p``: ``(level, sigma, xi=0.0) -> mu``.
 
-    ``log y_p`` is computed once, for the many calls of a profile walk.
+    ``log y_p`` is computed once, for the many calls of a profile.  Where
+    ``y_p**(-xi)`` overflows no finite location puts the level there, and
+    the location is NaN.
     """
     _check_p(p)
     log_y = math.log(-math.log1p(-p))
@@ -105,38 +107,45 @@ def level_location(p: float):
     def location(level: float, sigma: float, xi: float = 0.0) -> float:
         if abs(xi) < GUMBEL_XI_EPS:
             return level + sigma * log_y
-        return level - sigma * math.expm1(-xi * log_y) / xi
+        try:
+            return level - sigma * math.expm1(-xi * log_y) / xi
+        except OverflowError:
+            return math.nan
 
     return location
 
 
 def level_location_shape(p: float):
-    """``xi -> (a, da/dxi, d2a/dxi2)`` for the location of :func:`level_location`.
+    """``xi -> (a, da/dxi, d2a/dxi2)`` lane-wise, for the location of :func:`level_location`.
 
     That location is ``level + sigma*a(xi)`` with ``a = -expm1(-xi*log y_p)/xi``
     (``log y_p`` below the Gumbel switch), so these are the derivatives a
-    profile of the level needs by the chain rule.  With w = xi*log y_p and
+    profile of the level needs by the chain rule.  ``xi`` is an array of
+    lanes, and so is each result.  With w = xi*log y_p and
     phi(w) = -expm1(-w)/w, they are log y_p**2 * phi'(w) and
     log y_p**3 * phi''(w).  For |w| <= SERIES_RADIUS they come from the power
     series of phi, because the closed forms lose their digits to the
-    cancelling 1/w**2 and 1/w**3 terms there.
+    cancelling 1/w**2 and 1/w**3 terms there.  Lanes where y_p**(-xi)
+    overflows get infinite or NaN terms.
     """
     _check_p(p)
     log_y = math.log(-math.log1p(-p))
-    location = level_location(p)
 
-    def shape(xi: float) -> tuple[float, float, float]:
-        a = location(0.0, 1.0, xi)
+    def shape(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w = xi * log_y
-        if abs(w) <= SERIES_RADIUS:
-            d1 = d2 = 0.0
-            for c1, c2 in _PHI_SERIES:  # Horner's rule in w
-                d1 = d1 * w + c1
-                d2 = d2 * w + c2
-        else:
-            e, one_minus_e = math.exp(-w), -math.expm1(-w)
+        with np.errstate(all="ignore"):
+            e, one_minus_e = np.exp(-w), -np.expm1(-w)
+            a = np.where(np.abs(xi) < GUMBEL_XI_EPS, log_y, one_minus_e / xi)
             d1 = (w * e - one_minus_e) / w**2
             d2 = (2.0 * one_minus_e - w * (w + 2.0) * e) / w**3
+        series = np.abs(w) <= SERIES_RADIUS
+        if series.any():
+            w = w[series]
+            s1 = s2 = 0.0
+            for c1, c2 in _PHI_SERIES:  # Horner's rule in w
+                s1 = s1 * w + c1
+                s2 = s2 * w + c2
+            d1[series], d2[series] = s1, s2
         return a, log_y**2 * d1, log_y**3 * d2
 
     return shape
@@ -155,7 +164,8 @@ def location_for_level(level: float, sigma: float, xi: float, p: float) -> float
     """Location parameter that puts the p-exceedance return level at ``level``.
 
     Inverse of :func:`return_level` in mu, used to re-express the model in
-    terms of (x_p, sigma, xi) when profiling a return level.
+    terms of (x_p, sigma, xi) when profiling a return level; NaN where
+    ``y_p**(-xi)`` overflows.
     """
     return level_location(p)(level, sigma, xi)
 

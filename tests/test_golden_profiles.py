@@ -6,9 +6,9 @@ They were first written by the numpy-array Nelder-Mead and kernels that
 ``tests/frozen_scalar_search.py`` keeps, which the plain-float search and
 the in-place kernels reproduce bit for bit, and rewritten when the observed
 information, whose standard errors set the default grids, became closed
-form (the explicit-grid case did not move), and again when the grid points
-became Newton solves of the restricted problem.  Regenerate (only on
-purpose) with
+form (the explicit-grid case did not move), again when the grid points
+became Newton solves of the restricted problem, and again when they became
+lanes of one lockstep solve.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from scipy import stats
 
@@ -26,6 +27,22 @@ def test_chi2_roundtrip():
 def test_chi2_95_df1():
     # the 3.84 threshold used by the 5% likelihood-ratio test
     assert chi2_quantile(0.95, 1) == pytest.approx(3.841458821, abs=1e-6)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95, 0.999, 1 - 1e-5, 1 - 1e-9])
+def test_chi2_df1_quantile_is_a_squared_normal_quantile(q):
+    # chi-square(1) is the law of Z**2, so its q quantile is z_{(1-q)/2}**2;
+    # 2*erfinv(q)**2 is the same number at 40 digits
+    x = chi2_quantile(q, 1)
+    assert x == normal_quantile(0.5 * (1.0 - q)) ** 2
+    with mpmath.workdps(40):
+        exact = float(2 * mpmath.erfinv(mpmath.mpf(q)) ** 2)
+    assert x == pytest.approx(exact, rel=1e-14)
+
+
+def test_chi2_95_df1_bits():
+    # the bisection gave 3.8414588206941147; the report rounds to 10 digits
+    assert chi2_quantile(0.95, 1) == 3.8414588206941236
 
 
 def test_chi2_edges():
