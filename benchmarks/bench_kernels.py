@@ -6,7 +6,7 @@
 
 The table holds, for the source tree it runs on:
 
-* kernel us per call of ``gev_nllh``/``gumbel_nllh`` (the active backend) and
+* kernel us per call of the scalar kernels ``gev_nllh``/``gumbel_nllh`` and
   of one derivative pass (``likelihood.gev_derivatives_rows`` on one lane,
   where the tree has it) at n = 129, 2000 and 10 000, best of 7 loops;
 * one ``fit_gev`` at n=129: ms (median of 20) and objective evaluations;

@@ -1,7 +1,6 @@
 """Numpy implementations of the negative log-likelihood kernels.
 
-Reference backend for the compiled extension in ``_kernels.pyx``; both share
-the same contract:
+The scalar kernels share one contract:
 
 * input ``x`` is a contiguous float64 array, ``(value, valid)`` comes back;
 * ``sigma <= 0`` or a support violation yields ``(PENALTY + violation, False)``

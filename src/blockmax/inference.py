@@ -29,7 +29,7 @@ from .likelihood import (
     observed_information,
 )
 from .returns import level_location, level_location_shape, return_level, return_level_gradient
-from .simplex import OptResult, SimplexConfig, minimize, minimize_rows
+from .simplex import OptResult, SimplexConfig, minimize
 from .special import chi2_quantile, normal_quantile
 
 __all__ = [
@@ -205,11 +205,26 @@ def _check_fit_sample(sample) -> np.ndarray:
     return values
 
 
-def _run_fit(values, objective, x0) -> OptResult:
+def _search(values, model) -> OptResult:
+    """The simplex search of ``fit_<model>``: from the moment start (with
+    shape 0.1 for the GEV), on the scalar kernel."""
+    mu0, sigma0 = _moment_start(values)
+    if model == "gev":
+        x0, nllh_value = np.array([mu0, sigma0, 0.1]), gev_nllh_value
+    else:
+        x0, nllh_value = np.array([mu0, sigma0]), gumbel_nllh_value
+
+    def objective(theta):
+        return nllh_value(values, *theta.tolist())[0]
+
     # the kernels grade an overflow as a penalty; a search that walks the scale
     # toward 0 (tied observations) need not warn about it on the way
     with np.errstate(over="ignore"):
-        opt = minimize(objective, x0, SimplexConfig())
+        return minimize(objective, x0, SimplexConfig())
+
+
+def _run_fit(values, model) -> OptResult:
+    opt = _search(values, model)
     if not opt.converged:
         raise ConvergenceError(
             f"simplex search did not converge in {opt.iterations} iterations", NOT_CONVERGED
@@ -234,12 +249,7 @@ def _collapsed(sigma, spread):
 def fit_gev(sample, compute_se: bool = True) -> FitResult:
     """Fit the three-parameter GEV model by maximum likelihood."""
     values = _check_fit_sample(sample)
-    mu0, sigma0 = _moment_start(values)
-
-    def objective(theta):
-        return gev_nllh_value(values, *theta.tolist())[0]
-
-    opt = _run_fit(values, objective, np.array([mu0, sigma0, 0.1]))
+    opt = _run_fit(values, "gev")
     params = GevParams(opt.x_min[0], opt.x_min[1], opt.x_min[2])
     cov, se = _covariance(values, params, "gev") if compute_se else (None, None)
     return FitResult(
@@ -256,12 +266,7 @@ def fit_gev(sample, compute_se: bool = True) -> FitResult:
 def fit_gumbel(sample, compute_se: bool = True) -> FitResult:
     """Fit the two-parameter Gumbel model by maximum likelihood."""
     values = _check_fit_sample(sample)
-    mu0, sigma0 = _moment_start(values)
-
-    def objective(theta):
-        return gumbel_nllh_value(values, *theta.tolist())[0]
-
-    opt = _run_fit(values, objective, np.array([mu0, sigma0]))
+    opt = _run_fit(values, "gumbel")
     params = GevParams(opt.x_min[0], opt.x_min[1], 0.0)
     cov, se = _covariance(values, params, "gumbel") if compute_se else (None, None)
     return FitResult(
@@ -279,9 +284,9 @@ class Refit:
     """Refit statistic for resampling: the ML parameter vector of a sample.
 
     ``Refit(model)(values)`` is ``fit_<model>(values, compute_se=False).theta``.
-    ``rows(X)`` refits every row of a sample matrix at once, with one
-    lockstep :func:`minimize_rows` search, and returns ``(theta, ok)``: row r
-    of ``theta`` is bit for bit what the call on ``X[r]`` returns, and
+    ``rows(X)`` refits every row of a sample matrix, each with the simplex
+    search of ``fit_<model>``, and returns ``(theta, ok)``: row r of
+    ``theta`` is bit for bit what the call on ``X[r]`` returns, and
     ``ok[r]`` is False exactly where that call raises ConvergenceError or
     DegenerateSampleError (a constant row, which is not searched and whose
     theta is NaN, or a row whose fitted scale collapsed).  A ``failures``
@@ -292,7 +297,7 @@ class Refit:
     and information instead (see NEWTON_TOL).  A row whose information is
     not positive definite, that leaves the support, that does not converge
     in NEWTON_STEPS steps or that enters the nonregular shapes falls back to
-    the simplex search from the moment start, and gets exactly the bits of
+    the simplex search of ``fit_<model>``, and gets exactly the bits of
     ``Refit(model)``.  ``ok`` and the failure causes follow the same rules,
     and the call is the one-row case of ``rows``.  ``counts`` tallies, in
     this process, the rows refitted by Newton (``newton``), their steps
@@ -339,7 +344,10 @@ class Refit:
                 theta[ok], searched = self.rows(X[ok], failures)
                 ok[ok] = searched
             return theta, ok
-        x_min, f_min, converged = (self._simplex if self.start is None else self._newton)(X)
+        if self.start is None:
+            x_min, f_min, converged = _search_rows(X, self.model)
+        else:
+            x_min, f_min, converged = self._newton(X)
         penalized = converged & (f_min >= PENALTY)
         spread = X.max(axis=1) - X.min(axis=1)
         collapsed = converged & ~penalized & _collapsed(x_min[:, 1], spread)
@@ -349,23 +357,6 @@ class Refit:
                 if mask.any():
                     failures[cause] += int(np.count_nonzero(mask))
         return x_min, converged & ~penalized & ~collapsed
-
-    def _simplex(self, X):
-        """``(x_min, f_min, converged)`` of the lockstep simplex search from the moment start."""
-        x0 = np.array([_moment_start(row) for row in X])
-        if self.model == "gev":
-            x0 = np.column_stack([x0, np.full(X.shape[0], 0.1)])
-
-            def objective(lanes, points):
-                rows = _lane_rows(X, lanes)
-                return gev_nllh_rows(rows, points[:, 0], points[:, 1], points[:, 2])[0]
-        else:
-
-            def objective(lanes, points):
-                return gumbel_nllh_rows(_lane_rows(X, lanes), points[:, 0], points[:, 1])[0]
-
-        opt = minimize_rows(objective, x0, SimplexConfig())
-        return opt.x_min, opt.f_min, opt.converged
 
     def _newton(self, X):
         """``(x_min, f_min, converged)``: Newton from ``start``, the simplex where it falls back."""
@@ -381,11 +372,23 @@ class Refit:
         fallback = cause != ""
         converged = np.ones(X.shape[0], dtype=bool)
         if fallback.any():
-            theta[fallback], f_min[fallback], converged[fallback] = self._simplex(X[fallback])
+            theta[fallback], f_min[fallback], converged[fallback] = _search_rows(
+                X[fallback], self.model)
         self.counts.update(cause[fallback].tolist())
         self.counts["newton"] += int(np.count_nonzero(~fallback))
         self.counts["steps"] += steps
         return theta, f_min, converged
+
+
+def _search_rows(X, model):
+    """``(x_min, f_min, converged)`` of :func:`_search` on each row of X."""
+    x_min = np.empty((X.shape[0], len(_PARAMETERS[model])))
+    f_min = np.empty(X.shape[0])
+    converged = np.empty(X.shape[0], dtype=bool)
+    for r, row in enumerate(X):
+        opt = _search(row, model)
+        x_min[r], f_min[r], converged[r] = opt.x_min, opt.f_min, opt.converged
+    return x_min, f_min, converged
 
 
 def _lane_rows(X, lanes):

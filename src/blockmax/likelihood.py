@@ -8,7 +8,7 @@ constraint (or whose value overflows) map to a finite penalty, never NaN, so
 the simplex search always has comparable values; a point exactly on the
 support boundary counts as a violation.
 
-Hot evaluations go through the kernel backend in ``blockmax._core``.
+Hot evaluations go through the numpy kernels in ``blockmax._core``.
 """
 
 from __future__ import annotations

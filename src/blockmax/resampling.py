@@ -16,10 +16,10 @@ callables, so the reports are identical.  Samples longer than
 
 The batches of a round are near-equal, at least one per process, and are
 split between this process and forked children wherever every process gets
-``MIN_LANES`` rows (see :mod:`blockmax._fork`); the results are consumed in
-batch order, so the reports and errors are those of a serial run.  A
-``rows`` method may therefore run in a child process: its side effects
-there, other than warnings, are not seen by the caller.
+``MIN_SHARE_VALUES`` resampled values (see :mod:`blockmax._fork`); the
+results are consumed in batch order, so the reports and errors are those of
+a serial run.  A ``rows`` method may therefore run in a child process: its
+side effects there, other than warnings, are not seen by the caller.
 """
 
 from __future__ import annotations
@@ -61,12 +61,17 @@ CHUNK_ELEMENTS = 65_536
 # statistic one sample at a time.  On one CPU of a 2-vCPU Xeon VM, bootstrap
 # B=999 of a GEV sample with Newton refits from the estimate took 0.40 s
 # batched against 1.34 s in the loop at n=2048, and 2.09 s against 2.48 s at
-# n=10 000 (6 rows per batch); longer samples were not timed.  Simplex-only
-# refits, Refit(model) without a start, are 10-20% slower batched than in
-# the loop at n=8192 to 10 000.  See BENCH_newton.json.
+# n=10 000 (6 rows per batch); longer samples were not timed.  See
+# BENCH_newton.json.  Refit(model) without a start runs one simplex search
+# per row on either path.
 MAX_BATCHED_N = 10_000
-# Fewest rows per process for which forking a batch pays.
-MIN_LANES = 8
+# Fewest resampled values (rows x n) per process for which forking a round
+# pays.  On a 2-vCPU Xeon VM, Newton refits of GEV samples broke even on two
+# CPUs at about 65 000 to 90 000 values in all, bootstrap or jackknife (a
+# fork costs about 8-10 ms there).  So the jackknife of n=129 (129 x 128
+# values) runs in one process and bootstrap B=999 at n=129 on two CPUs.
+# See BENCH_one_simplex.json.
+MIN_SHARE_VALUES = 40_000
 
 
 class ResamplingError(Exception):
@@ -279,7 +284,7 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
     failed = 0
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
     while pending:
-        processes = _fork.processes(len(pending), MIN_LANES)
+        processes = _fork.processes(len(pending) * n, MIN_SHARE_VALUES)
         chunks = [pending[a:z] for a, z in _chunk_spans(len(pending), lanes, processes)]
         redraw, broke = [], None
         with closing(_fork.ordered(evaluate, chunks, processes)) as results:
@@ -322,7 +327,7 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
 
     loo = np.empty((n, estimate.size))
     if _batched(statistic, n - 1):
-        processes = _fork.processes(n, MIN_LANES)
+        processes = _fork.processes(n * (n - 1), MIN_SHARE_VALUES)
         spans = _chunk_spans(n, _lanes(n - 1), processes)
 
         def evaluate(span):

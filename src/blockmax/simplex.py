@@ -1,6 +1,8 @@
 """Derivative-free Nelder-Mead simplex minimizer.
 
-Used for every likelihood and profile-likelihood maximization in the package.
+The one search of the package: it fits every full sample, refits every
+resampled sample not started from an estimate, and takes over every Newton
+refit or profile grid point that falls back (see :mod:`blockmax.inference`).
 The objective must return finite values everywhere (invalid regions are
 expected to be penalized upstream, see the likelihood kernels).
 
@@ -8,10 +10,6 @@ expected to be penalized upstream, see the likelihood kernels).
 floats: at that size numpy's per-call overhead costs more than the
 arithmetic.  It performs the float64 operations of the array formulation in
 the same order, so its results are those of that formulation bit for bit.
-
-:func:`minimize_rows` runs many independent searches in lockstep, one per
-lane, so that each objective call evaluates a block of lanes at once.  Every
-lane takes exactly the decisions :func:`minimize` takes for it alone.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OptResult", "OptRows", "SimplexConfig", "minimize", "minimize_rows"]
+__all__ = ["OptResult", "SimplexConfig", "minimize"]
 
 
 @dataclass(frozen=True)
@@ -217,161 +215,3 @@ def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
 
     order = _stable_order(fvals)
     return [verts[i] for i in order], [fvals[i] for i in order], False, cfg.max_iter, evals
-
-
-@dataclass(frozen=True)
-class OptRows:
-    """Per-lane :class:`OptResult` fields of :func:`minimize_rows`, as arrays."""
-
-    x_min: np.ndarray  # (lanes, d)
-    f_min: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    restarts: np.ndarray
-    # objective evaluations per lane, as minimize counts them
-    evaluations: np.ndarray | int = 0
-
-
-def _initial_simplex_rows(x0: np.ndarray) -> np.ndarray:
-    # row-wise _initial_simplex: (lanes, d) -> (lanes, d+1, d)
-    d = x0.shape[1]
-    verts = np.repeat(x0[:, None, :], d + 1, axis=1)
-    for i in range(d):
-        verts[:, i + 1, i] += np.maximum(0.05 * np.abs(x0[:, i]), 0.00025)
-    return verts
-
-
-def _vertex_values(objective_rows, lanes, verts) -> np.ndarray:
-    # one objective call per vertex keeps each call at (lanes, n) elements
-    return np.stack([np.asarray(objective_rows(lanes, verts[:, j]), dtype=float)
-                     for j in range(verts.shape[1])], axis=1)
-
-
-def _sorted_rows(verts, fvals):
-    order = np.argsort(fvals, axis=1, kind="stable")
-    rows = np.arange(order.shape[0])[:, None]
-    return verts[rows, order], fvals[rows, order]
-
-
-def _converged_rows(fvals, verts, cfg) -> np.ndarray:
-    f_best, f_worst = fvals[:, 0], fvals[:, -1]
-    denom = np.maximum(np.maximum(np.abs(f_best), np.abs(f_worst)), 1e-12)
-    f_ok = (f_worst - f_best) <= cfg.f_tol * denom
-    x_ok = np.abs(verts - verts[:, :1]).max(axis=(1, 2)) <= cfg.x_tol
-    return f_ok & x_ok
-
-
-def minimize_rows(objective_rows, X0, config: SimplexConfig | None = None) -> OptRows:
-    """Run one Nelder-Mead search per row of ``X0``, all in lockstep.
-
-    ``objective_rows(lanes, points)`` returns, for each k, the objective of
-    lane ``lanes[k]`` at ``points[k]`` (``lanes`` indexes the rows of ``X0``).
-    Each lane follows :func:`minimize` exactly: the same stable vertex order,
-    moves, stopping rule, iteration count and single restart, so lane r of
-    the result equals ``minimize`` on lane r's objective from ``X0[r]``.  A
-    lane leaves the active set once it has finished.
-    """
-    cfg = config or SimplexConfig()
-    x0 = np.asarray(X0, dtype=float)
-    if x0.ndim != 2 or x0.shape[1] < 1:
-        raise ValueError("X0 must be a (lanes, d) array of start points")
-    if cfg.max_iter < 1:
-        raise ValueError("minimize_rows needs max_iter >= 1")
-    n_lanes, d = x0.shape
-    alpha, gamma, beta, delta = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
-    out = OptRows(
-        x_min=np.empty((n_lanes, d)),
-        f_min=np.empty(n_lanes),
-        iterations=np.zeros(n_lanes, dtype=int),
-        converged=np.zeros(n_lanes, dtype=bool),
-        restarts=np.zeros(n_lanes, dtype=int),
-        evaluations=np.zeros(n_lanes, dtype=int),
-    )
-
-    # state of the active lanes; lanes[k] names the lane in row k
-    lanes = np.arange(n_lanes)
-    verts = _initial_simplex_rows(x0)
-    fvals = _vertex_values(objective_rows, lanes, verts)
-    if not np.all(np.isfinite(fvals[:, 0])):
-        bad = int(np.flatnonzero(~np.isfinite(fvals[:, 0]))[0])
-        raise ValueError(f"objective is not finite at x0 of lane {bad}: {fvals[bad, 0]!r}")
-    it = np.zeros(n_lanes, dtype=int)  # iterations of the current pass
-    before = np.zeros(n_lanes, dtype=int)  # iterations of the earlier pass
-    restarts = np.zeros(n_lanes, dtype=int)
-    evals = np.full(n_lanes, d + 1)
-
-    def finish(mask, iterations, converged):
-        nonlocal lanes, verts, fvals, it, before, restarts, evals
-        done = lanes[mask]
-        out.x_min[done] = verts[mask, 0]
-        out.f_min[done] = fvals[mask, 0]
-        out.iterations[done] = iterations[mask]
-        out.converged[done] = converged
-        out.restarts[done] = restarts[mask]
-        out.evaluations[done] = evals[mask]
-        keep = ~mask
-        lanes, verts, fvals, it, before, restarts, evals = (
-            a[keep] for a in (lanes, verts, fvals, it, before, restarts, evals)
-        )
-
-    while lanes.size:
-        spent = it == cfg.max_iter
-        if spent.any():  # end of a pass: restart once from the best vertex, then stop
-            verts[spent], fvals[spent] = _sorted_rows(verts[spent], fvals[spent])
-            again = spent & (restarts == 0)
-            if again.any():
-                before[again] += cfg.max_iter
-                restarts[again] += 1
-                it[again] = 0
-                verts[again] = _initial_simplex_rows(verts[again, 0])
-                fvals[again] = _vertex_values(objective_rows, lanes[again], verts[again])
-                evals[again] += d + 1
-            final = spent & ~again
-            if final.any():
-                finish(final, before + it, False)
-                if not lanes.size:
-                    break
-
-        verts, fvals = _sorted_rows(verts, fvals)
-        converged = _converged_rows(fvals, verts, cfg)
-        if converged.any():
-            finish(converged, before + it + 1, True)
-            if not lanes.size:
-                break
-
-        centroid = verts[:, :-1].mean(axis=1)
-        worst = verts[:, -1]
-        x_r = centroid + alpha * (centroid - worst)
-        f_r = np.asarray(objective_rows(lanes, x_r), dtype=float)
-
-        expand = f_r < fvals[:, 0]
-        reflect = ~expand & (f_r < fvals[:, -2])
-        outside = ~expand & ~reflect & (f_r < fvals[:, -1])
-        inside = ~(expand | reflect | outside)
-
-        # second trial point: expansion, outside or inside contraction
-        probe = ~reflect
-        x_2 = np.where(
-            expand[:, None], centroid + gamma * (x_r - centroid),
-            np.where(outside[:, None], centroid + beta * (x_r - centroid),
-                     centroid + beta * (worst - centroid)),
-        )
-        f_2 = np.full(lanes.size, np.inf)
-        if probe.any():
-            f_2[probe] = objective_rows(lanes[probe], x_2[probe])
-        evals += 1 + probe
-
-        take_2 = (expand & (f_2 < f_r)) | (outside & (f_2 <= f_r)) | (inside & (f_2 < fvals[:, -1]))
-        take_r = reflect | (expand & ~take_2)
-        verts[take_r, -1], fvals[take_r, -1] = x_r[take_r], f_r[take_r]
-        verts[take_2, -1], fvals[take_2, -1] = x_2[take_2], f_2[take_2]
-
-        shrink = (outside | inside) & ~take_2
-        if shrink.any():  # toward the best vertex
-            best = verts[shrink, :1]
-            verts[shrink, 1:] = best + delta * (verts[shrink, 1:] - best)
-            fvals[shrink, 1:] = _vertex_values(objective_rows, lanes[shrink], verts[shrink, 1:])
-            evals[shrink] += d
-        it += 1
-
-    return out

@@ -2,16 +2,6 @@ import numpy as np
 import pytest
 
 import blockmax as bm
-from blockmax import _core
-
-
-@pytest.fixture(scope="module")
-def numpy_kernels():
-    """Run a module on the numpy kernels, whatever the active backend."""
-    active = _core.BACKEND
-    _core.use_backend("python")
-    yield
-    _core.use_backend(active)
 
 
 @pytest.fixture(scope="session")

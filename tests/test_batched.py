@@ -1,11 +1,9 @@
 """The batched replicate engine against its scalar oracle, bit for bit.
 
-Row kernels against the scalar kernels, ``minimize_rows`` against
-``minimize`` lane by lane, and ``bootstrap``/``jackknife`` with ``Refit``
-(batched rows) against the same statistic as a plain callable (the
-one-refit-at-a-time loop).  The row kernels are numpy on either backend, so
-the scalar oracle runs on the numpy kernels too: the compiled ones sum in
-another order.
+Row kernels against the scalar kernels, ``Refit.rows`` against one refit
+per row, and ``bootstrap``/``jackknife`` with ``Refit`` (batched rows)
+against the same statistic as a plain callable (the one-refit-at-a-time
+loop).
 """
 
 import numpy as np
@@ -25,12 +23,8 @@ from blockmax.likelihood import (
 from blockmax import resampling
 from blockmax.cli import main
 from blockmax.resampling import bootstrap, jackknife
-from blockmax.simplex import SimplexConfig, minimize, minimize_rows
 
 BASE = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 1000, seed=5).values
-
-
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
 
 
 # Lane kinds: "free" parameters, or parameters built from the lane's own row
@@ -110,77 +104,6 @@ def test_row_kernels_match_scalar_kernels(lanes, n, seed):
         assert _same_bits(gev_value[r], value) and gev_valid[r] == valid
         value, valid = gumbel_nllh_value(X[r], mu[r], sigma[r])
         assert _same_bits(gum_value[r], value) and gum_valid[r] == valid
-
-
-# -- minimize_rows ------------------------------------------------------------
-
-
-def _bowl(x):
-    return float((x[0] - 3.0) ** 2 + (x[1] + 1.0) ** 2)
-
-
-def _rosenbrock(x):
-    return float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
-
-
-def _ties(x):  # piecewise linear: vertex values tie often
-    return float(abs(x[0]) + abs(x[1]))
-
-
-def _penalized(x):  # the whole plane is penalty surface: a penalized optimum
-    return float(PENALTY + x[0] ** 2 + x[1] ** 2)
-
-
-OBJECTIVES = (_bowl, _rosenbrock, _ties, _penalized)
-
-
-def _assert_lanes_match(rows, objectives, x0, cfg):
-    for r, fn in enumerate(objectives):
-        ref = minimize(fn, x0[r], cfg)
-        assert np.array_equal(rows.x_min[r], ref.x_min), r
-        assert _same_bits(rows.f_min[r], ref.f_min), r
-        assert rows.iterations[r] == ref.iterations, r
-        assert rows.converged[r] == ref.converged, r
-        assert rows.restarts[r] == ref.restarts, r
-
-
-@pytest.mark.parametrize("max_iter", [5000, 40, 7])
-def test_minimize_rows_matches_minimize_lane_by_lane(max_iter):
-    cfg = SimplexConfig(max_iter=max_iter)
-    rng = np.random.Generator(np.random.PCG64(11))
-    objectives = [OBJECTIVES[r % len(OBJECTIVES)] for r in range(16)]
-    x0 = rng.uniform(-3.0, 3.0, size=(16, 2))
-
-    def objective_rows(lanes, points):
-        return [objectives[lane](p) for lane, p in zip(lanes, points)]
-
-    rows = minimize_rows(objective_rows, x0, cfg)
-    _assert_lanes_match(rows, objectives, x0, cfg)
-    assert np.any(rows.f_min >= PENALTY)  # the penalized lanes
-    if max_iter < 5000:
-        assert np.any(rows.restarts == 1) and not np.all(rows.converged)
-
-
-@pytest.mark.parametrize("max_iter", [5000, 60])
-def test_minimize_rows_matches_minimize_on_gev_likelihoods(max_iter):
-    cfg = SimplexConfig(max_iter=max_iter)
-    rng = np.random.Generator(np.random.PCG64(3))
-    X = BASE[rng.integers(0, BASE.size, size=(24, 60))]
-    x0 = np.column_stack([X.mean(axis=1), X.std(axis=1), np.full(24, 0.1)])
-    x0[0, 1] = -1.0  # starts on the penalty surface
-
-    rows = minimize_rows(
-        lambda lanes, P: gev_nllh_rows(X[lanes], P[:, 0], P[:, 1], P[:, 2])[0], x0, cfg
-    )
-    objectives = [lambda t, x=x: gev_nllh_value(x, t[0], t[1], t[2])[0] for x in X]
-    _assert_lanes_match(rows, objectives, x0, cfg)
-
-
-def test_minimize_rows_rejects_bad_input():
-    with pytest.raises(ValueError):
-        minimize_rows(lambda lanes, P: np.zeros(len(lanes)), np.zeros(3))
-    with pytest.raises(ValueError, match="not finite"):
-        minimize_rows(lambda lanes, P: np.full(len(lanes), np.nan), np.zeros((2, 2)))
 
 
 # -- Refit and the resamplers ---------------------------------------------------

@@ -67,9 +67,6 @@ def golden():
     return json.loads(DATA.read_text())
 
 
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_profile_bits_match_golden(golden, name):
     assert compute(name) == golden[name]
@@ -94,6 +91,5 @@ def test_expansion_case_widens_its_grid(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    bm._core.use_backend("python")
     DATA.write_text(json.dumps({name: compute(name) for name in sorted(CASES)}, indent=1) + "\n")
     print(f"wrote {DATA}")

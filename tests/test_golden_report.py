@@ -4,7 +4,7 @@
 --sigma 21 --n 129 --seed 101 --start-year 1881``).  ``report_readme/``
 holds the report.json and CSVs of the README ``report`` example, and
 ``report_gev/`` those of the same run with the GEV model forced and B=199,
-on the numpy kernel backend, with the refits by Newton steps from the
+on the numpy kernels, with the refits by Newton steps from the
 full-sample estimate.  The batched replicate engine and the
 one-refit-at-a-time loop write the same bytes there.
 """
@@ -27,9 +27,6 @@ CASES = {
     "report_readme": README_FLAGS,
     "report_gev": README_FLAGS + ["--model", "gev", "--boot-B", "199"],
 }
-
-
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
 
 
 def _run(argv):

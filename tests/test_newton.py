@@ -30,8 +30,6 @@ from blockmax.likelihood import (
 )
 from blockmax.resampling import bootstrap, jackknife
 
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
-
 LABELS = ("mu", "sigma", "xi")
 
 

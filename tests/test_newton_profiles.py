@@ -41,8 +41,6 @@ from blockmax.returns import level_location, level_location_shape, location_for_
 from blockmax.simplex import SimplexConfig, minimize
 from blockmax.special import chi2_quantile
 
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
-
 
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()

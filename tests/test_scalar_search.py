@@ -33,9 +33,7 @@ from blockmax.inference import (
 from blockmax.likelihood import gev_nllh_value, gumbel_nllh_value
 from blockmax.resampling import ResamplingError, bootstrap, jackknife
 from blockmax.returns import level_location, location_for_level
-from blockmax.simplex import OptResult, OptRows, SimplexConfig, minimize, minimize_rows
-
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
+from blockmax.simplex import OptResult, SimplexConfig, minimize
 
 
 def _bits(x):
@@ -160,24 +158,6 @@ def test_minimize_sorts_nan_vertices_last_from_any_position(simplex):
 def test_optresult_positional_construction_still_works():
     r = OptResult(np.zeros(2), 0.0, 3, True, 0)
     assert r.evaluations == 0
-
-
-def test_minimize_rows_counts_evaluations_per_lane():
-    centers = np.array([[3.0, -1.0], [0.5, 2.0], [-4.0, 0.0]])
-    counts = np.zeros(len(centers), dtype=int)
-
-    def objective_rows(lanes, points):
-        counts[lanes] += 1
-        return ((points - centers[lanes]) ** 2).sum(axis=1)
-
-    x0 = np.zeros((3, 2))
-    out = minimize_rows(objective_rows, x0, SimplexConfig(max_iter=30))
-    assert isinstance(out, OptRows)
-    assert out.evaluations.tolist() == counts.tolist()
-    for r, center in enumerate(centers):
-        alone = minimize(lambda x, c=center: float(((x - c) ** 2).sum()), x0[r], SimplexConfig(max_iter=30))
-        assert alone.evaluations == out.evaluations[r]
-        assert alone.iterations == out.iterations[r]
 
 
 # -- kernels against the array formulation --------------------------------------

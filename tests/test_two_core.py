@@ -1,8 +1,10 @@
 """Refits split over forked processes against the serial run, bit for bit.
 
 ``serial`` forces every split back into one process by making the CPU-count
-probe report one CPU.  Tests that need a child process skip where the fork
-rule allows only one (one CPU, another thread, no ``fork``).
+probe report one CPU.  ``small_floor`` lowers the work a process must get
+(``resampling.MIN_SHARE_VALUES``) so that the small inputs here fork.  Tests
+that need a child process skip where the fork rule allows only one (one CPU,
+another thread, no ``fork``).
 """
 
 import os
@@ -23,8 +25,6 @@ from blockmax.cli import main
 from blockmax.inference import Refit, fit_gev, fit_gumbel, profile
 from blockmax.resampling import ResamplingError, bootstrap, jackknife
 
-pytestmark = pytest.mark.usefixtures("numpy_kernels")
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 STANDARD = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 129, seed=1).values
 LABELS = ("mu", "sigma", "xi")
@@ -36,7 +36,12 @@ def serial(monkeypatch):
 
 
 @pytest.fixture
-def forking():
+def small_floor(monkeypatch):
+    monkeypatch.setattr(resampling, "MIN_SHARE_VALUES", 1)
+
+
+@pytest.fixture
+def forking(small_floor):
     if _fork.processes(2, 1) < 2:
         pytest.skip("the fork rule allows one process here")
 
@@ -68,7 +73,7 @@ def _no_children_left():
 
 
 @pytest.mark.parametrize("model", ["gev", "gumbel"])
-def test_bootstrap_and_jackknife_match_the_serial_run(model):
+def test_bootstrap_and_jackknife_match_the_serial_run(model, small_floor):
     def run():
         labels = LABELS if model == "gev" else LABELS[:2]
         return (bootstrap(STANDARD, Refit(model), b=400, seed=4, labels=labels),
@@ -79,7 +84,7 @@ def test_bootstrap_and_jackknife_match_the_serial_run(model):
     _no_children_left()
 
 
-def test_bootstrap_redraws_match_the_serial_run():
+def test_bootstrap_redraws_match_the_serial_run(small_floor):
     # n=12, xi=-0.8: failed replicates go to a second and third round
     x = bm.sample(bm.GevParams(0.0, 1.0, -0.8), 12, seed=5).values
     split = bootstrap(x, Refit("gev"), b=100, seed=1, labels=LABELS)
@@ -102,7 +107,7 @@ class _Flaky:
         return X.mean(axis=1)[:, None], first < 8.0
 
 
-def test_budget_break_message_matches_the_serial_run():
+def test_budget_break_message_matches_the_serial_run(small_floor):
     def run():
         with pytest.raises(ResamplingError) as err:
             bootstrap(np.arange(10.0), _Flaky(), b=60, seed=2)
@@ -113,7 +118,7 @@ def test_budget_break_message_matches_the_serial_run():
     assert message.startswith("7 of 60 bootstrap replicates failed (limit 10%); causes: eight, nine")
 
 
-def test_jackknife_failures_match_the_serial_run():
+def test_jackknife_failures_match_the_serial_run(small_floor):
     values = np.arange(40.0)
 
     class FailsWithout30(_Flaky):  # the refit without observation 30 fails
@@ -252,8 +257,9 @@ def test_piped_report_output_is_not_duplicated(tmp_path):
     path.write_text("Year data\n" + "".join(f"{1900 + i} {v:.6f}\n" for i, v in enumerate(STANDARD)))
     script = ("import sys; print('started'); from blockmax.cli import main; "
               "sys.exit(main(sys.argv[1:]))")
+    # B=999 is enough work to fork the bootstrap (MIN_SHARE_VALUES)
     argv = [sys.executable, "-c", script, "report", str(path), "--model", "gev",
-            "--boot-B", "199", "--out-dir", str(tmp_path / "out")]
+            "--boot-B", "999", "--out-dir", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(SRC))
 
     def run(**kwargs):
@@ -289,8 +295,20 @@ def test_batches_are_balanced(serial):
     bootstrap(STANDARD, stat, b=999, seed=0)  # 999 rows at 508 lanes: two near-equal batches
     assert stat.lanes == [500, 499]
     # with two processes every process gets a batch, and B=999 still runs as two
-    assert resampling._chunk_spans(129, 512, 2) == [(0, 65), (65, 129)]
     assert resampling._chunk_spans(999, 508, 2) == _fork.spans(999, 2) == [(0, 500), (500, 999)]
+
+
+def test_the_standard_jackknife_stays_in_one_process(monkeypatch):
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
+    if _fork.processes(2, 1) == 1:
+        pytest.skip("fork is unavailable or another thread runs here")
+    stat = _Shapes()
+    jackknife(STANDARD, stat)
+    assert stat.lanes == [129]  # all of it here
+    stat.lanes.clear()
+    bootstrap(STANDARD, stat, b=999, seed=0)
+    assert stat.lanes == [500]  # the other batch ran in a child
+    _no_children_left()
 
 
 def test_spans_cover_the_range_in_near_equal_pieces():
@@ -310,6 +328,10 @@ def test_the_fork_rule(monkeypatch):
     assert _fork.processes(100, 8) == 4
     assert _fork.processes(20, 8) == 2  # every process gets at least 8 units
     assert _fork.processes(15, 8) == 1
+    floor = resampling.MIN_SHARE_VALUES  # in resampled values, rows x n
+    assert _fork.processes(129 * 128, floor) == 1  # the jackknife of n=129
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
+    assert _fork.processes(999 * 129, floor) == 2  # bootstrap B=999 at n=129
     monkeypatch.setattr(_fork, "cpus", lambda: 1)
     assert _fork.processes(100, 8) == 1
     monkeypatch.setattr(_fork, "cpus", lambda: 4)
