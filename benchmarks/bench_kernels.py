@@ -224,15 +224,16 @@ def _heavy_sweep() -> dict:
     the side that failed, and the curve's counts where the tree has them.
     """
     inference = bm.inference
+    profiles = getattr(bm, "profiles", inference)  # where the tree keeps the profile code
     formed = {}
-    interval = inference._deviance_interval
+    interval = profiles._deviance_interval
 
     def spy(grid, lp, lhat, critical):
         formed.update(grid=grid.tolist(), lp=lp.tolist())
         return interval(grid, lp, lhat, critical)
 
     out = {}
-    inference._deviance_interval = spy
+    profiles._deviance_interval = spy
     try:
         t0 = time.perf_counter()
         for xi, n in HEAVY:
@@ -252,7 +253,7 @@ def _heavy_sweep() -> dict:
                     out[f"xi{xi}_n{n}_seed{seed}_{name}"] = {**case, **formed}
         wall = time.perf_counter() - t0
     finally:
-        inference._deviance_interval = interval
+        profiles._deviance_interval = interval
     return {"wall_s": wall, "cases": out}
 
 

@@ -1,16 +1,20 @@
 """Model fitting and uncertainty quantification.
 
-Maximum likelihood fits for the GEV and Gumbel models (Nelder-Mead on the
-penalized negative log-likelihood), standard errors from the inverse observed
-information, normal-approximation and profile-likelihood confidence
+Maximum likelihood fits for the GEV and Gumbel models (damped Newton steps
+on the standardized sample, with Nelder-Mead on the penalized negative
+log-likelihood as the fallback), the Newton refits of resampled samples,
+standard errors from the inverse observed information, normal-approximation
 intervals, the nested likelihood-ratio test, AIC, and the delta method.
+Profile likelihood lives in :mod:`blockmax.profiles`; ``profile`` and
+``ProfileCurve`` are reachable here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,7 +32,6 @@ from .likelihood import (
     gumbel_nllh_value,
     observed_information,
 )
-from .returns import level_location, level_location_shape, return_level, return_level_gradient
 from .simplex import OptResult, SimplexConfig, minimize
 from .special import chi2_quantile, normal_quantile
 
@@ -55,6 +58,11 @@ MIN_FIT_SIZE = 10
 # with most observations tied, the likelihood grows without bound as sigma -> 0.
 SCALE_FLOOR = 1e-12
 EULER_GAMMA = 0.5772157
+# Full fits start at the PWM estimate (_pwm_rows) with its shape kept within
+# [-PWM_XI, 1 - PWM_XI], and its scale widened by half, at most WIDENINGS
+# times, until the sample is inside the support.
+PWM_XI = 0.45
+WIDENINGS = 60
 # Newton refits (Refit with a start point).  A lane stops once its squared
 # Newton decrement g'H^-1 g, the squared length of its step in standard
 # errors, is at most NEWTON_TOL, after one last full step; steps with a
@@ -72,14 +80,12 @@ NONREGULAR_XI = -0.5
 # so a wide batch is cut into blocks of rows, which keeps the peak memory of
 # a Newton refit at that of the simplex search.
 BLOCK_ELEMENTS = 16_384
-# Profile grids: a grid point takes at most this many Newton solves from a
-# start that is not its inner neighbour's optimum (see _lockstep).  Such a
-# solve steps on the information with its eigenvalues made positive where it
-# is indefinite (_modified_direction, eigenvalues at least EIGEN_FLOOR times
-# the largest), and stops after FREE_STEPS steps or FREE_HALVINGS halvings
-# of one step, to be tried again from a nearer start: so every wave ends
-# within a few steps.
-NEWTON_TRIES = 8
+# "Free" Newton lanes (profile grid points not started from their inner
+# neighbour, see blockmax.profiles._lockstep) step on the information with
+# its eigenvalues made positive where it is indefinite (_modified_direction,
+# eigenvalues at least EIGEN_FLOOR times the largest), and stop after
+# FREE_STEPS steps or FREE_HALVINGS halvings of one step, to be tried again
+# from a nearer start: so every wave ends within a few steps.
 FREE_STEPS = 8
 FREE_HALVINGS = 4
 EIGEN_FLOOR = 1e-6
@@ -174,11 +180,17 @@ class FitResult:
         return np.array([p.mu, p.sigma])
 
 
+def _moment_rows(Z):
+    """The Gumbel method-of-moments estimate ``(lanes, 2)`` of each row:
+    sigma from the variance, mu from the mean."""
+    sigma = np.sqrt(6.0 * Z.var(axis=1, ddof=1)) / math.pi
+    return np.stack([Z.mean(axis=1) - EULER_GAMMA * sigma, np.maximum(sigma, 1e-12)], axis=1)
+
+
 def _moment_start(values: np.ndarray) -> tuple[float, float]:
-    # Gumbel method-of-moments: sigma from the variance, mu from the mean.
-    sigma0 = math.sqrt(6.0 * values.var(ddof=1)) / math.pi
-    mu0 = values.mean() - EULER_GAMMA * sigma0
-    return mu0, max(sigma0, 1e-12)
+    """:func:`_moment_rows` of one sample."""
+    mu0, sigma0 = _moment_rows(values[None, :])[0].tolist()
+    return mu0, sigma0
 
 
 def _covariance(sample, params, model):
@@ -206,8 +218,9 @@ def _check_fit_sample(sample) -> np.ndarray:
 
 
 def _search(values, model) -> OptResult:
-    """The simplex search of ``fit_<model>``: from the moment start (with
-    shape 0.1 for the GEV), on the scalar kernel."""
+    """The simplex search: from the moment start (with shape 0.1 for the
+    GEV), on the scalar kernel.  Full fits run it on the standardized rows
+    that Newton does not solve."""
     mu0, sigma0 = _moment_start(values)
     if model == "gev":
         x0, nllh_value = np.array([mu0, sigma0, 0.1]), gev_nllh_value
@@ -223,85 +236,243 @@ def _search(values, model) -> OptResult:
         return minimize(objective, x0, SimplexConfig())
 
 
-def _run_fit(values, model) -> OptResult:
-    opt = _search(values, model)
-    if not opt.converged:
-        raise ConvergenceError(
-            f"simplex search did not converge in {opt.iterations} iterations", NOT_CONVERGED
-        )
-    if opt.f_min >= PENALTY:
-        raise ConvergenceError(
-            "no valid parameter region found (penalized optimum)", PENALIZED_OPTIMUM
-        )
-    if _collapsed(opt.x_min[1], values.max() - values.min()):
-        raise DegenerateSampleError(
-            f"the fitted scale {opt.x_min[1]:g} collapsed onto tied observations "
-            f"(sample range {values.max() - values.min():g}); the scale cannot be fitted"
-        )
-    return opt
-
-
 def _collapsed(sigma, spread):
     """Whether a fitted scale is negligible against the sample range (elementwise)."""
     return sigma <= SCALE_FLOOR * spread
 
 
-def fit_gev(sample, compute_se: bool = True) -> FitResult:
-    """Fit the three-parameter GEV model by maximum likelihood."""
+def _row_quantile(X, q):
+    """The q-quantile of each row of X, linear between order statistics.
+
+    By ``np.partition``: ``np.median`` and ``np.percentile`` would import
+    ``numpy.ma``, about 1.2 MB of resident memory, on their first call.
+    """
+    position = q * (X.shape[1] - 1)
+    low = math.floor(position)
+    high = min(low + 1, X.shape[1] - 1)
+    part = np.partition(X, (low, high) if high > low else low, axis=1)
+    return part[:, low] + (position - low) * (part[:, high] - part[:, low])
+
+
+def _standardize(X):
+    """``(Z, center, scale)``: each row of X as z = (x - center)/scale.
+
+    The center is the row's median and the scale its median absolute
+    deviation, or its interquartile range where that is 0, or its standard
+    deviation where that is 0 too (the row is not constant).  Every step is
+    per row, so a row's Z is that of the one-row call.
+    """
+    center = _row_quantile(X, 0.5)
+    scale = _row_quantile(np.abs(X - center[:, None]), 0.5)
+    tied = scale == 0.0
+    if tied.any():
+        scale[tied] = _row_quantile(X[tied], 0.75) - _row_quantile(X[tied], 0.25)
+        tied = scale == 0.0
+        if tied.any():
+            scale[tied] = [row.std() for row in X[tied]]
+    Z = X - center[:, None]
+    Z /= scale[:, None]
+    return Z, center, scale
+
+
+def _pwm_rows(Z):
+    """The probability-weighted-moment GEV estimate of each row (Hosking,
+    Wallis & Wood 1985, with their approximation of the shape), its shape
+    kept within [-PWM_XI, 1 - PWM_XI], and the scale widened by half until
+    every value of the row is inside the support."""
+    n = Z.shape[1]
+    S = np.sort(Z, axis=1)
+    rank = np.arange(n) / (n - 1.0)  # (j - 1)/(n - 1) for the j-th smallest
+    b0 = S.mean(axis=1)
+    b1 = (S * rank).sum(axis=1) / n
+    b2 = (S * (rank * (np.arange(n) - 1.0) / (n - 2.0))).sum(axis=1) / n
+    l2 = 2.0 * b1 - b0
+    c = l2 / (3.0 * b2 - b0) - math.log(2.0) / math.log(3.0)
+    k = np.clip(7.8590 * c + 2.9554 * c * c, PWM_XI - 1.0, PWM_XI)  # k = -xi
+    k[np.abs(k) < 1e-6] = 1e-6  # (1 - 2^-k)/k and (gamma - 1)/k tend to log 2 and -EULER_GAMMA
+    gamma = np.array([math.gamma(1.0 + v) for v in k.tolist()])
+    sigma = l2 * k / (gamma * -np.expm1(-k * math.log(2.0)))
+    mu = b0 + sigma * (gamma - 1.0) / k
+    edge = np.where(k < 0.0, S[:, 0], S[:, -1])  # the value nearest the bound
+    for _ in range(WIDENINGS):
+        outside = 1.0 - k * (edge - mu) / sigma <= 0.0
+        if not outside.any():
+            break
+        sigma[outside] *= 1.5
+    return np.stack([mu, sigma, -k], axis=1)
+
+
+def _fit_rows(X, model, compute_se=False):
+    """Maximum likelihood fits of the rows of X, none of them constant.
+
+    Each row is standardized (:func:`_standardize`) and is a lane of one
+    damped Newton solve (:func:`_newton_rows`) from the PWM start (GEV) or
+    the moment start (Gumbel); the lanes step on the eigenvalue-floored
+    information where it is indefinite, within the step and halving caps of
+    the refits (``patient``).  A lane that falls back runs the simplex search
+    (:func:`_search`) on its standardized row, and where that stands with a
+    regular shape (xi > NONREGULAR_XI), Newton steps from its optimum finish
+    it.  The estimate
+    maps back exactly: mu = center + scale*mu_z, sigma = scale*sigma_z, the
+    same xi, and the covariance (from the information at the standardized
+    optimum) by the diagonal Jacobian (scale, scale[, 1]).  Every step is
+    per lane, so a row's results are bit for bit those of the one-row call.
+
+    Returns ``(theta, nllh, cause, opts, covs)``: per row the estimate, the
+    nllh of the row there (nllh_z + n*log(scale) where rounding leaves theta
+    just outside the support), ``""`` or why the fit fails
+    (NOT_CONVERGED, PENALIZED_OPTIMUM, DEGENERATE_SAMPLE), its OptResult
+    (``iterations`` counts derivative passes where Newton solved it), and,
+    with ``compute_se``, ``(cov, se)`` where the fit stands and the
+    information can be inverted, else None.
+    """
+    gev = model == "gev"
+    Z, center, scale = _standardize(X)
+    lanes, n = Z.shape
+    kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
+    nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
+    passes = np.zeros(lanes, dtype=int)
+    evaluations = np.zeros(lanes, dtype=int)
+
+    def newton(rows, start):
+        """``(theta, f_min, cause)`` of free, patient Newton lanes on the rows ``rows`` of Z."""
+        Zr = _lane_rows(Z, rows)
+
+        def derivatives(lanes, points):
+            passes[rows[lanes]] += 1
+            return _in_blocks(kernel, _lane_rows(Zr, lanes), points)
+
+        def nllh_at(lanes, points):
+            evaluations[rows[lanes]] += 1
+            return nllh_rows(_lane_rows(Zr, lanes), *points.T)
+
+        return _newton_rows(derivatives, nllh_at, start, 2 if gev else None,
+                            np.ones(rows.size, dtype=bool), patient=True)[:3]
+
+    theta_z, f_z, why = newton(np.arange(lanes), _pwm_rows(Z) if gev else _moment_rows(Z))
+    opts = [None] * lanes
+    searched = np.flatnonzero(why != "")
+    for r in searched:
+        opts[r] = _search(Z[r], model)
+        theta_z[r], f_z[r] = opts[r].x_min, opts[r].f_min
+    converged = np.array([opt is None or opt.converged for opt in opts], dtype=bool)
+    penalized = f_z >= PENALTY
+    collapsed = ~penalized & _collapsed(theta_z[:, 1], Z.max(axis=1) - Z.min(axis=1))
+    # a search that stands in the regular shapes is finished by Newton steps
+    # from its optimum, so that it is as exact as a lane Newton solved
+    finish = searched[(converged & ~penalized & ~collapsed)[searched]]
+    if gev:
+        finish = finish[theta_z[finish, 2] > NONREGULAR_XI]
+    if finish.size:
+        exact, f_exact, failed = newton(finish, theta_z[finish])
+        done = failed == ""
+        theta_z[finish[done]], f_z[finish[done]] = exact[done], f_exact[done]
+
+    theta = theta_z.copy()
+    theta[:, 0] = center + scale * theta_z[:, 0]
+    theta[:, 1] = scale * theta_z[:, 1]
+    # the nllh of the data at theta, bit for bit the surface there; mapped
+    # from the standardized one where rounding puts theta outside the support
+    nllh, inside = nllh_rows(X, *theta.T)
+    for r in np.flatnonzero(~inside):
+        nllh[r] = f_z[r] + n * math.log(scale[r])
+    # a scale that collapsed onto tied observations fails as such whether or
+    # not the search converged on its way to sigma -> 0
+    cause = np.full(lanes, "", dtype=object)
+    cause[~converged] = NOT_CONVERGED
+    cause[converged & penalized] = PENALIZED_OPTIMUM
+    cause[collapsed] = DEGENERATE_SAMPLE
+    for r, opt in enumerate(opts):
+        if opt is None:
+            opt = OptResult(theta[r], nllh[r], int(passes[r]), True, 0,
+                            int(passes[r] + evaluations[r]))
+        else:
+            opt = dataclasses.replace(opt, x_min=theta[r], f_min=nllh[r])
+        opts[r] = opt
+    covs = [None] * lanes
+    if compute_se:
+        for r in np.flatnonzero(cause == ""):
+            params = GevParams(*theta_z[r]) if gev else GevParams(*theta_z[r], 0.0)
+            cov_z, se_z = _covariance(Z[r], params, model)
+            if cov_z is not None:
+                jacobian = np.array([scale[r], scale[r], 1.0][: theta.shape[1]])
+                covs[r] = (cov_z * np.outer(jacobian, jacobian), se_z * jacobian)
+    return theta, nllh, cause, opts, covs
+
+
+def _fit(sample, model, compute_se) -> FitResult:
     values = _check_fit_sample(sample)
-    opt = _run_fit(values, "gev")
-    params = GevParams(opt.x_min[0], opt.x_min[1], opt.x_min[2])
-    cov, se = _covariance(values, params, "gev") if compute_se else (None, None)
+    theta, nllh, cause, (opt,), (cov,) = _fit_rows(values[None, :], model, compute_se)
+    if cause[0] == NOT_CONVERGED:
+        raise ConvergenceError(
+            f"simplex search did not converge in {opt.iterations} iterations", NOT_CONVERGED
+        )
+    if cause[0] == PENALIZED_OPTIMUM:
+        raise ConvergenceError(
+            "no valid parameter region found (penalized optimum)", PENALIZED_OPTIMUM
+        )
+    if cause[0] == DEGENERATE_SAMPLE:
+        raise DegenerateSampleError(
+            f"the fitted scale {theta[0, 1]:g} collapsed onto tied observations "
+            f"(sample range {values.max() - values.min():g}); the scale cannot be fitted"
+        )
+    gev = model == "gev"
+    params = GevParams(*theta[0]) if gev else GevParams(*theta[0], 0.0)
+    cov, se = cov or (None, None)
     return FitResult(
-        model="gev",
+        model=model,
         params=params,
-        nllh=opt.f_min,
+        nllh=float(nllh[0]),
         cov=cov,
         se=se,
-        regularity=smith_regularity(params.xi),
+        regularity=smith_regularity(params.xi) if gev else Regularity.REGULAR,
         opt=opt,
     )
+
+
+def fit_gev(sample, compute_se: bool = True) -> FitResult:
+    """Fit the three-parameter GEV model by maximum likelihood.
+
+    The fit is Newton on the standardized sample from the PWM start, with
+    the simplex search on the standardized sample as the fallback, so its
+    estimate, nllh and standard errors follow the units and the offset of
+    the data exactly (see :func:`_fit_rows`).  Raises ConvergenceError where
+    the search does not converge or ends on the penalty surface, and
+    DegenerateSampleError for a constant sample or a collapsed scale.
+    """
+    return _fit(sample, "gev", compute_se)
 
 
 def fit_gumbel(sample, compute_se: bool = True) -> FitResult:
-    """Fit the two-parameter Gumbel model by maximum likelihood."""
-    values = _check_fit_sample(sample)
-    opt = _run_fit(values, "gumbel")
-    params = GevParams(opt.x_min[0], opt.x_min[1], 0.0)
-    cov, se = _covariance(values, params, "gumbel") if compute_se else (None, None)
-    return FitResult(
-        model="gumbel",
-        params=params,
-        nllh=opt.f_min,
-        cov=cov,
-        se=se,
-        regularity=Regularity.REGULAR,
-        opt=opt,
-    )
+    """Fit the two-parameter Gumbel model by maximum likelihood, as
+    :func:`fit_gev` does, from the moment start."""
+    return _fit(sample, "gumbel", compute_se)
 
 
 class Refit:
     """Refit statistic for resampling: the ML parameter vector of a sample.
 
     ``Refit(model)(values)`` is ``fit_<model>(values, compute_se=False).theta``.
-    ``rows(X)`` refits every row of a sample matrix, each with the simplex
-    search of ``fit_<model>``, and returns ``(theta, ok)``: row r of
-    ``theta`` is bit for bit what the call on ``X[r]`` returns, and
-    ``ok[r]`` is False exactly where that call raises ConvergenceError or
-    DegenerateSampleError (a constant row, which is not searched and whose
-    theta is NaN, or a row whose fitted scale collapsed).  A ``failures``
-    Counter, when given, gains the ``cause`` of every failed row.
+    ``rows(X)`` refits every row of a sample matrix, each a lane of the
+    batched fit of ``fit_<model>`` (Newton on the standardized row, the
+    simplex search where it falls back; see :func:`_fit_rows`), and returns
+    ``(theta, ok)``: row r of ``theta`` is bit for bit what the call on
+    ``X[r]`` returns, and ``ok[r]`` is False exactly where that call raises
+    ConvergenceError or DegenerateSampleError (a constant row, which is not
+    fitted and whose theta is NaN, or a row whose fitted scale collapsed).
+    A ``failures`` Counter, when given, gains the ``cause`` of every failed
+    row.
 
     ``Refit(model, start)``, with ``start`` the full-sample estimate, refits
     each row by damped Newton steps from ``start`` on the closed-form score
     and information instead (see NEWTON_TOL).  A row whose information is
     not positive definite, that leaves the support, that does not converge
     in NEWTON_STEPS steps or that enters the nonregular shapes falls back to
-    the simplex search of ``fit_<model>``, and gets exactly the bits of
+    the fit of ``fit_<model>``, and gets exactly the bits of
     ``Refit(model)``.  ``ok`` and the failure causes follow the same rules,
     and the call is the one-row case of ``rows``.  ``counts`` tallies, in
-    this process, the rows refitted by Newton (``newton``), their steps
-    (``steps``) and the fallbacks by cause.
+    this process, the rows refitted by Newton from ``start`` (``newton``),
+    their steps (``steps``) and the fallbacks by cause.
     """
 
     def __init__(self, model: str, start=None):
@@ -317,8 +488,7 @@ class Refit:
 
     def __call__(self, values) -> np.ndarray:
         if self.start is None:
-            fit = fit_gev if self.model == "gev" else fit_gumbel
-            return fit(values, compute_se=False).theta
+            return _fit(values, self.model, compute_se=False).theta
         failures: Counter = Counter()
         theta, ok = self.rows(_check_fit_sample(values)[None, :], failures)
         if not ok[0]:
@@ -341,54 +511,38 @@ class Refit:
             if failures is not None:
                 failures[DEGENERATE_SAMPLE] += int(np.count_nonzero(constant))
             if ok.any():
-                theta[ok], searched = self.rows(X[ok], failures)
-                ok[ok] = searched
+                theta[ok], fitted = self.rows(X[ok], failures)
+                ok[ok] = fitted
             return theta, ok
         if self.start is None:
-            x_min, f_min, converged = _search_rows(X, self.model)
+            theta, _, cause, _, _ = _fit_rows(X, self.model)
         else:
-            x_min, f_min, converged = self._newton(X)
-        penalized = converged & (f_min >= PENALTY)
-        spread = X.max(axis=1) - X.min(axis=1)
-        collapsed = converged & ~penalized & _collapsed(x_min[:, 1], spread)
+            theta, cause = self._newton(X)
+        failed = cause != ""
         if failures is not None:
-            for cause, mask in ((NOT_CONVERGED, ~converged), (PENALIZED_OPTIMUM, penalized),
-                                (DEGENERATE_SAMPLE, collapsed)):
-                if mask.any():
-                    failures[cause] += int(np.count_nonzero(mask))
-        return x_min, converged & ~penalized & ~collapsed
+            failures.update(cause[failed].tolist())
+        return theta, ~failed
 
     def _newton(self, X):
-        """``(x_min, f_min, converged)``: Newton from ``start``, the simplex where it falls back."""
+        """``(theta, cause)``: Newton from ``start``, :func:`_fit_rows` where it falls back."""
         gev = self.model == "gev"
         kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
         nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
-        theta, f_min, cause, steps = _newton_rows(
+        theta, _, why, steps = _newton_rows(
             lambda lanes, points: _in_blocks(kernel, _lane_rows(X, lanes), points),
             lambda lanes, points: nllh_rows(_lane_rows(X, lanes), *points.T),
             np.tile(self.start, (X.shape[0], 1)),
             2 if gev else None,
         )
-        fallback = cause != ""
-        converged = np.ones(X.shape[0], dtype=bool)
+        fallback = why != ""
+        cause = np.full(X.shape[0], "", dtype=object)
+        cause[~fallback & _collapsed(theta[:, 1], X.max(axis=1) - X.min(axis=1))] = DEGENERATE_SAMPLE
         if fallback.any():
-            theta[fallback], f_min[fallback], converged[fallback] = _search_rows(
-                X[fallback], self.model)
-        self.counts.update(cause[fallback].tolist())
+            theta[fallback], _, cause[fallback], _, _ = _fit_rows(X[fallback], self.model)
+        self.counts.update(why[fallback].tolist())
         self.counts["newton"] += int(np.count_nonzero(~fallback))
         self.counts["steps"] += steps
-        return theta, f_min, converged
-
-
-def _search_rows(X, model):
-    """``(x_min, f_min, converged)`` of :func:`_search` on each row of X."""
-    x_min = np.empty((X.shape[0], len(_PARAMETERS[model])))
-    f_min = np.empty(X.shape[0])
-    converged = np.empty(X.shape[0], dtype=bool)
-    for r, row in enumerate(X):
-        opt = _search(row, model)
-        x_min[r], f_min[r], converged[r] = opt.x_min, opt.f_min, opt.converged
-    return x_min, f_min, converged
+        return theta, cause
 
 
 def _lane_rows(X, lanes):
@@ -440,10 +594,13 @@ def _modified_direction(g, H):
     the symmetric H with each eigenvalue replaced by its absolute value, at
     least EIGEN_FLOOR times the largest: a descent direction also where H is
     indefinite (Nocedal & Wright 2006, section 3.4).  For one or two
-    parameters, in closed form, reading the lower triangle of H."""
+    parameters in closed form, for three by ``eigh`` per lane; reading the
+    lower triangle of H.  Lanes with a non-finite g or H get NaN."""
     if g.shape[1] == 1:
         m = np.abs(H[:, 0, 0])
         return -g / m[:, None], g[:, 0] * g[:, 0] / m
+    if g.shape[1] > 2:
+        return _modified_eigh(g, H)
     a, b, c = H[:, 0, 0], H[:, 1, 0], H[:, 1, 1]
     mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     upper, lower = mean + radius, mean - radius  # the eigenvalues
@@ -457,6 +614,33 @@ def _modified_direction(g, H):
     return -np.stack([cos * q1 - sin * q2, sin * q1 + cos * q2], axis=1), p1 * q1 + p2 * q2
 
 
+def _modified_eigh(g, H):
+    """:func:`_modified_direction` by an eigendecomposition of each lane's H,
+    with the products written out per lane so no lane depends on another."""
+    d = g.shape[1]
+    step = np.full(g.shape, np.nan)
+    decrement = np.full(g.shape[0], np.nan)
+    finite = np.isfinite(g).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+    if finite.any():
+        w, V = np.linalg.eigh(H[finite])
+        g = g[finite]
+        m = np.abs(w)
+        m = np.maximum(m, EIGEN_FLOOR * m.max(axis=1, keepdims=True))
+        q = []  # (V'g)_i / m_i
+        for i in range(d):
+            p = V[:, 0, i] * g[:, 0]
+            for j in range(1, d):
+                p = p + V[:, j, i] * g[:, j]
+            q.append(p / m[:, i])
+            decrement[finite] = p * q[i] if i == 0 else decrement[finite] + p * q[i]
+        for j in range(d):
+            entry = V[:, j, 0] * q[0]
+            for i in range(1, d):
+                entry = entry + V[:, j, i] * q[i]
+            step[finite, j] = -entry
+    return step, decrement
+
+
 def _in_blocks(derivatives, rows, point):
     """``derivatives`` of the rows at their points, at most BLOCK_ELEMENTS values per call."""
     size = max(1, BLOCK_ELEMENTS // rows.shape[1])
@@ -467,18 +651,18 @@ def _in_blocks(derivatives, rows, point):
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None):
+def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patient=False):
     """Damped Newton from every row of ``theta`` (lanes, d), the lanes in lockstep.
 
     ``derivatives(lanes, points)`` returns ``(value, valid, score, info)`` and
     ``nllh_rows(lanes, points)`` returns ``(value, valid)`` of the objective
     of the lanes at the indices ``lanes`` (ascending) at ``points``.  A lane
     whose column ``xi_column`` reaches NONREGULAR_XI falls back.  The lanes
-    of the boolean mask ``free`` (one or two parameters) step on
-    :func:`_modified_direction` where their information is indefinite, and
-    give up (with the cause STEP_CAP or that of the line search) after
-    FREE_STEPS steps or FREE_HALVINGS halvings of one step; they converge
-    as the others do, with a positive definite information.  Returns
+    of the boolean mask ``free`` step on :func:`_modified_direction` where
+    their information is indefinite, and unless ``patient`` give up (with
+    the cause STEP_CAP or that of the line search) after FREE_STEPS steps or
+    FREE_HALVINGS halvings of one step; they converge as the others do, with
+    a positive definite information.  Returns
     ``(theta, f_min, cause, steps)``: per lane the optimum and its value,
     ``""`` or the cause of a fallback (theta and f_min are then
     meaningless), and the number of derivative passes over all lanes.  Each
@@ -487,6 +671,7 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None):
     """
     theta = theta.copy()
     lanes = theta.shape[0]
+    cut_free = free is not None and not patient
     f_min = np.full(lanes, np.nan)
     cause = np.full(lanes, "", dtype=object)
     active = np.arange(lanes)
@@ -517,7 +702,7 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None):
         if k == NEWTON_STEPS:
             why[going] = STEP_CAP
             going[:] = False
-        elif free is not None and k == FREE_STEPS:
+        elif cut_free and k == FREE_STEPS:
             capped = going & free[active]
             why[capped] = STEP_CAP
             going &= ~capped
@@ -533,7 +718,7 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None):
         search = np.flatnonzero(going & ~small)
         alpha = 1.0
         for halving in range(HALVINGS + 1):
-            if free is not None and halving == FREE_HALVINGS + 1:
+            if cut_free and halving == FREE_HALVINGS + 1:
                 cut = free[active[search]]
                 why[search[cut]] = np.where(last_ok[cut], LINE_SEARCH, SUPPORT)
                 going[search[cut]] = False
@@ -606,430 +791,5 @@ def aic(fit: FitResult) -> float:
     return 2.0 * fit.nllh + 2.0 * fit.n_params
 
 
-@dataclass(frozen=True)
-class ProfileCurve:
-    """Profile log-likelihood over a grid with the deviance-based interval.
-
-    ``counts`` tallies the grid points solved by Newton (``newton``), the
-    derivative passes over all of them (``steps``), the lockstep waves that
-    solved them (``waves``) and the points that fell back to the simplex
-    search, by cause; ``expansions`` is how often the default grid was
-    widened.
-    """
-
-    which: str
-    grid: np.ndarray
-    lp: np.ndarray
-    ci: tuple[float, float]
-    tau: float
-    counts: Counter = field(default_factory=Counter)
-    expansions: int = 0
-
-
-def _pinned(model, which, p):
-    """(k, location): the coordinate of theta a profile of ``which`` pins.
-
-    A return level pins the location slot, k = 0, and ``location`` maps
-    (level, sigma[, xi]) to the location that puts the level there.
-    """
-    if which == "return_level":
-        if p is None:
-            raise ValueError("profiling a return level requires the exceedance probability p")
-        return 0, level_location(p)
-    if which not in _PARAMETERS[model]:
-        raise ValueError(f"cannot profile {which!r} for the {model} model")
-    return _PARAMETERS[model].index(which), None
-
-
-def _restricted(values, model, k, location=None):
-    """Profile objective ``(g, r)``: the nllh at theta with coordinate k pinned to g.
-
-    The free parameters ``r`` fill the other slots in order; with
-    ``location``, g is a return level and slot 0 gets ``location(*theta)``.
-    Where no finite location puts the level at g the point is outside the
-    support, and the objective is the penalty ``PENALTY + |theta[-1]|``.
-    """
-    nllh = gev_nllh_value if model == "gev" else gumbel_nllh_value
-
-    def objective(g, r):
-        theta = r.tolist()
-        theta.insert(k, g)
-        if location is not None:
-            theta[0] = location(*theta)
-            if not math.isfinite(theta[0]):
-                return PENALTY + abs(theta[-1])
-        return nllh(values, *theta)[0]
-
-    return objective
-
-
-def _lane_matrix(values):
-    """``lanes -> X``: a (lanes, n) view that repeats ``values`` in every row, no copy."""
-    view = np.broadcast_to(values, (0, values.size))
-
-    def rows(lanes):
-        nonlocal view
-        if view.shape[0] < lanes:
-            view = np.broadcast_to(values, (2 * lanes, values.size))
-        return view[:lanes]
-
-    return rows
-
-
-def _lane_theta(k, location, G, R):
-    """``(theta, outside)`` of the lanes ``(G[i], R[i])``: the full parameter
-    vectors, and for a return level (``location`` given) the lanes without a
-    finite location, whose location slot then holds the level instead."""
-    theta = np.empty((G.size, R.shape[1] + 1))
-    theta[:, k] = G
-    theta[:, :k] = R[:, :k]
-    theta[:, k + 1:] = R[:, k:]
-    if location is None:
-        return theta, None
-    # the scalar location per lane, so every lane has the objective's bits
-    mu = np.fromiter(map(location, *theta.T.tolist()), float, G.size)
-    outside = ~np.isfinite(mu)
-    theta[:, 0] = np.where(outside, G, mu)
-    return theta, outside
-
-
-def _outside(value, valid, theta, outside):
-    """Give the lanes without a finite location :func:`_restricted`'s penalty."""
-    if outside is not None and outside.any():
-        value[outside] = PENALTY + np.abs(theta[outside, -1])
-        valid[outside] = False
-
-
-def _restricted_rows(values, model, k, location=None):
-    """Lane-wise :func:`_restricted`: ``(G, R) -> (value, valid)`` of the lanes
-    ``(G[i], R[i])``, each value bit for bit the objective's."""
-    nllh = gev_nllh_rows if model == "gev" else gumbel_nllh_rows
-    rows = _lane_matrix(values)
-
-    def objective(G, R):
-        theta, outside = _lane_theta(k, location, G, R)
-        value, valid = _in_blocks(nllh, rows(G.size), theta)
-        _outside(value, valid, theta, outside)
-        return value, valid
-
-    return objective
-
-
-def _restricted_derivatives(values, model, k, p=None):
-    """Derivatives of :func:`_restricted`'s objective, lane-wise: ``(G, R) -> ...``.
-
-    Returns ``(value, valid, score, info, cross)`` of the lanes
-    ``(G[i], R[i])``: the objective's value (bit for bit) and validity, its
-    gradient and Hessian in the free parameters r, and the column d2/dr dg.
-    With k pinned they are the free rows and columns of the full ones.  For
-    a return level (``p`` given) the location is ``g + sigma*a(xi)``, and
-    they come by the chain rule on lane columns: J'g and J'HJ + g_mu * d2mu,
-    with J the Jacobian of (mu, sigma[, xi]) in (g, sigma[, xi]).  A lane
-    without a finite location is not valid.
-    """
-    gev = model == "gev"
-    kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
-    free = [i for i in range(len(_PARAMETERS[model])) if i != k]
-    location = None if p is None else level_location(p)
-    shape = None if p is None else level_location_shape(p)
-    rows = _lane_matrix(values)
-
-    def derivatives(G, R):
-        theta, outside = _lane_theta(k, location, G, R)
-        value, valid, score, info = _in_blocks(kernel, rows(G.size), theta)
-        if p is None:
-            return value, valid, score[:, free], info[:, free][:, :, free], info[:, free, k]
-        _outside(value, valid, theta, outside)
-        # mu moves with the free parameters by v = (a, sigma*a') (GEV) or (a,)
-        # (Gumbel): with h the mu column of H, the free block of J'HJ is
-        # H_rr + v h' + h v' + H_mumu v v', and its g column h + H_mumu v
-        a, a1, a2 = shape(R[:, 1] if gev else np.zeros(G.size))
-        v = np.stack([a, R[:, 0] * a1], axis=1) if gev else a[:, None]
-        g_mu, h_mumu, h = score[:, 0], info[:, 0, 0], info[:, 1:, 0]
-        spread = v[:, :, None] * h[:, None, :]
-        hessian = (info[:, 1:, 1:] + (spread + spread.transpose(0, 2, 1))
-                   + h_mumu[:, None, None] * (v[:, :, None] * v[:, None, :]))
-        if gev:  # the second derivatives of mu: d2/dsigma dxi = a', d2/dxi2 = sigma*a''
-            hessian[:, 0, 1] += g_mu * a1
-            hessian[:, 1, 0] += g_mu * a1
-            hessian[:, 1, 1] += g_mu * R[:, 0] * a2
-        gradient = score[:, 1:] + g_mu[:, None] * v
-        return value, valid, gradient, hessian, h + h_mumu[:, None] * v
-
-    return derivatives
-
-
-def _profile_center(fit: FitResult, which: str, k: int, p):
-    """(center value, its standard error, free-parameter start vector)."""
-    start = np.delete(fit.theta, k)
-    if which == "return_level":
-        center = return_level(fit.params, p)
-        se = None
-        if fit.cov is not None:
-            grad = return_level_gradient(fit.params, p)[: fit.n_params]
-            se = math.sqrt(max(delta_method(fit.cov, grad), 0.0))
-        return center, se, start
-    if which not in _PARAMETERS[fit.model]:
-        raise ValueError(f"cannot profile {which!r} for the {fit.model} model")
-    se = None if fit.se is None else float(fit.se[k])
-    return float(fit.theta[k]), se, start
-
-
-def profile(
-    sample,
-    model: str = "gev",
-    which: str = "xi",
-    grid=None,
-    tau: float = 0.05,
-    p: float | None = None,
-    n_grid: int = 100,
-    fit: FitResult | None = None,
-) -> ProfileCurve:
-    """Profile log-likelihood and deviance confidence interval.
-
-    For each grid value of the profiled quantity the remaining parameters are
-    re-maximized by damped Newton steps on the restricted score and
-    information (Venzon & Moolgavkar 1988), every grid point a lane of one
-    lockstep solve: each starts from the estimate plus the tangent step
-    along the profile path, stepping through indefinite information on the
-    way, and a point that fails is restarted from the nearest solved point
-    between it and the estimate, or falls back to the simplex search from
-    its inner neighbour's optimum (see :func:`_lockstep`).  The interval is
-    the set where the deviance 2*(lhat - lp) stays below the 1-tau
-    chi-square(1) quantile, with endpoints found by linear interpolation
-    between grid points.  A default
-    grid spans the estimate +- 4 standard errors and is widened
-    automatically, each new leg anchored at the optimum at the edge it
-    extends, if it fails to bracket a crossing; a grid that still fails, or
-    whose crossing would be taken against a point left on the penalty
-    surface, raises :class:`ProfileBracketError`.
-
-    Profiling ``which="return_level"`` re-expresses the model in terms of
-    (x_p, sigma[, xi]) by substituting the matching location parameter.
-    """
-    values = as_values(sample)
-    if model not in _PARAMETERS:
-        raise ValueError(f"unknown model {model!r}")
-    k, location = _pinned(model, which, p)
-    if fit is None:
-        fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
-    lhat = -fit.nllh
-    problem = _Problem(values, model, k, location, p)
-    center, center_se, start = _profile_center(fit, which, k, p)
-
-    if grid is not None:
-        # The estimate itself is always a grid point, so the deviance minimum
-        # is observed and a one-sided grid fails with the offending side named.
-        grid = np.sort(np.unique(np.append(np.asarray(grid, dtype=float), center)))
-        expandable = False
-    else:
-        if center_se is None:
-            raise ValueError("fit has no standard errors; pass an explicit grid")
-        half = 4.0 * center_se
-        grid = np.sort(np.unique(np.append(np.linspace(center - half, center + half, n_grid), center)))
-        expandable = True
-
-    critical = chi2_quantile(1.0 - tau, 1)
-    counts = Counter()
-    # a leg up from the estimate's grid point and one down from its neighbour
-    i0 = int(np.argmin(np.abs(grid - center)))
-    anchor = problem.anchor(grid[i0], start, counts)
-    legs = [(grid[i0:], anchor), (grid[:i0][::-1], anchor)]
-    (up, hi_edge), (down, lo_edge) = _lockstep(problem, legs, counts)
-    lp = np.concatenate([down[::-1], up])
-
-    expansions = 0
-    for _ in range(3):
-        if not expandable:
-            break
-        dev = 2.0 * (lhat - lp)
-        step = grid[1] - grid[0] if grid.size > 1 else max(abs(center), 1.0) * 0.1
-        n_ext = max(n_grid // 2, 2)
-        extend_lo = dev[0] <= critical
-        extend_hi = dev[-1] <= critical
-        if not (extend_lo or extend_hi):
-            break
-        new_lo = grid[0] - step * np.arange(n_ext, 0, -1) if extend_lo else grid[:0]
-        new_hi = grid[-1] + step * np.arange(1, n_ext + 1) if extend_hi else grid[:0]
-        legs = [(new_lo[::-1], lo_edge), (new_hi, hi_edge)]
-        (lp_lo, lo_edge), (lp_hi, hi_edge) = _lockstep(problem, legs, counts)
-        lp = np.concatenate([lp_lo[::-1], lp, lp_hi])
-        grid = np.concatenate([new_lo, grid, new_hi])
-        expansions += 1
-
-    ci = _deviance_interval(grid, lp, lhat, critical)
-    return ProfileCurve(which=which, grid=grid, lp=lp, ci=ci, tau=tau, counts=counts,
-                        expansions=expansions)
-
-
-class _Problem:
-    """The restricted problem of one profile: coordinate k pinned, lane-wise.
-
-    ``objective`` is :func:`_restricted`'s scalar objective, which the
-    simplex fallback searches; ``nllh`` and ``derivatives`` are its
-    lane-wise value and derivatives, on which the Newton lanes step.
-    """
-
-    def __init__(self, values, model, k, location=None, p=None):
-        self.objective = _restricted(values, model, k, location)
-        self.nllh = _restricted_rows(values, model, k, location)
-        self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
-        # the slot of xi among the free parameters, or whether xi is the pinned one
-        gev = model == "gev"
-        self.xi_column = 1 if gev and k != 2 else None
-        self.xi_pinned = gev and k == 2
-
-    def anchor(self, g, r, counts):
-        """``(g, r, slope)`` at the estimate: the slope dr/dg of the optimum path
-        there, None where the restricted information is not positive definite."""
-        value, valid, _, info, cross = self.derivatives(np.array([g]), r[None, :])
-        counts["steps"] += 1
-        slope = _slope(info, cross)[0]
-        return g, r, slope if valid[0] and np.isfinite(slope).all() else None
-
-
-def _slope(info, cross):
-    """Per lane the slope -H_rr^-1 h_rg of the optimum path, NaN where H_rr is indefinite."""
-    slope, _, definite = _newton_direction(cross, info)
-    slope[~definite] = np.nan
-    return slope
-
-
-def _newton_lanes(problem, g, start, free=None):
-    """``(r, f_min, cause, steps, slope)`` of :func:`_newton_rows` on lanes pinned
-    at ``g`` from ``start`` (``free`` as there), with each lane's slope from
-    its last derivative pass."""
-    d = start.shape[1]
-    info_last, cross_last = np.empty((g.size, d, d)), np.empty((g.size, d))
-
-    def derivatives(lanes, points):
-        value, valid, score, info, cross = problem.derivatives(g[lanes], points)
-        info_last[lanes], cross_last[lanes] = info, cross
-        return value, valid, score, info
-
-    theta, f_min, cause, steps = _newton_rows(
-        derivatives, lambda lanes, points: problem.nllh(g[lanes], points), start, problem.xi_column,
-        free)
-    return theta, f_min, cause, steps, _slope(info_last, cross_last)
-
-
-def _lockstep(problem, legs, counts) -> list:
-    """``[(lp, edge), ...]`` of the legs, every grid point a lane of lockstep Newton solves.
-
-    A leg ``(values, anchor)`` is a run of grid values outward from an
-    anchor ``(g, r, slope)``: a grid value already solved (or the
-    estimate), the optimum r of the free parameters there, and the slope
-    dr/dg of the optimum path (None where unknown).  A point's inner
-    neighbour is the point before it on its leg, or the anchor.  The points
-    are solved in waves of :func:`_newton_rows`: in each, a point not yet
-    solved starts from the nearest solved point between it and the anchor,
-    at that point's optimum plus ``slope * (g - g_there)``.  A solve from a
-    start that is not the point's inner neighbour is a ``free`` lane of
-    :func:`_newton_rows`: it steps through indefinite information and gives
-    up after FREE_STEPS steps, so a far start costs every wave a bounded
-    number of passes.  A point whose solve fails is tried again once a point
-    nearer to it is solved, at most NEWTON_TRIES times from starts that are
-    not its inner neighbour; one that fails from its inner neighbour's
-    optimum (its information is indefinite, it leaves the support, its line
-    search fails, it hits the step cap or it is nonregular, pinned or free
-    xi <= NONREGULAR_XI) falls back to the simplex search from there, as a
-    walk from point to point would run it.  Each wave solves at least the innermost open point of
-    every leg, so a profile takes at most as many waves as its longest leg
-    has points, and at worst a point costs the walk's solve and fallback
-    plus NEWTON_TRIES failed solves.
-
-    ``edge`` is the anchor at the leg's last point, for a leg that extends
-    it; ``counts`` gains the Newton points, derivative passes, waves and
-    fallbacks by cause.
-    """
-    sizes = [leg[0].size for leg in legs]
-    stops = np.cumsum(sizes)
-    begins = stops - sizes
-    total = int(stops[-1])
-    d = legs[0][1][1].size
-    # slots 0..total-1 are the grid points, total + l the anchor of leg l
-    g = np.concatenate([leg[0] for leg in legs] + [[anchor[0] for _, anchor in legs]])
-    r = np.empty((g.size, d))
-    slope = np.full((g.size, d), np.nan)
-    solved = np.zeros(g.size, dtype=bool)
-    inner = np.arange(total) - 1
-    for l, (_, (_, r0, slope0)) in enumerate(legs):
-        r[total + l] = r0
-        if slope0 is not None:
-            slope[total + l] = slope0
-        solved[total + l] = True
-        if sizes[l]:
-            inner[begins[l]] = total + l
-    f_min = np.full(total, np.nan)
-    tries = np.zeros(total, dtype=int)
-    tried_from = np.full(total, -1)
-    nonregular = problem.xi_pinned & (g[:total] <= NONREGULAR_XI)
-
-    while not solved.all():
-        # per point, the nearest solved slot on its way to the anchor
-        source = np.empty(total, dtype=int)
-        for l in range(len(legs)):
-            span = np.arange(begins[l], stops[l])
-            last = np.maximum.accumulate(np.where(solved[span], span, -1))
-            source[span] = np.where(last >= 0, last, total + l)
-        pending = ~solved[:total]
-        adjacent = pending & (source == inner)
-        retry = pending & ~nonregular & (tries < NEWTON_TRIES) & (source != tried_from)
-        lanes = np.flatnonzero((adjacent | retry) & ~nonregular)
-        fallback = [(j, NONREGULAR) for j in np.flatnonzero(adjacent & nonregular)]
-        counts["waves"] += 1
-
-        if lanes.size:
-            from_ = source[lanes]
-            start = r[from_].copy()
-            known = ~np.isnan(slope[from_, 0])
-            start[known] += slope[from_[known]] * (g[lanes[known]] - g[from_[known]])[:, None]
-            theta, f_lanes, why, steps, tangent = _newton_lanes(
-                problem, g[lanes], start, ~adjacent[lanes])
-            counts["steps"] += steps
-            done = why == ""
-            solved[lanes[done]] = True
-            r[lanes[done]], f_min[lanes[done]] = theta[done], f_lanes[done]
-            slope[lanes[done]] = tangent[done]
-            counts["newton"] += int(np.count_nonzero(done))
-            from_inner = adjacent[lanes]
-            again = ~done & ~from_inner
-            tries[lanes[again]] += 1
-            tried_from[lanes[again]] = from_[again]
-            fallback += zip(lanes[~done & from_inner], why[~done & from_inner])
-
-        for j, cause in fallback:
-            g_j = g[j]
-            opt = minimize(lambda x: problem.objective(g_j, x), r[source[j]], SimplexConfig())
-            r[j], f_min[j], solved[j] = opt.x_min, opt.f_min, True
-            counts[cause] += 1
-
-    out = []
-    for l, (_, anchor) in enumerate(legs):
-        last = stops[l] - 1
-        edge = anchor
-        if sizes[l]:
-            edge = (g[last], r[last].copy(), None if np.isnan(slope[last, 0]) else slope[last].copy())
-        out.append((-f_min[begins[l]:stops[l]], edge))
-    return out
-
-
-def _deviance_interval(grid, lp, lhat, critical) -> tuple[float, float]:
-    dev = 2.0 * (lhat - lp)
-    i0 = int(np.argmin(dev))
-
-    def crossing(indices, inner):
-        side = "lower" if indices.step < 0 else "upper"
-        prev = inner
-        for j in indices:
-            if dev[j] > critical:
-                if -lp[j] >= PENALTY:  # the optimum there stayed on the penalty surface
-                    raise ProfileBracketError(side)
-                frac = (dev[j] - critical) / (dev[j] - dev[prev])
-                return float(grid[j] + frac * (grid[prev] - grid[j]))
-            prev = j
-        raise ProfileBracketError(side)
-
-    lower = crossing(range(i0 - 1, -1, -1), i0)
-    upper = crossing(range(i0 + 1, grid.size), i0)
-    return (lower, upper)
+# the profile code needs the fits above; both names stay reachable here
+from .profiles import ProfileCurve, profile  # noqa: E402

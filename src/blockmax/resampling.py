@@ -10,9 +10,11 @@ A statistic with a ``rows(X, failures)`` method, which returns
 to the ``failures`` Counter (such as :class:`blockmax.inference.Refit`), is
 evaluated in batches: the resampled samples are gathered into the rows of a
 matrix of about ``CHUNK_ELEMENTS`` values, and each batch is one ``rows``
-call.  The samples are the same as in the one-at-a-time loop used for plain
-callables, so the reports are identical.  Samples longer than
-``MAX_BATCHED_N`` go through the loop as well.
+call.  A batch's index matrix is drawn in one pass (:func:`_draws`), bit
+for bit the per-replicate streams of :func:`_draw`, so the samples are the
+same as in the one-at-a-time loop used for plain callables, and the reports
+are identical.  Samples longer than ``MAX_BATCHED_N`` go through the loop as
+well.
 
 The batches of a round are near-equal, at least one per process, and are
 split between this process and forked children wherever every process gets
@@ -62,8 +64,8 @@ CHUNK_ELEMENTS = 65_536
 # B=999 of a GEV sample with Newton refits from the estimate took 0.40 s
 # batched against 1.34 s in the loop at n=2048, and 2.09 s against 2.48 s at
 # n=10 000 (6 rows per batch); longer samples were not timed.  See
-# BENCH_newton.json.  Refit(model) without a start runs one simplex search
-# per row on either path.
+# BENCH_newton.json.  Refit(model) without a start runs the full-sample fit
+# of each row on either path.
 MAX_BATCHED_N = 10_000
 # Fewest resampled values (rows x n) per process for which forking a round
 # pays.  On a 2-vCPU Xeon VM, Newton refits of GEV samples broke even on two
@@ -189,6 +191,102 @@ def _draw(seed: int, i: int, attempt: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding (pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words SeedSequence takes from a nonnegative int, least significant first."""
+    out = [value & _MASK32]
+    value >>= 32
+    while value:
+        out.append(value & _MASK32)
+        value >>= 32
+    return out
+
+
+def _lemire_threshold(n: int) -> int:
+    """Below this, a 32-bit draw's low product word is rejected by ``integers(0, n)``."""
+    return (2**32 - n) % n
+
+
+def _draws(seed: int, chunk, n: int) -> np.ndarray:
+    """``np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])``, bit for bit.
+
+    SeedSequence's uint32 hash runs in numpy over all lanes at once (the
+    seed's words are common to them), PCG64's two seeding steps on Python
+    ints, and numpy's own PCG64 makes each lane's raw 64-bit outputs, taken
+    through its ``state`` setter and ``random_raw``.  ``integers(0, n)`` maps
+    each 32-bit half (low first) to ``(u * n) >> 32`` (Lemire's bound) and
+    rejects a draw whose low product word is below :func:`_lemire_threshold`;
+    a lane with a rejected draw, or whose i or attempt takes more than one
+    word, goes through :func:`_draw`.
+    """
+    lanes = len(chunk)
+    index = np.array([i for i, _ in chunk], dtype=np.int64)
+    attempt = np.array([a for _, a in chunk], dtype=np.int64)
+    wide = (index > _MASK32) | (attempt > _MASK32)
+    entropy = [np.full(lanes, w, dtype=np.uint32) for w in _words(seed)]
+    entropy += [index.astype(np.uint32), attempt.astype(np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(lanes, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    state = np.empty((lanes, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, k] = value ^ (value >> np.uint32(16))
+
+    words = (n + 1) // 2
+    raw = np.empty((lanes, words), dtype="<u8")
+    generator = np.random.PCG64()
+    setting = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for r, (s0, s1, i0, i1) in enumerate(state.astype("<u4").view("<u8").tolist()):
+        # pcg64_set_seed: state 0, one step, add the seed, one more step
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        setting["state"] = {"state": ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128,
+                            "inc": inc}
+        generator.state = setting
+        raw[r] = generator.random_raw(words)
+    draws = raw.view("<u4")[:, :n]
+    redraw = (draws * np.uint32(n) < _lemire_threshold(n)).any(axis=1) | wide
+    idx = np.multiply(draws, np.uint64(n), dtype=np.uint64)  # in place from here on
+    idx >>= np.uint64(32)
+    idx = idx.view(np.int64)
+    for r in np.flatnonzero(redraw):
+        idx[r] = _draw(seed, *chunk[r], n)
+    return idx
+
+
 def _assemble(method, labels, estimate, bias, se, **extra) -> ResamplingReport:
     return ResamplingReport(
         method=method,
@@ -274,9 +372,7 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
     lanes = _lanes(n)
 
     def evaluate(chunk):
-        idx = np.stack([_draw(seed, i, attempt, n) for i, attempt in chunk])
-        X = values[idx]
-        del idx  # not held through the search
+        X = values[_draws(seed, chunk, n)]
         counted: Counter = Counter()
         theta, ok = _evaluate_rows(statistic, X, k, counted)
         return theta, ok, counted
@@ -332,7 +428,9 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
 
         def evaluate(span):
             start, stop = span
-            X = np.stack([np.delete(values, i) for i in range(start, stop)])
+            # row i skips observation i: column j reads j, or j + 1 from i on
+            column = np.arange(n - 1)
+            X = values[column + (column >= np.arange(start, stop)[:, None])]
             counted: Counter = Counter()
             try:
                 theta, ok = _evaluate_rows(statistic, X, estimate.size, counted)

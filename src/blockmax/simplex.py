@@ -1,8 +1,8 @@
 """Derivative-free Nelder-Mead simplex minimizer.
 
-The one search of the package: it fits every full sample, refits every
-resampled sample not started from an estimate, and takes over every Newton
-refit or profile grid point that falls back (see :mod:`blockmax.inference`).
+The one search of the package: it takes over every full-sample fit, and
+so every refit, and every profile grid point whose Newton solve falls back
+(see :mod:`blockmax.inference` and :mod:`blockmax.profiles`).
 The objective must return finite values everywhere (invalid regions are
 expected to be penalized upstream, see the likelihood kernels).
 

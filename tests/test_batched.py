@@ -160,9 +160,10 @@ def test_bootstrap_with_failing_replicates_matches_the_loop():
     refit = Refit("gev")
     batched = bootstrap(x, refit, b=100, seed=1, labels=("mu", "sigma", "xi"))
     loop = bootstrap(x, _plain(refit), b=100, seed=1, labels=("mu", "sigma", "xi"))
-    # three resamples tie four copies of the minimum and collapse the scale
-    assert batched.failures == {"degenerate_sample": 3, "not_converged": 3}
-    assert batched.failed == 6
+    # resamples that tie copies of the minimum: the search runs toward a
+    # heavy tail without converging, or collapses the scale
+    assert batched.failures == {"degenerate_sample": 1, "not_converged": 6}
+    assert batched.failed == 7
     _assert_reports_equal(batched, loop)
 
 

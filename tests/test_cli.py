@@ -300,3 +300,23 @@ def test_subcommand_matches_the_report(case, gev_reports, tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)  # diag writes its files into the working directory
     out = _stdout(command, README_INPUT, "--model", "gev", *flags)
     assert got(out, tmp_path) == want(report, report_dir)
+
+
+def test_repeated_calls_in_one_process_write_the_same_report(tmp_path, capsys):
+    argv = ["report", str(README_INPUT), "--model", "gev", "--boot-B", "49", "--seed", "3"]
+    outputs = []
+    for run_dir in ("first", "second"):
+        assert main([*argv, "--out-dir", str(tmp_path / run_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run_dir).iterdir()})
+    capsys.readouterr()
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+def test_help_still_works_after_a_call(argv, capsys):
+    assert main(["simulate", "--mu", "0", "--sigma", "1", "--n", "5", "--seed", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blockmax")

@@ -7,8 +7,9 @@ They were first written by the numpy-array Nelder-Mead and kernels that
 the in-place kernels reproduce bit for bit, and rewritten when the observed
 information, whose standard errors set the default grids, became closed
 form (the explicit-grid case did not move), again when the grid points
-became Newton solves of the restricted problem, and again when they became
-lanes of one lockstep solve.  Regenerate (only on purpose) with
+became Newton solves of the restricted problem, again when they became
+lanes of one lockstep solve, and again when the fits and the grid points
+moved to the standardized sample.  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """

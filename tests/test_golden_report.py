@@ -4,8 +4,9 @@
 --sigma 21 --n 129 --seed 101 --start-year 1881``).  ``report_readme/``
 holds the report.json and CSVs of the README ``report`` example, and
 ``report_gev/`` those of the same run with the GEV model forced and B=199,
-on the numpy kernels, with the refits by Newton steps from the
-full-sample estimate.  The batched replicate engine and the
+on the numpy kernels, with the full-sample fits by Newton steps on the
+standardized sample and the refits by Newton steps from the full-sample
+estimate.  The batched replicate engine and the
 one-refit-at-a-time loop write the same bytes there.
 """
 

@@ -21,21 +21,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import blockmax as bm
-from blockmax import inference
+from blockmax import inference, profiles
 from blockmax.inference import (
     NONREGULAR,
     PENALTY,
     ConvergenceError,
     DegenerateSampleError,
     ProfileBracketError,
+    fit_gev,
+    fit_gumbel,
+    profile,
+)
+from blockmax.profiles import (
     _deviance_interval,
     _pinned,
     _restricted,
     _restricted_derivatives,
     _restricted_rows,
-    fit_gev,
-    fit_gumbel,
-    profile,
 )
 from blockmax.returns import level_location, level_location_shape, location_for_level, return_level
 from blockmax.simplex import SimplexConfig, minimize
@@ -156,26 +158,34 @@ def _simplex_walk(values, model, which, p, fit, grid):
     """The profile log-likelihoods of a walk of simplex searches over ``grid``.
 
     Walks up from the grid point at the estimate and down from its neighbour,
-    each point from its neighbour's optimum, the first ones from the estimate.
+    each point from its neighbour's optimum, the first ones from the estimate,
+    on the sample standardized as :func:`profile` standardizes it.
     """
     k, location = _pinned(model, which, p)
-    objective = _restricted(values, model, k, location)
-    start = np.delete(fit.theta, k)
+    Z, shift, scale = inference._standardize(values[None, :])
+    shift, scale = float(shift[0]), float(scale[0])
+    objective = _restricted(Z[0], model, k, location)
+    theta = fit.theta.copy()
+    theta[0] = (theta[0] - shift) / scale
+    theta[1] /= scale
+    start = np.delete(theta, k)
+    offset = shift if which in ("mu", "return_level") else 0.0
+    unit = 1.0 if which == "xi" else scale
     center = bm.returns.return_level(fit.params, p) if which == "return_level" else fit.theta[k]
     i0 = int(np.argmin(np.abs(grid - center)))
     lp = np.empty(grid.size)
     for leg in (range(i0, grid.size), range(i0 - 1, -1, -1)):
         warm = start
         for j in leg:
-            opt = minimize(lambda r: objective(grid[j], r), warm, SimplexConfig())
+            opt = minimize(lambda r: objective((grid[j] - offset) / unit, r), warm, SimplexConfig())
             lp[j], warm = -opt.f_min, opt.x_min
-    return lp
+    return lp - values.size * math.log(scale)
 
 
 def test_points_that_fall_back_are_the_simplex_walk_bit_for_bit(sample, monkeypatch):
     fit = fit_gev(sample)
     grid = np.linspace(-0.2, 0.45, 27)
-    monkeypatch.setattr(inference, "NONREGULAR_XI", math.inf)  # every point falls back
+    monkeypatch.setattr(profiles, "NONREGULAR_XI", math.inf)  # every point falls back
     curve = profile(sample, "gev", which="xi", grid=grid, fit=fit)
     assert curve.counts[NONREGULAR] == curve.grid.size and curve.counts["newton"] == 0
     # one point per leg and wave, as a walk from point to point; one
@@ -197,19 +207,20 @@ def test_counts_and_expansions(sample):
 
 def test_expansion_legs_continue_from_the_edge_optima(sample, monkeypatch):
     calls = []
-    lockstep = inference._lockstep
+    lockstep = profiles._lockstep
 
     def spy(problem, legs, counts):
         out = lockstep(problem, legs, counts)
         calls.append((legs, out))
         return out
 
-    monkeypatch.setattr(inference, "_lockstep", spy)
+    monkeypatch.setattr(profiles, "_lockstep", spy)
     fit = fit_gev(sample)
     curve = profile(sample, "gev", which="xi", tau=1e-5, fit=fit)
     (first_legs, first_out), (legs, _) = calls
-    start = np.delete(fit.theta, 2)
-    for leg in first_legs:  # anchored at the estimate, with the tangent there
+    _, shift, scale = inference._standardize(sample[None, :])
+    start = np.array([(fit.params.mu - shift[0]) / scale[0], fit.params.sigma / scale[0]])
+    for leg in first_legs:  # anchored at the standardized estimate, with the tangent there
         assert leg[1][0] == fit.params.xi and _bits(leg[1][1]) == _bits(start)
         assert leg[1][2] is not None
     (_, hi_edge), (_, lo_edge) = first_out
@@ -247,7 +258,7 @@ def _walk(values, model, which, p, fit, grid):
     search from the neighbour's optimum where Newton fails.
     """
     k, location = _pinned(model, which, p)
-    problem = inference._Problem(values, model, k, location, p)
+    problem = profiles._Problem(values, model, k, location, p)
     start = np.delete(fit.theta, k)
     center = return_level(fit.params, p) if which == "return_level" else fit.theta[k]
     i0 = int(np.argmin(np.abs(grid - center)))
@@ -259,7 +270,7 @@ def _walk(values, model, which, p, fit, grid):
             warm = r0 if slope0 is None else r0 + slope0 * (g - g0)
             why = NONREGULAR if problem.xi_pinned and g <= inference.NONREGULAR_XI else ""
             if not why:
-                r, f, cause, _, slope = inference._newton_lanes(problem, np.array([g]), warm[None, :])
+                r, f, cause, _, slope = profiles._newton_lanes(problem, np.array([g]), warm[None, :])
                 why = cause[0]
             if why:
                 opt = minimize(lambda x: problem.objective(g, x), r0, SimplexConfig())
@@ -274,14 +285,14 @@ def _agrees_with_the_walk(values, model, which, p, fit, **kwargs):
     """Profile with ``kwargs`` against :func:`_walk` over the grid where the
     interval is formed; returns the curve, or the side that did not bracket."""
     formed = {}
-    interval = inference._deviance_interval
+    interval = profiles._deviance_interval
 
     def spy(grid, lp, lhat, critical):
         formed.update(grid=grid, lp=lp, critical=critical)
         return interval(grid, lp, lhat, critical)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_deviance_interval", spy)
+        mp.setattr(profiles, "_deviance_interval", spy)
         try:
             outcome = profile(values, model, which=which, p=p, fit=fit, **kwargs)
         except ProfileBracketError as error:
@@ -365,8 +376,8 @@ def test_far_starts_step_through_indefinite_information(monkeypatch):
     assert sum(bent) and curve.counts["newton"] == curve.grid.size
     assert curve.counts["waves"] <= 2
     # plain Newton lanes wait for the solved points to come near them
-    newton_lanes = inference._newton_lanes
-    monkeypatch.setattr(inference, "_newton_lanes",
+    newton_lanes = profiles._newton_lanes
+    monkeypatch.setattr(profiles, "_newton_lanes",
                         lambda problem, g, start, free=None: newton_lanes(problem, g, start))
     strict = profile(values, "gev", which="return_level", p=0.01, fit=fit)
     assert strict.counts["waves"] >= 6
@@ -376,7 +387,7 @@ def test_far_starts_step_through_indefinite_information(monkeypatch):
 def test_free_lanes_stop_after_free_steps(monkeypatch):
     values, fit = _steep_level()
     passes = []
-    newton_rows = inference._newton_rows
+    newton_rows = profiles._newton_rows
 
     def spy(derivatives, nllh_rows, theta, xi_column=None, free=None):
         count = np.zeros(theta.shape[0], dtype=int)
@@ -389,7 +400,7 @@ def test_free_lanes_stop_after_free_steps(monkeypatch):
         passes.append((count, free))
         return out
 
-    monkeypatch.setattr(inference, "_newton_rows", spy)
+    monkeypatch.setattr(profiles, "_newton_rows", spy)
     profile(values, "gev", which="return_level", p=0.01, fit=fit)
     most = [count[free].max(initial=0) for count, free in passes]
     assert max(most) == inference.FREE_STEPS + 1  # the cap binds, and holds

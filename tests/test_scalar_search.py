@@ -4,8 +4,9 @@
 scalar numpy kernels as they were before the rewrite.  Every result here must
 match them bit for bit: the points the objective is called at, the callback
 stream, the ``OptResult`` fields, the kernel values and the warnings they
-raise.  Also here: the evaluation counts, the restricted profile objective,
-and the rejection of degenerate (constant) samples.
+raise.  Also here: the evaluation counts, full fits no worse than that
+search, the restricted profile objective, and the rejection of degenerate
+(constant) samples.
 """
 
 import math
@@ -252,6 +253,7 @@ def test_kernel_branches_are_reached():
     seed=st.integers(0, 2**31),
 )
 @example(xi=-0.515625, n=10, seed=10)  # the fit does not converge
+@example(xi=-0.578125, n=10, seed=0)  # the search ends at xi < -1
 def test_fits_match_the_frozen_chain(xi, n, seed):
     values = bm.sample(bm.GevParams(50.0, 10.0, xi), n, seed=seed).values
     mu0, sigma0 = bm.inference._moment_start(values)
@@ -273,13 +275,16 @@ def test_fits_match_the_frozen_chain(xi, n, seed):
         assert (got.iterations, got.converged, got.restarts) == \
             (want.iterations, want.converged, want.restarts)
         assert got.evaluations == len(calls)
+        # The fit itself is Newton on the standardized sample, with this
+        # search on the standardized sample as its fallback: no worse where
+        # a maximum exists.  At xi <= -1 the likelihood grows without bound
+        # toward the upper end point (Smith 1985), and the two searches stop
+        # at different points on the way.
         fit = fit_gev if model == "gev" else fit_gumbel
-        try:
-            opt = fit(values, compute_se=False).opt
-        except ConvergenceError:
-            assert not want.converged or want.f_min >= frozen.PENALTY
-        else:
-            assert _bits(opt.x_min) == _bits(want.x_min) and opt.evaluations == len(calls)
+        if want.converged and want.f_min < frozen.PENALTY:
+            nllh = fit(values, compute_se=False).nllh
+            if model == "gumbel" or want.x_min[2] > -1.0:
+                assert nllh <= want.f_min + 1e-9 * abs(want.f_min)
 
 
 # -- the restricted profile objective -------------------------------------------

@@ -89,7 +89,7 @@ def test_bootstrap_redraws_match_the_serial_run(small_floor):
     x = bm.sample(bm.GevParams(0.0, 1.0, -0.8), 12, seed=5).values
     split = bootstrap(x, Refit("gev"), b=100, seed=1, labels=LABELS)
     alone = _serially(lambda: bootstrap(x, Refit("gev"), b=100, seed=1, labels=LABELS))
-    assert split.failures == {"degenerate_sample": 3, "not_converged": 3}
+    assert split.failures == {"degenerate_sample": 1, "not_converged": 6}
     _same_report(split, alone)
 
 
