@@ -29,7 +29,7 @@ and the file gets the medians with the host facts.  The first run of each
 tree also takes the slow parts, on one CPU: a straggler sweep of small,
 strongly bounded or heavy-tailed samples (wall time, outcomes and refit
 counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
-10 000 through the batched path and through the one-at-a-time loop, the
+50 000 through the batched path and through the one-at-a-time loop, the
 heavy-tailed profile sweep (xi and the 100-block level of GEV(0, 1, 0.3)
 samples of 40 and GEV(0, 1, 0.4) samples of 30, seeds 0-17), timed on one
 CPU and, where the process may use two, again on every CPU.  With ``--src``
@@ -57,7 +57,7 @@ from blockmax import _core
 
 REPEATS = 5
 SIZES = (129, 2000, 10_000)
-CROSS_SIZES = (2048, 4096, 8192, 10_000)
+CROSS_SIZES = (2048, 4096, 8192, 10_000, 20_000, 50_000)
 # (n, xi, seeds): samples where refits fail or straggle
 SWEEP = ((12, -0.8, range(10)), (12, 0.5, range(10)), (15, 1.0, range(10)))
 SWEEP_B = 400
@@ -161,24 +161,28 @@ def _sweep() -> dict:
 
 
 def _crossover() -> dict:
-    """Bootstrap B=999 of long samples, the batched path against the loop (same report)."""
+    """Bootstrap B=999 of long samples, the batched path against the loop: seconds
+    per path and the se bits (float.hex), which the two paths must share.  The
+    loop is the same refit with ``.rows`` hidden, as a plain callable; the
+    batched path is timed above ``MAX_BATCHED_N`` too, by raising the limit."""
     resampling = bm.resampling
-    real = resampling._batched
+    limit = resampling.MAX_BATCHED_N
+    resampling.MAX_BATCHED_N = max(CROSS_SIZES)
     out = {}
     try:
         for n in CROSS_SIZES:
             values = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
             fit = bm.fit_gev(values)
+            refit = bm.workflow.Refit(fit.model, start=fit.theta)
             reports = []
-            for path in ("loop", "batched"):
-                resampling._batched = lambda statistic, n, path=path: path == "batched"
-                refit = bm.workflow.Refit(fit.model, start=fit.theta)
+            for path, statistic in (("loop", lambda v: refit(v)), ("batched", refit)):
                 t0 = time.perf_counter()
-                reports.append(bm.bootstrap(values, refit, b=999, seed=3))
+                reports.append(bm.bootstrap(values, statistic, b=999, seed=3))
                 out[f"n{n}.{path}_s"] = time.perf_counter() - t0
             assert reports[0].se.tobytes() == reports[1].se.tobytes(), n
+            out[f"n{n}.se"] = " ".join(float(v).hex() for v in reports[1].se)
     finally:
-        resampling._batched = real
+        resampling.MAX_BATCHED_N = limit
     return out
 
 

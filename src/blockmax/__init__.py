@@ -74,7 +74,7 @@ from .returns import (
     return_level_ci,
     return_level_gradient,
 )
-from .simplex import OptResult, SimplexConfig, minimize
+from .simplex import OptResult, minimize
 from .special import chi2_cdf, chi2_quantile, normal_quantile
 from .workflow import WorkflowConfig, WorkflowError, render_tables, run_workflow
 

@@ -32,7 +32,7 @@ from .likelihood import (
     gumbel_nllh_value,
     observed_information,
 )
-from .simplex import OptResult, SimplexConfig, minimize
+from .simplex import OptResult, minimize
 from .special import chi2_quantile, normal_quantile
 
 __all__ = [
@@ -233,7 +233,7 @@ def _search(values, model) -> OptResult:
     # the kernels grade an overflow as a penalty; a search that walks the scale
     # toward 0 (tied observations) need not warn about it on the way
     with np.errstate(over="ignore"):
-        return minimize(objective, x0, SimplexConfig())
+        return minimize(objective, x0)
 
 
 def _collapsed(sigma, spread):

@@ -42,7 +42,6 @@ from .likelihood import (
     gumbel_nllh_value,
 )
 from .returns import level_location, level_location_shape, return_level, return_level_gradient
-from .simplex import SimplexConfig
 from .special import chi2_quantile
 
 __all__ = ["ProfileCurve", "profile"]
@@ -254,6 +253,13 @@ def profile(
     whose crossing would be taken against a point left on the penalty
     surface, raises :class:`ProfileBracketError`.
 
+    A profile of xi stays above -1, where the GEV likelihood has no maximum
+    (Smith 1985) and a search stops wherever it gives up: the default grid
+    and its expansions stop there, so a lower side that does not cross
+    above -1 (or an estimate at or below it) raises
+    ``ProfileBracketError("lower")``, and an explicit grid value at or below
+    -1 raises ValueError.
+
     Profiling ``which="return_level"`` re-expresses the model in terms of
     (x_p, sigma[, xi]) by substituting the matching location parameter.
 
@@ -278,6 +284,7 @@ def profile(
     offset = shift if which in ("mu", "return_level") else 0.0
     unit = 1.0 if which == "xi" else scale
     log_scale = values.size * math.log(scale)
+    floor = -1.0 if which == "xi" else -math.inf  # no maximum at a shape at or below it
 
     def solve(legs):
         """:func:`_lockstep` on legs of grid values, with their lp mapped back."""
@@ -285,16 +292,23 @@ def profile(
         # a point left on the penalty surface keeps its penalty value
         return [(np.where(-lp >= PENALTY, lp, lp - log_scale), edge) for lp, edge in out]
 
+    if center <= floor:
+        raise ProfileBracketError("lower")
     if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if np.any(grid <= floor):
+            raise ValueError("a profile of xi needs grid values above -1; "
+                             "at or below it the likelihood has no maximum")
         # The estimate itself is always a grid point, so the deviance minimum
         # is observed and a one-sided grid fails with the offending side named.
-        grid = np.sort(np.unique(np.append(np.asarray(grid, dtype=float), center)))
+        grid = np.sort(np.unique(np.append(grid, center)))
         expandable = False
     else:
         if center_se is None:
             raise ValueError("fit has no standard errors; pass an explicit grid")
         half = 4.0 * center_se
-        grid = np.sort(np.unique(np.append(np.linspace(center - half, center + half, n_grid), center)))
+        grid = np.linspace(center - half, center + half, n_grid)
+        grid = np.sort(np.unique(np.append(grid[grid > floor], center)))
         expandable = True
 
     critical = chi2_quantile(1.0 - tau, 1)
@@ -312,11 +326,12 @@ def profile(
         dev = 2.0 * (lhat - lp)
         step = grid[1] - grid[0] if grid.size > 1 else max(abs(center), 1.0) * 0.1
         n_ext = max(n_grid // 2, 2)
-        extend_lo = dev[0] <= critical
+        extend_lo = dev[0] <= critical and grid[0] - step > floor
         extend_hi = dev[-1] <= critical
         if not (extend_lo or extend_hi):
             break
         new_lo = grid[0] - step * np.arange(n_ext, 0, -1) if extend_lo else grid[:0]
+        new_lo = new_lo[new_lo > floor]
         new_hi = grid[-1] + step * np.arange(1, n_ext + 1) if extend_hi else grid[:0]
         (lp_lo, lo_edge), (lp_hi, hi_edge) = solve([(new_lo[::-1], lo_edge), (new_hi, hi_edge)])
         lp = np.concatenate([lp_lo[::-1], lp, lp_hi])
@@ -468,8 +483,7 @@ def _lockstep(problem, legs, counts) -> list:
             g_j = g[j]
             # looked up at call time, as the fits' searches are, so that a wrapper
             # put on inference.minimize (perfbench's tracer) sees these too
-            opt = inference.minimize(lambda x: problem.objective(g_j, x), r[source[j]],
-                                     SimplexConfig())
+            opt = inference.minimize(lambda x: problem.objective(g_j, x), r[source[j]])
             r[j], f_min[j], solved[j] = opt.x_min, opt.f_min, True
             counts[cause] += 1
 

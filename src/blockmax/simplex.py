@@ -6,10 +6,13 @@ so every refit, and every profile grid point whose Newton solve falls back
 The objective must return finite values everywhere (invalid regions are
 expected to be penalized upstream, see the likelihood kernels).
 
-:func:`minimize` keeps its simplex of 2 to 4 vertices as lists of Python
-floats: at that size numpy's per-call overhead costs more than the
-arithmetic.  It performs the float64 operations of the array formulation in
-the same order, so its results are those of that formulation bit for bit.
+``minimize(objective, x0)`` has no options: its move
+coefficients, iteration limit and tolerances are the module constants
+below, the same for every search.  It keeps its simplex of 2 to 4 vertices
+as lists of Python floats: at that size numpy's per-call overhead costs
+more than the arithmetic.  It performs the float64 operations of the array
+formulation in the same order, so its results are those of that
+formulation bit for bit.
 """
 
 from __future__ import annotations
@@ -20,35 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OptResult", "SimplexConfig", "minimize"]
+__all__ = ["OptResult", "minimize"]
 
 
-@dataclass(frozen=True)
-class SimplexConfig:
-    """Move coefficients and stopping rules.
-
-    Convergence is declared when the value spread across the simplex,
-    relative to the larger vertex magnitude (floored at 1e-12), drops to
-    ``f_tol`` and the simplex diameter around the best vertex drops to
-    ``x_tol``.  Both are required: a value-only rule stops early whenever two
-    vertices tie (frequent on piecewise-linear objectives), a diameter-only
-    rule stalls on flat valleys.
-    """
-
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    max_iter: int = 5000
-    f_tol: float = 1e-10
-    x_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("reflection", "expansion", "contraction", "shrink"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.expansion > 1.0 > self.contraction > 0.0:
-            raise ValueError("need expansion > 1 > contraction > 0")
+# Move coefficients (reflection, expansion, contraction, shrink) and the
+# stopping rules, read by :func:`_run` at every call.  Convergence is
+# declared when the value spread across the simplex, relative to the larger
+# vertex magnitude (floored at 1e-12), drops to F_TOL and the simplex
+# diameter around the best vertex drops to X_TOL.  Both are required: a
+# value-only rule stops early whenever two vertices tie (frequent on
+# piecewise-linear objectives), a diameter-only rule stalls on flat valleys.
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+MAX_ITER = 5000  # per pass; one restart may take another pass
+F_TOL = 1e-10
+X_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class OptResult:
     evaluations: int = 0  # objective calls
 
 
-def _initial_simplex(x0) -> list[list[float]]:
+def _simplex_around(x0) -> list[list[float]]:
     # x0 plus one vertex per axis, perturbed by a scale-aware step
     x0 = list(x0)
     verts = [x0[:] for _ in range(len(x0) + 1)]
@@ -75,28 +66,25 @@ def _stable_order(fvals) -> list[int]:
     return sorted(range(len(fvals)), key=lambda i: (fvals[i] != fvals[i], fvals[i]))
 
 
-def _converged(fvals, verts, cfg) -> bool:
+def _converged(fvals, verts) -> bool:
     f_best, f_worst = fvals[0], fvals[-1]
     denom = max(abs(f_best), abs(f_worst), 1e-12)
-    if not (f_worst - f_best) <= cfg.f_tol * denom:
+    if not (f_worst - f_best) <= F_TOL * denom:
         return False
-    # max |v - v0| <= x_tol, with NaN failing as it does in np.max
-    best, x_tol = verts[0], cfg.x_tol
-    return all(abs(a - b) <= x_tol for v in verts[1:] for a, b in zip(v, best))
+    # max |v - v0| <= X_TOL, with NaN failing as it does in np.max
+    best = verts[0]
+    return all(abs(a - b) <= X_TOL for v in verts[1:] for a, b in zip(v, best))
 
 
-def minimize(objective, x0, config: SimplexConfig | None = None,
-             initial_simplex: np.ndarray | None = None, callback=None) -> OptResult:
+def minimize(objective, x0) -> OptResult:
     """Minimize ``objective`` from ``x0`` with the Nelder-Mead simplex.
 
     Deterministic for fixed inputs: vertex ordering breaks ties by insertion
-    order (stable sort).  If the first pass exhausts ``max_iter`` without
+    order (stable sort).  If the first pass exhausts ``MAX_ITER`` without
     converging, one automatic restart is taken from the incumbent best point.
-    ``callback(iteration, best_x, best_f)``, when given, is invoked once per
-    iteration.  ``objective`` gets a fresh float64 array at every call; the
-    value at ``x0`` serves both the finiteness check and the default simplex.
+    ``objective`` gets a fresh float64 array at every call; the value at
+    ``x0`` serves both the finiteness check and vertex 0 of the simplex.
     """
-    cfg = config or SimplexConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("x0 must be a 1-D point")
@@ -104,22 +92,13 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
     if not math.isfinite(f0):
         raise ValueError(f"objective is not finite at x0: {f0!r}")
 
-    if initial_simplex is not None:
-        verts = np.array(initial_simplex, dtype=float)
-        if verts.shape != (x0.size + 1, x0.size):
-            raise ValueError("initial simplex must have shape (d+1, d)")
-        verts = verts.tolist()
-        f_first = None
-    else:
-        verts = _initial_simplex(x0.tolist())
-        f_first = f0  # its vertex 0 is x0
-
+    verts = _simplex_around(x0.tolist())
+    f_first = f0  # its vertex 0 is x0
     total_iters = 0
     evaluations = 1
     restarts = 0
     while True:
-        verts, fvals, converged, iters, evals = _run(objective, verts, cfg, callback, total_iters,
-                                                     f_first)
+        verts, fvals, converged, iters, evals = _run(objective, verts, f_first)
         f_first = None
         total_iters += iters
         evaluations += evals
@@ -133,10 +112,10 @@ def minimize(objective, x0, config: SimplexConfig | None = None,
                 evaluations=evaluations,
             )
         restarts += 1
-        verts = _initial_simplex(verts[0])
+        verts = _simplex_around(verts[0])
 
 
-def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
+def _run(objective, verts, f_first=None):
     """One Nelder-Mead pass on a simplex held as lists of floats.
 
     Every step is the float64 arithmetic of the array formulation, in the
@@ -145,10 +124,12 @@ def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
     are kept in ``argsort(kind="stable")`` order, NaN last.  Between
     iterations only the worst vertex changes unless the simplex shrinks, so
     it is put back in place by bisection.  ``f_first``, when given, is the
-    objective at vertex 0, which is then not evaluated again.  Returns
-    ``(verts, fvals, converged, iterations, evaluations)``.
+    objective at vertex 0, which is then not evaluated again.  The pass
+    stops after ``MAX_ITER`` iterations, as the constant stands at the call.
+    Returns ``(verts, fvals, converged, iterations, evaluations)``.
     """
-    alpha, gamma, beta, delta = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
+    alpha, gamma, beta, delta = REFLECTION, EXPANSION, CONTRACTION, SHRINK
+    max_iter = MAX_ITER
     evals = 0
 
     def f(x):
@@ -160,7 +141,7 @@ def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
     fvals = [f(v) for v in verts] if f_first is None else [f_first] + [f(v) for v in verts[1:]]
     resort = True
 
-    for it in range(cfg.max_iter):
+    for it in range(max_iter):
         # vertices 0..d-1 are still in order unless the simplex shrank; a NaN
         # among them sits at d-1, and bisection cannot pass it
         if resort or fvals[d - 1] != fvals[d - 1]:
@@ -173,9 +154,7 @@ def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
             if k < d:
                 fvals.insert(k, fvals.pop())
                 verts.insert(k, verts.pop())
-        if callback is not None:
-            callback(iter_offset + it, np.array(verts[0]), fvals[0])
-        if _converged(fvals, verts, cfg):
+        if _converged(fvals, verts):
             return verts, fvals, True, it + 1, evals
 
         centroid = verts[0]
@@ -214,4 +193,4 @@ def _run(objective, verts, cfg, callback, iter_offset, f_first=None):
                 resort = True
 
     order = _stable_order(fvals)
-    return [verts[i] for i in order], [fvals[i] for i in order], False, cfg.max_iter, evals
+    return [verts[i] for i in order], [fvals[i] for i in order], False, max_iter, evals

@@ -11,10 +11,16 @@ import math
 
 import numpy as np
 
-from blockmax.simplex import OptResult, SimplexConfig
+from blockmax.simplex import OptResult
 
 PENALTY = 1e10
 _OVERFLOW_EDGE = 690.0
+
+# the search's own coefficients and stopping rules, as they stood
+REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
+MAX_ITER = 5000
+F_TOL = 1e-10
+X_TOL = 1e-8
 
 
 # -- search ---------------------------------------------------------------------
@@ -28,16 +34,15 @@ def _initial_simplex(x0):
     return verts
 
 
-def _converged(fvals, verts, cfg):
+def _converged(fvals, verts):
     f_best, f_worst = fvals[0], fvals[-1]
     denom = max(abs(f_best), abs(f_worst), 1e-12)
-    f_ok = (f_worst - f_best) <= cfg.f_tol * denom
-    x_ok = np.max(np.abs(verts - verts[0])) <= cfg.x_tol
+    f_ok = (f_worst - f_best) <= F_TOL * denom
+    x_ok = np.max(np.abs(verts - verts[0])) <= X_TOL
     return f_ok and x_ok
 
 
-def minimize(objective, x0, config=None, initial_simplex=None, callback=None):
-    cfg = config or SimplexConfig()
+def minimize(objective, x0):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError("x0 must be a 1-D point")
@@ -45,15 +50,11 @@ def minimize(objective, x0, config=None, initial_simplex=None, callback=None):
     if not math.isfinite(f0):
         raise ValueError(f"objective is not finite at x0: {f0!r}")
 
-    verts = np.array(initial_simplex, dtype=float) if initial_simplex is not None \
-        else _initial_simplex(x0)
-    if verts.shape != (x0.size + 1, x0.size):
-        raise ValueError("initial simplex must have shape (d+1, d)")
-
+    verts = _initial_simplex(x0)
     total_iters = 0
     restarts = 0
     while True:
-        verts, fvals, converged, iters = _run(objective, verts, cfg, callback, total_iters)
+        verts, fvals, converged, iters = _run(objective, verts)
         total_iters += iters
         if converged or restarts >= 1:
             return OptResult(
@@ -67,16 +68,14 @@ def minimize(objective, x0, config=None, initial_simplex=None, callback=None):
         verts = _initial_simplex(verts[0])
 
 
-def _run(objective, verts, cfg, callback, iter_offset):
-    alpha, gamma, beta, delta = cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink
+def _run(objective, verts):
+    alpha, gamma, beta, delta = REFLECTION, EXPANSION, CONTRACTION, SHRINK
     fvals = np.array([float(objective(v)) for v in verts])
 
-    for it in range(cfg.max_iter):
+    for it in range(MAX_ITER):
         order = np.argsort(fvals, kind="stable")
         verts, fvals = verts[order], fvals[order]
-        if callback is not None:
-            callback(iter_offset + it, verts[0], float(fvals[0]))
-        if _converged(fvals, verts, cfg):
+        if _converged(fvals, verts):
             return verts, fvals, True, it + 1
 
         centroid = verts[:-1].mean(axis=0)
@@ -110,7 +109,7 @@ def _run(objective, verts, cfg, callback, iter_offset):
                     fvals[i] = float(objective(verts[i]))
 
     order = np.argsort(fvals, kind="stable")
-    return verts[order], fvals[order], False, cfg.max_iter
+    return verts[order], fvals[order], False, MAX_ITER
 
 
 # -- kernels --------------------------------------------------------------------

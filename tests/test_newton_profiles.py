@@ -40,7 +40,7 @@ from blockmax.profiles import (
     _restricted_rows,
 )
 from blockmax.returns import level_location, level_location_shape, location_for_level, return_level
-from blockmax.simplex import SimplexConfig, minimize
+from blockmax.simplex import minimize
 from blockmax.special import chi2_quantile
 
 
@@ -177,7 +177,7 @@ def _simplex_walk(values, model, which, p, fit, grid):
     for leg in (range(i0, grid.size), range(i0 - 1, -1, -1)):
         warm = start
         for j in leg:
-            opt = minimize(lambda r: objective((grid[j] - offset) / unit, r), warm, SimplexConfig())
+            opt = minimize(lambda r: objective((grid[j] - offset) / unit, r), warm)
             lp[j], warm = -opt.f_min, opt.x_min
     return lp - values.size * math.log(scale)
 
@@ -234,6 +234,30 @@ def test_expansion_legs_continue_from_the_edge_optima(sample, monkeypatch):
     assert widened == 1
 
 
+def test_profiles_of_xi_stay_above_minus_one(monkeypatch):
+    # at xi <= -1 the likelihood has no maximum (Smith 1985); this sample's
+    # profile of xi reached -3.2 there, at a point that moved with its offset
+    lowest = []
+    lockstep = profiles._lockstep
+
+    def spy(problem, legs, counts):
+        lowest.extend(leg.min() for leg, _ in legs if leg.size)
+        return lockstep(problem, legs, counts)
+
+    monkeypatch.setattr(profiles, "_lockstep", spy)
+    x = bm.sample(bm.GevParams(79.0, 21.0, -0.25), 30, seed=508).values
+    for offset in (0.0, 8.6e9):
+        with pytest.raises(ProfileBracketError) as caught:
+            profile(x + offset, "gev", "xi")
+        assert caught.value.side == "lower"
+    assert min(lowest) > -1.0
+    with pytest.raises(ValueError, match="above -1"):
+        profile(x, "gev", "xi", grid=[-1.0, -0.5, 0.0])
+    bounded = bm.sample(bm.GevParams(50.0, 10.0, -0.6), 10, seed=0).values  # estimate xi = -1.06
+    with pytest.raises(ProfileBracketError, match="lower"):
+        profile(bounded, "gev", "xi", grid=[-0.5, 0.0])
+
+
 def test_no_crossing_is_taken_against_a_penalized_point():
     grid = np.arange(7.0)
     lp = np.array([-9.0, -2.0, -1.0, 0.0, -0.5, -1.5, -3.0])
@@ -273,7 +297,7 @@ def _walk(values, model, which, p, fit, grid):
                 r, f, cause, _, slope = profiles._newton_lanes(problem, np.array([g]), warm[None, :])
                 why = cause[0]
             if why:
-                opt = minimize(lambda x: problem.objective(g, x), r0, SimplexConfig())
+                opt = minimize(lambda x: problem.objective(g, x), r0)
                 r0, lp[j], slope0 = opt.x_min, -opt.f_min, None
             else:
                 r0, lp[j], slope0 = r[0], -f[0], slope[0]

@@ -2,16 +2,17 @@
 
 ``tests/frozen_scalar_search.py`` keeps the numpy-array ``minimize`` and the
 scalar numpy kernels as they were before the rewrite.  Every result here must
-match them bit for bit: the points the objective is called at, the callback
-stream, the ``OptResult`` fields, the kernel values and the warnings they
-raise.  Also here: the evaluation counts, full fits no worse than that
-search, the restricted profile objective, and the rejection of degenerate
-(constant) samples.
+match them bit for bit: the points the objective is called at, the
+``OptResult`` fields (or the simplex a pass ends on), the kernel values and
+the warnings they raise.  Also here: the evaluation counts, full fits no
+worse than that search, the restricted profile objective, and the rejection
+of degenerate (constant) samples.
 """
 
 import math
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import blockmax as bm
 import frozen_scalar_search as frozen
+from blockmax import simplex as live
 from blockmax._core import _kernels_py as kernels
 from blockmax.cli import main
 from blockmax.gev import GUMBEL_XI_EPS
@@ -34,7 +36,7 @@ from blockmax.inference import (
 from blockmax.likelihood import gev_nllh_value, gumbel_nllh_value
 from blockmax.resampling import ResamplingError, bootstrap, jackknife
 from blockmax.returns import level_location, location_for_level
-from blockmax.simplex import OptResult, SimplexConfig, minimize
+from blockmax.simplex import OptResult, minimize
 
 
 def _bits(x):
@@ -83,19 +85,40 @@ def _without_repeated_x0(calls):
         del calls[1]
 
 
-def _outcome(search, fn, x0, cfg, simplex):
+def _outcome(search, fn, x0):
     objective, calls = _recorded(fn)
-    stream = []
-    callback = lambda it, x, f: stream.append((it, _bits(x), _bits(f)))  # noqa: E731
     try:
-        r = search(objective, x0, cfg, initial_simplex=simplex, callback=callback)
+        r = search(objective, x0)
     except ValueError as exc:
-        return ("raised", str(exc)), calls, stream, None
+        return ("raised", str(exc)), calls, None
     finally:
-        if search is frozen.minimize and simplex is None:
+        if search is frozen.minimize:
             _without_repeated_x0(calls)
     fields = (_bits(r.x_min), _bits(r.f_min), r.iterations, r.converged, r.restarts)
-    return fields, calls, stream, r
+    return fields, calls, r
+
+
+def _pass(fn, simplex):
+    """One pass of the live and of the frozen ``_run`` from ``simplex``:
+    ``(got, got_calls), (want, want_calls)``, with the live pass's evaluation
+    count checked against its calls."""
+    objective, got_calls = _recorded(fn)
+    verts, fvals, converged, iterations, evals = live._run(objective, simplex.tolist())
+    assert evals == len(got_calls)
+    got = (_bits(verts), _bits(fvals), converged, iterations)
+    objective, want_calls = _recorded(fn)
+    verts, fvals, converged, iterations = frozen._run(objective, simplex.copy())
+    want = (_bits(verts), _bits(fvals), converged, iterations)
+    return (got, got_calls), (want, want_calls)
+
+
+@contextmanager
+def _max_iter(limit):
+    """Both searches with ``limit`` iterations per pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(live, "MAX_ITER", limit)
+        patch.setattr(frozen, "MAX_ITER", limit)
+        yield
 
 
 coords = st.floats(-10.0, 10.0, allow_nan=False)
@@ -120,13 +143,16 @@ def test_minimize_matches_the_array_search(kind, d, data, max_iter, with_simplex
         c, x0 = data.draw(vec), data.draw(vec)
         simplex = data.draw(vec.map(lambda v: v + np.eye(d + 1, d) * 0.5)) if with_simplex else None
     fn = _objective(kind, a, c)
-    cfg = SimplexConfig(max_iter=max_iter)
 
-    want, want_calls, want_stream, _ = _outcome(frozen.minimize, fn, x0, cfg, simplex)
-    got, got_calls, got_stream, r = _outcome(minimize, fn, x0, cfg, simplex)
+    with _max_iter(max_iter):
+        if simplex is not None:  # one pass from a drawn simplex
+            got, want = _pass(fn, simplex)
+            assert got == want
+            return
+        want, want_calls, _ = _outcome(frozen.minimize, fn, x0)
+        got, got_calls, r = _outcome(minimize, fn, x0)
     assert got == want
     assert got_calls == want_calls
-    assert got_stream == want_stream
     if r is not None:
         assert r.evaluations == len(got_calls)
 
@@ -134,8 +160,8 @@ def test_minimize_matches_the_array_search(kind, d, data, max_iter, with_simplex
 def test_minimize_nan_region_is_sorted_last():
     # a NaN vertex stays last (the stable argsort order) and never wins
     fn = _objective("nan", np.ones(2), np.zeros(2))
-    want, want_calls, _, _ = _outcome(frozen.minimize, fn, np.array([0.0, 1.45]), None, None)
-    got, got_calls, _, r = _outcome(minimize, fn, np.array([0.0, 1.45]), None, None)
+    want, want_calls, _ = _outcome(frozen.minimize, fn, np.array([0.0, 1.45]))
+    got, got_calls, r = _outcome(minimize, fn, np.array([0.0, 1.45]))
     assert got == want and got_calls == want_calls
     assert any(v == _bits(float("nan")) for _, v in got_calls)
     assert math.isfinite(r.f_min)
@@ -151,9 +177,8 @@ def test_minimize_sorts_nan_vertices_last_from_any_position(simplex):
     fn = _objective("nan", np.ones(2), np.zeros(2))  # NaN where x[1] > 1.5
     simplex = np.array(simplex)
     for order in ([0, 1, 2], [2, 0, 1], [0, 2, 1]):
-        want = _outcome(frozen.minimize, fn, np.zeros(2), None, simplex[order])
-        got = _outcome(minimize, fn, np.zeros(2), None, simplex[order])
-        assert got[:3] == want[:3]
+        got, want = _pass(fn, simplex[order])
+        assert got == want
 
 
 def test_optresult_positional_construction_still_works():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockmax import OptResult, SimplexConfig, minimize
+from blockmax import OptResult, minimize, simplex
 
 
 def bowl(x):
@@ -20,8 +20,8 @@ def test_quadratic_bowl():
 
 
 def test_rosenbrock():
-    r = minimize(rosenbrock, [-1.2, 1.0], SimplexConfig(max_iter=10_000))
-    assert r.converged and r.iterations <= 10_000
+    r = minimize(rosenbrock, [-1.2, 1.0])
+    assert r.converged and r.restarts == 0 and r.iterations <= simplex.MAX_ITER
     assert r.f_min < 1e-8
     assert np.allclose(r.x_min, [1.0, 1.0], atol=1e-3)
 
@@ -38,21 +38,36 @@ def test_nonfinite_at_start_rejected():
         minimize(lambda x: float("inf"), [1.0])
 
 
-def test_monotone_best_value():
+def test_monotone_best_value(monkeypatch):
+    # a pass cut after k iterations is the first k iterations of a longer
+    # one, so its best vertex value never rises with k
+    start = simplex._simplex_around([-1.2, 1.0])
     best = []
-    minimize(rosenbrock, [-1.2, 1.0], SimplexConfig(max_iter=10_000),
-             callback=lambda it, x, f: best.append(f))
-    assert all(b >= a - 1e-15 for a, b in zip(best[1:], best))
+    for k in range(1, 200):
+        monkeypatch.setattr(simplex, "MAX_ITER", k)
+        _, fvals, converged, iterations, _ = simplex._run(rosenbrock, [v[:] for v in start])
+        assert iterations == k or converged and iterations < k
+        best.append(fvals[0])
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    assert best[-1] < best[0]
+
+
+def test_bad_start_shape_rejected():
+    with pytest.raises(ValueError, match="1-D point"):
+        minimize(bowl, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="1-D point"):
+        minimize(bowl, [])
 
 
 def test_initial_vertex_permutation_invariance():
     base = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
     results = [
-        minimize(bowl, [0.0, 0.0], initial_simplex=base[perm])
+        simplex._run(bowl, base[perm].tolist())
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0])
     ]
-    f_mins = [r.f_min for r in results]
-    assert max(f_mins) - min(f_mins) <= SimplexConfig().f_tol
+    assert all(converged for _, _, converged, _, _ in results)
+    f_mins = [fvals[0] for _, fvals, _, _, _ in results]
+    assert max(f_mins) - min(f_mins) <= simplex.F_TOL
 
 
 def test_translation_equivariance():
@@ -62,8 +77,9 @@ def test_translation_equivariance():
     assert np.allclose(r1.x_min - c, r0.x_min, atol=1e-6)
 
 
-def test_restart_recorded_on_hard_budget():
-    r = minimize(rosenbrock, [-1.2, 1.0], SimplexConfig(max_iter=40))
+def test_restart_recorded_on_hard_budget(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITER", 40)
+    r = minimize(rosenbrock, [-1.2, 1.0])
     assert isinstance(r, OptResult)
     assert r.restarts == 1
     assert r.iterations <= 80
@@ -73,17 +89,3 @@ def test_determinism():
     a = minimize(rosenbrock, [-1.2, 1.0])
     b = minimize(rosenbrock, [-1.2, 1.0])
     assert np.array_equal(a.x_min, b.x_min) and a.iterations == b.iterations
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SimplexConfig(expansion=0.5)
-    with pytest.raises(ValueError):
-        SimplexConfig(contraction=1.5)
-    with pytest.raises(ValueError):
-        SimplexConfig(reflection=-1.0)
-
-
-def test_bad_simplex_shape_rejected():
-    with pytest.raises(ValueError):
-        minimize(bowl, [0.0, 0.0], initial_simplex=np.zeros((2, 2)))
