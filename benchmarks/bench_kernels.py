@@ -23,6 +23,15 @@ The table holds, for the source tree it runs on:
   passes (in all and per grid point), fallbacks and, for lockstep grids,
   waves.
 
+``--passes-json FILE`` writes the ``passes`` report instead, for this tree
+and ``--src``: per perfbench report-standard input (GEV n=129, seeds 1-10,
+37 and 38; B=999, seed 4), the derivative and value lane-passes per
+bootstrap replicate and per jackknife row, the series lane-passes and
+series calls of a ``run_workflow`` job, the minor page faults
+(``ru_minflt``) of the bootstrap plus jackknife, and its wall ms on one CPU
+and on every CPU, with the bootstrap alone on every CPU beside it.  The
+counts are taken on one CPU, so no refit runs in a child.
+
 With ``--layers-json`` each tree (this one as "change", ``--src`` as
 "parent") runs in fresh interpreters, the sides alternating, REPEATS times,
 and the file gets the medians with the host facts.  The first run of each
@@ -46,6 +55,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -67,6 +77,9 @@ HEAVY = ((0.3, 40), (0.4, 30))
 HEAVY_SEEDS = range(18)
 # ProfileCurve.counts keys that are not fallback causes
 _NOT_FALLBACKS = ("newton", "steps", "waves")
+# perfbench report-standard seeds of the passes report
+PASS_SEEDS = (*range(1, 11), 37, 38)
+PASS_REPEATS = 3
 
 
 def best_of(fn, repeats=5, inner=200):
@@ -366,9 +379,106 @@ def layers(slow: bool) -> dict:
     return side
 
 
-def _run_side(src, slow) -> dict:
+class _Lanes:
+    """Counts the calls and the lanes of the kernels named ``(module, attribute)``,
+    by label, while it is entered; the lanes are the size of the second
+    argument (mu) of each call."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.counts = Counter()
+
+    def __enter__(self):
+        self.saved = []
+        for label, (module, name) in self.kernels.items():
+            kernel = getattr(module, name)
+            self.saved.append((module, name, kernel))
+
+            def counted(*args, label=label, kernel=kernel, **kwargs):
+                self.counts[f"{label}_calls"] += 1
+                self.counts[f"{label}_lanes"] += args[1].size
+                return kernel(*args, **kwargs)
+
+            setattr(module, name, counted)
+        return self.counts
+
+    def __exit__(self, *exc):
+        for module, name, kernel in self.saved:
+            setattr(module, name, kernel)
+
+
+def _pass_kernels():
+    """The refits' derivative and value row kernels, and the series kernel, of this tree."""
+    inference = bm.inference
+    series = (_core, "gev_series_sums") if hasattr(_core, "gev_series_sums") else (
+        _core._kernels_py, "_series_sums")
+    return {"derivative": (inference, "gev_derivatives_rows"), "value": (inference, "gev_nllh_rows"),
+            "series": series}
+
+
+def _standard_input(seed, directory):
+    """The perfbench report-standard input of ``seed``, read back as the CLI reads it."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    (path,) = inputs.make_series(Path(directory), seed, n=129, mu=79.0, sigma=21.0, xi=0.0)
+    return bm.data.ingest(path)
+
+
+def _minflt(fn):
+    """Minor page faults of this process during ``fn()``."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def passes() -> dict:
+    """The passes report of this tree: per seed of PASS_SEEDS, see the module docstring."""
+    wf = bm.workflow
+    every = os.sched_getaffinity(0)
+    one = {min(every)}
+    config = wf.WorkflowConfig(model="gev", boot_b=999, seed=4)
+    out = {}
+    try:
+        for seed in PASS_SEEDS:
+            with tempfile.TemporaryDirectory() as directory:
+                sample = _standard_input(seed, directory)
+            values, fit = sample.values, bm.fit_gev(sample)
+            both = lambda: wf.resample(values, fit, boot_b=999, seed=4)  # noqa: E731
+            os.sched_setaffinity(0, one)
+            row = {}
+            with _Lanes(_pass_kernels()) as counts:
+                report = wf.resample(values, fit, boot_b=999, seed=4, run_jackknife=False)
+            replicates = 999 + report["bootstrap"]["failed"]
+            for kind in ("derivative", "value"):
+                row[f"bootstrap_{kind}_lanes_per_replicate"] = counts[f"{kind}_lanes"] / replicates
+            with _Lanes(_pass_kernels()) as counts:
+                wf.resample(values, fit, boot_b=0)
+            for kind in ("derivative", "value"):
+                row[f"jackknife_{kind}_lanes_per_row"] = counts[f"{kind}_lanes"] / values.size
+            with _Lanes(_pass_kernels()) as counts:
+                wf.run_workflow(sample, config)
+            row["job_series_lanes"] = counts["series_lanes"]
+            row["job_series_calls"] = counts["series_calls"]
+            both()
+            row["minflt"] = statistics.median(_minflt(both) for _ in range(3))
+            for label, mask in (("one_cpu", one), ("all_cpus", every)):
+                os.sched_setaffinity(0, mask)
+                row[f"{label}_ms"] = 1e3 * _timed(both, repeats=5)["wall_s"]
+            row["all_cpus_bootstrap_ms"] = 1e3 * _timed(
+                lambda: wf.resample(values, fit, boot_b=999, seed=4, run_jackknife=False),
+                repeats=5)["wall_s"]
+            out[f"seed{seed}"] = row
+    finally:
+        os.sched_setaffinity(0, every)
+    return out
+
+
+def _run_side(src, side) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    command = [sys.executable, __file__, "--side", "slow" if slow else "fast"]
+    command = [sys.executable, __file__, "--side", side]
     proc = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
@@ -400,7 +510,7 @@ def compare(label, src=None) -> dict:
     runs = {side: [] for side in trees}
     for repeat in range(REPEATS):
         for side, tree in trees.items():
-            runs[side].append(_run_side(tree, slow=repeat == 0))
+            runs[side].append(_run_side(tree, "slow" if repeat == 0 else "fast"))
             print(f"run {repeat + 1}/{REPEATS} {side} done", file=sys.stderr)
     results = {}
     for side, sides in runs.items():
@@ -437,6 +547,40 @@ def compare(label, src=None) -> dict:
     }
 
 
+def compare_passes(label, src=None) -> dict:
+    """The passes report of this tree ("change") and ``src`` ("parent"), in
+    PASS_REPEATS alternating fresh runs of each, every number the median over
+    the runs (the counts do not vary)."""
+    trees = {"change": Path(__file__).resolve().parent.parent / "src"}
+    if src is not None:
+        trees = {"parent": Path(src).resolve(), **trees}
+    runs = {side: [] for side in trees}
+    for repeat in range(PASS_REPEATS):
+        for side, tree in trees.items():
+            runs[side].append(_run_side(tree, "passes"))
+            print(f"run {repeat + 1}/{PASS_REPEATS} {side} done", file=sys.stderr)
+    return {
+        "label": label,
+        "command": f"python benchmarks/bench_kernels.py --passes-json BENCH_{label}.json "
+                   "--src <src of a checkout of the parent commit>",
+        "cores": "counts and page faults on one CPU (pinned); times on one CPU and on all "
+                 f"{len(os.sched_getaffinity(0))} CPUs",
+        "host": {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
+                 "platform": platform.platform(), "python": platform.python_version(),
+                 "numpy": np.__version__},
+        "input": "perfbench report-standard inputs (GEV(79, 21, 0), n=129) of seeds "
+                 f"{', '.join(map(str, PASS_SEEDS))}; workflow.resample B=999 seed 4, the fit "
+                 "fit_gev; the job run_workflow(model='gev', boot_b=999, seed=4)",
+        "statistic": f"{PASS_REPEATS} runs per tree, each in a fresh interpreter, the trees "
+                     "alternating; lane-passes (calls x lanes) of inference.gev_derivatives_rows "
+                     "and gev_nllh_rows per bootstrap replicate (redraws included) or jackknife "
+                     "row; series lanes and calls per job; minflt median of 3 calls and ms median "
+                     "of 5 calls within a run (all_cpus_bootstrap_ms: the bootstrap without the "
+                     "jackknife), then the median over the runs",
+        "results": {side: _median(sides) for side, sides in runs.items()},
+    }
+
+
 def _print(table: dict, indent=""):
     for key, value in table.items():
         if isinstance(value, dict):
@@ -450,11 +594,17 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--layers-json", default=None,
                         help="write the table of this tree (and of --src) to this file")
+    parser.add_argument("--passes-json", default=None,
+                        help="write the passes report of this tree (and of --src) to this file")
     parser.add_argument("--src", default=None, help="src directory of the tree to compare against")
-    parser.add_argument("--side", choices=["fast", "slow"], help=argparse.SUPPRESS)
+    parser.add_argument("--side", choices=["fast", "slow", "passes"], help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side:  # one run, in its own interpreter
-        json.dump(layers(args.side == "slow"), sys.stdout)
+        json.dump(passes() if args.side == "passes" else layers(args.side == "slow"), sys.stdout)
+    elif args.passes_json is not None:
+        report = compare_passes(Path(args.passes_json).stem.removeprefix("BENCH_"), args.src)
+        Path(args.passes_json).write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.passes_json}", file=sys.stderr)
     elif args.layers_json is None:
         _print(layers(slow=False))
     else:

@@ -139,16 +139,17 @@ def gev_nllh_rows(X, mu, sigma, xi):
 
 # -- derivative row kernels ---------------------------------------------------
 #
-# Per lane: the row kernel's value and validity, bit for bit, plus the score
-# (gradient) and the observed information (Hessian) of the negative
-# log-likelihood in (mu, sigma[, xi]).  With z = (x - mu)/sigma, the per-value
+# Per lane: the row kernel's value and validity, bit for bit, plus the sums
+# that give the score (gradient) and the observed information (Hessian) of
+# the negative log-likelihood in (mu, sigma[, xi]).  With z = (x - mu)/sigma, the per-value
 # nllh is log(sigma) + h(z, xi), where h = z + exp(-z) on the Gumbel surface
 # and h = log t + y + exp(-y), t = 1 + xi*z, y = log(t)/xi, on the GEV one
 # (Prescott & Walden 1980; Hosking 1985).  Each kernel forms the per-lane
-# sums of the z- and xi-derivatives of h, and ``_score_info`` maps them to
+# sums of the z- and xi-derivatives of h, and ``score_info`` maps them to
 # (mu, sigma[, xi]) by the chain rule.  Every sum reduces along the
 # contiguous last axis and everything else is elementwise per lane, so row r
-# is what the same call on X[r:r+1] returns.
+# is what the same call on X[r:r+1] returns.  ``blockmax.likelihood`` runs
+# them over a pass of lanes block by block.
 
 # Lanes whose |xi*z| stays at or below this over the row take the xi-terms
 # from the series below: there the closed forms lose digits to the
@@ -158,7 +159,7 @@ SERIES_RADIUS = 0.01
 SERIES_TERMS = 10
 
 
-def _score_info(n, sigma, hz, zhz, hzz, zhzz, z2hzz, xi_sums=None):
+def score_info(n, sigma, hz, zhz, hzz, zhzz, z2hzz, xi_sums=None):
     """Score and information from the lane sums of the derivatives of h.
 
     ``hz`` is the sum of dh/dz, ``zhz`` that of z*dh/dz, and so on;
@@ -215,18 +216,21 @@ def gumbel_derivatives_rows(X, mu, sigma):
         z2u_sum = u.sum(axis=1)
     valid = np.isfinite(value) & ~bad_sigma
     value = _penalized(gumbel_nllh_rows, X, value, valid, mu, sigma)
-    score, info = _score_info(n, sigma, n - u_sum, z_sum - zu_sum, u_sum, zu_sum, z2u_sum)
+    score, info = score_info(n, sigma, n - u_sum, z_sum - zu_sum, u_sum, zu_sum, z2u_sum)
     return value, valid, score, info
 
 
-def gev_derivatives_rows(X, mu, sigma, xi):
-    """Row-wise ``(value, valid, score, info)`` of the GEV nllh in (mu, sigma, xi).
+def gev_derivative_sums(X, mu, sigma, xi):
+    """Row-wise ``(value, valid, sums, series)`` of the GEV nllh in (mu, sigma, xi).
 
     ``value`` and ``valid`` are :func:`gev_nllh_rows`' bit for bit, so a lane
     with xi = 0 is not valid here (callers route |xi| < GUMBEL_XI_EPS to the
-    Gumbel surface for the value); the score, of shape (lanes, 3), and the
-    information, (lanes, 3, 3), are continuous through xi = 0.  The
-    derivatives of lanes that are not valid are meaningless.
+    Gumbel surface for the value).  ``sums`` are the nine derivative sums
+    that :func:`score_info` maps to the score and the information, from the
+    closed forms; ``series`` marks the lanes whose |xi*z| stays within
+    SERIES_RADIUS, whose sums the caller takes from :func:`gev_series_sums`
+    instead, so that they are continuous through xi = 0.  The sums of lanes
+    that are not valid are meaningless.
 
     One log1p/exp pass gives log t and u = t^(-1/xi).  With s = xi*z,
     p = s/t and y1 = p - log t, every derivative sum is a combination of the
@@ -259,7 +263,6 @@ def gev_derivatives_rows(X, mu, sigma, xi):
         uy1_sum = np.multiply(u, y1, out=tmp).sum(axis=1)
         uy1y1_sum = np.multiply(y1, tmp, out=y1).sum(axis=1)
         upy1_sum = np.multiply(tmp, p, out=tmp).sum(axis=1)
-        del s, log_t, u, tmp, p, y1  # freed before the series lanes allocate theirs
 
         # the sums of the derivatives of h, with 1/t = 1 - p and z = p*t/xi
         c = 1.0 + xi
@@ -278,13 +281,9 @@ def gev_derivatives_rows(X, mu, sigma, xi):
              + (-2.0 * (y1_sum - uy1_sum) - (p2_sum - up2_sum)) / xi**3),
         ]
     series = (low >= -SERIES_RADIUS) & (high <= SERIES_RADIUS)
-    if series.any():
-        for total, exact in zip(sums, _series_sums(X[series], mu[series], sigma[series], xi[series])):
-            total[series] = exact
     valid = np.isfinite(value) & ~bad_sigma & ~(low <= -1.0)
     value = _penalized(gev_nllh_rows, X, value, valid, mu, sigma, xi)
-    score, info = _score_info(n, sigma, *sums[:5], sums[5:])
-    return value, valid, score, info
+    return value, valid, sums, series
 
 
 def _series(coefficient, s):
@@ -310,8 +309,8 @@ def _phi2(j):
     return (-1.0) ** j * (j + 1) * (j + 2) / (j + 3)
 
 
-def _series_sums(X, mu, sigma, xi):
-    """The nine derivative sums of :func:`gev_derivatives_rows` from series in s = xi*z.
+def gev_series_sums(X, mu, sigma, xi):
+    """The nine derivative sums of :func:`gev_derivative_sums` from series in s = xi*z.
 
     y = log(t)/xi and its first two xi-derivatives are z*psi0(s), z^2*phi1(s)
     and z^3*phi2(s), with the power series above, so nothing cancels.

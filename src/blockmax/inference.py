@@ -22,6 +22,7 @@ import numpy as np
 from .data import as_values
 from .gev import GevParams
 from .likelihood import (
+    BLOCK_ELEMENTS,
     PENALTY,
     SingularInformationError,
     gev_derivatives_rows,
@@ -76,10 +77,6 @@ ARMIJO = 1e-4
 HALVINGS = 30
 NEWTON_STEPS = 20
 NONREGULAR_XI = -0.5
-# Values per derivative-pass call.  The pass holds four arrays of its size,
-# so a wide batch is cut into blocks of rows, which keeps the peak memory of
-# a Newton refit at that of the simplex search.
-BLOCK_ELEMENTS = 16_384
 # "Free" Newton lanes (profile grid points not started from their inner
 # neighbour, see blockmax.profiles._lockstep) step on the information with
 # its eigenvalues made positive where it is indefinite (_modified_direction,
@@ -322,7 +319,8 @@ def _fit_rows(X, model, compute_se=False):
     nllh of the row there (nllh_z + n*log(scale) where rounding leaves theta
     just outside the support), ``""`` or why the fit fails
     (NOT_CONVERGED, PENALIZED_OPTIMUM, DEGENERATE_SAMPLE), its OptResult
-    (``iterations`` counts derivative passes where Newton solved it), and,
+    (where Newton solved it, ``iterations`` counts its Newton iterations and
+    ``evaluations`` its kernel passes), and,
     with ``compute_se``, ``(cov, se)`` where the fit stands and the
     information can be inverted, else None.
     """
@@ -331,23 +329,25 @@ def _fit_rows(X, model, compute_se=False):
     lanes, n = Z.shape
     kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
     nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
-    passes = np.zeros(lanes, dtype=int)
+    iterations = np.zeros(lanes, dtype=int)
     evaluations = np.zeros(lanes, dtype=int)
 
     def newton(rows, start):
         """``(theta, f_min, cause)`` of free, patient Newton lanes on the rows ``rows`` of Z."""
-        Zr = _lane_rows(Z, rows)
 
         def derivatives(lanes, points):
-            passes[rows[lanes]] += 1
-            return _in_blocks(kernel, _lane_rows(Zr, lanes), points)
+            evaluations[rows[lanes]] += 1
+            return kernel(Z, *points.T, rows=rows[lanes])
 
         def nllh_at(lanes, points):
             evaluations[rows[lanes]] += 1
-            return nllh_rows(_lane_rows(Zr, lanes), *points.T)
+            return nllh_rows(Z, *points.T, rows=rows[lanes])
 
-        return _newton_rows(derivatives, nllh_at, start, 2 if gev else None,
-                            np.ones(rows.size, dtype=bool), patient=True)[:3]
+        theta, f_min, cause, steps = _newton_rows(
+            derivatives, _Values(nllh_at, n), start, 2 if gev else None,
+            np.ones(rows.size, dtype=bool), patient=True)
+        iterations[rows] += steps
+        return theta, f_min, cause
 
     theta_z, f_z, why = newton(np.arange(lanes), _pwm_rows(Z) if gev else _moment_rows(Z))
     opts = [None] * lanes
@@ -384,8 +384,7 @@ def _fit_rows(X, model, compute_se=False):
     cause[collapsed] = DEGENERATE_SAMPLE
     for r, opt in enumerate(opts):
         if opt is None:
-            opt = OptResult(theta[r], nllh[r], int(passes[r]), True, 0,
-                            int(passes[r] + evaluations[r]))
+            opt = OptResult(theta[r], nllh[r], int(iterations[r]), True, 0, int(evaluations[r]))
         else:
             opt = dataclasses.replace(opt, x_min=theta[r], f_min=nllh[r])
         opts[r] = opt
@@ -472,7 +471,7 @@ class Refit:
     ``Refit(model)``.  ``ok`` and the failure causes follow the same rules,
     and the call is the one-row case of ``rows``.  ``counts`` tallies, in
     this process, the rows refitted by Newton from ``start`` (``newton``),
-    their steps (``steps``) and the fallbacks by cause.
+    their Newton iterations (``steps``) and the fallbacks by cause.
     """
 
     def __init__(self, model: str, start=None):
@@ -529,8 +528,8 @@ class Refit:
         kernel = gev_derivatives_rows if gev else gumbel_derivatives_rows
         nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
         theta, _, why, steps = _newton_rows(
-            lambda lanes, points: _in_blocks(kernel, _lane_rows(X, lanes), points),
-            lambda lanes, points: nllh_rows(_lane_rows(X, lanes), *points.T),
+            lambda lanes, points: kernel(X, *points.T, rows=lanes),
+            _Values(lambda lanes, points: nllh_rows(X, *points.T, rows=lanes), X.shape[1]),
             np.tile(self.start, (X.shape[0], 1)),
             2 if gev else None,
         )
@@ -541,13 +540,8 @@ class Refit:
             theta[fallback], _, cause[fallback], _, _ = _fit_rows(X[fallback], self.model)
         self.counts.update(why[fallback].tolist())
         self.counts["newton"] += int(np.count_nonzero(~fallback))
-        self.counts["steps"] += steps
+        self.counts["steps"] += int(steps.sum())
         return theta, cause
-
-
-def _lane_rows(X, lanes):
-    """Rows ``lanes`` (an ascending subset) of X; all of them need no copy."""
-    return X if lanes.size == X.shape[0] else X[lanes]
 
 
 def _newton_direction(g, H):
@@ -641,14 +635,16 @@ def _modified_eigh(g, H):
     return step, decrement
 
 
-def _in_blocks(derivatives, rows, point):
-    """``derivatives`` of the rows at their points, at most BLOCK_ELEMENTS values per call."""
-    size = max(1, BLOCK_ELEMENTS // rows.shape[1])
-    if rows.shape[0] <= size:
-        return derivatives(rows, *point.T)
-    parts = [derivatives(rows[a:a + size], *point[a:a + size].T)
-             for a in range(0, rows.shape[0], size)]
-    return [np.concatenate(part) for part in zip(*parts)]
+@dataclass(frozen=True)
+class _Values:
+    """The ``nllh_rows`` of :func:`_newton_rows`: ``nllh(lanes, points)``,
+    whose lanes each cover ``width`` values."""
+
+    nllh: object
+    width: int
+
+    def __call__(self, lanes, points):
+        return self.nllh(lanes, points)
 
 
 def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patient=False):
@@ -656,32 +652,57 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patie
 
     ``derivatives(lanes, points)`` returns ``(value, valid, score, info)`` and
     ``nllh_rows(lanes, points)`` returns ``(value, valid)`` of the objective
-    of the lanes at the indices ``lanes`` (ascending) at ``points``.  A lane
-    whose column ``xi_column`` reaches NONREGULAR_XI falls back.  The lanes
-    of the boolean mask ``free`` step on :func:`_modified_direction` where
-    their information is indefinite, and unless ``patient`` give up (with
-    the cause STEP_CAP or that of the line search) after FREE_STEPS steps or
-    FREE_HALVINGS halvings of one step; they converge as the others do, with
-    a positive definite information.  Returns
-    ``(theta, f_min, cause, steps)``: per lane the optimum and its value,
-    ``""`` or the cause of a fallback (theta and f_min are then
-    meaningless), and the number of derivative passes over all lanes.  Each
-    lane's arithmetic is elementwise in the lane, so its result does not
-    depend on the other lanes.
+    of the lanes at the indices ``lanes`` (ascending) at ``points``, the
+    values bit for bit the same.  A lane whose column ``xi_column`` reaches
+    NONREGULAR_XI falls back.  The lanes of the boolean mask ``free`` step
+    on :func:`_modified_direction` where their information is indefinite,
+    and unless ``patient`` give up (with the cause STEP_CAP or that of the
+    line search) after FREE_STEPS steps or FREE_HALVINGS halvings of one
+    step; they converge as the others do, with a positive definite
+    information.
+
+    Where the first trial points of a line search cover at least
+    BLOCK_ELEMENTS values (``nllh_rows.width`` values per lane, for a
+    :class:`_Values`), they are evaluated by ``derivatives``: a lane whose
+    trial is accepted keeps that pass for its next iteration, which then
+    evaluates only the other lanes.  Narrower trials, later halvings and the
+    last full step of a converged lane go to ``nllh_rows``.  So a lane's
+    last ``derivatives`` pass is at its last iterate: a rejected trial is
+    followed by a pass at the lane's next point, or the lane falls back.
+
+    Returns ``(theta, f_min, cause, iterations)``: per lane the optimum and
+    its value, ``""`` or the cause of a fallback (theta and f_min are then
+    meaningless), and its Newton iterations, one per point it stepped from,
+    however its passes were evaluated.  Each lane's arithmetic is
+    elementwise in the lane, so its result does not depend on the other
+    lanes or on the gate.
     """
     theta = theta.copy()
-    lanes = theta.shape[0]
+    lanes, d = theta.shape
+    width = getattr(nllh_rows, "width", 0)
     cut_free = free is not None and not patient
     f_min = np.full(lanes, np.nan)
     cause = np.full(lanes, "", dtype=object)
+    iterations = np.zeros(lanes, dtype=int)
+    # the derivative pass of each lane whose accepted trial made it, by lane
+    kept = np.zeros(lanes, dtype=bool)
+    kept_pass = None
     active = np.arange(lanes)
-    steps = 0
     for k in range(NEWTON_STEPS + 1):
         if not active.size:
             break
         point = theta[active]
-        value, valid, score, info = derivatives(active, point)
-        steps += active.size
+        if kept_pass is not None and kept[active].any():
+            value, valid, score, info = (part[active] for part in kept_pass)
+            fresh = ~kept[active]
+            if fresh.any():
+                for part, new in zip((value, valid, score, info),
+                                     derivatives(active[fresh], point[fresh])):
+                    part[fresh] = new
+            kept[active] = False
+        else:
+            value, valid, score, info = derivatives(active, point)
+        iterations[active] += 1
         step, decrement, definite = _newton_direction(score, info)
         why = np.full(active.size, "", dtype=object)
         why[~definite] = INDEFINITE
@@ -726,9 +747,22 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patie
             if not search.size:
                 break
             trial = point[search] + alpha * step[search]
-            f_trial, ok_trial = nllh_rows(active[search], trial)
+            if halving == 0 and search.size * width >= BLOCK_ELEMENTS:
+                trial_pass = derivatives(active[search], trial)
+                f_trial, ok_trial = trial_pass[:2]
+            else:
+                trial_pass = None
+                f_trial, ok_trial = nllh_rows(active[search], trial)
             accept = ok_trial & (f_trial <= value[search] - ARMIJO * alpha * decrement[search])
             theta[active[search[accept]]] = trial[accept]
+            if trial_pass is not None and accept.any():
+                if kept_pass is None:
+                    kept_pass = (np.empty(lanes), np.empty(lanes, dtype=bool),
+                                 np.empty((lanes, d)), np.empty((lanes, d, d)))
+                to = active[search[accept]]
+                for part, new in zip(kept_pass, trial_pass):
+                    part[to] = new[accept]
+                kept[to] = True
             search, last_ok = search[~accept], ok_trial[~accept]
             alpha *= 0.5
         if search.size:
@@ -737,7 +771,7 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patie
 
         cause[active] = why
         active = active[going]
-    return theta, f_min, cause, steps
+    return theta, f_min, cause, iterations
 
 
 def normal_ci(fit: FitResult, index: int, tau: float) -> tuple[float, float]:

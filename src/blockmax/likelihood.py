@@ -8,7 +8,10 @@ constraint (or whose value overflows) map to a finite penalty, never NaN, so
 the simplex search always has comparable values; a point exactly on the
 support boundary counts as a violation.
 
-Hot evaluations go through the numpy kernels in ``blockmax._core``.
+Hot evaluations go through the numpy kernels in ``blockmax._core``.  The
+row kernels here take a whole pass of lanes, each lane one parameter point
+on one row of a sample matrix, and run the core kernels over it in blocks of
+at most ``BLOCK_ELEMENTS`` values.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .data import as_values
 from .gev import GUMBEL_XI_EPS, GevParams
 
 __all__ = [
+    "BLOCK_ELEMENTS",
     "NegLogLik",
     "ObservedInfo",
     "SingularInformationError",
@@ -80,48 +84,107 @@ def gumbel_nllh_value(values: np.ndarray, mu: float, sigma: float):
     return _core.gumbel_nllh(values, mu, sigma)
 
 
-def gev_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray):
-    """Row-wise :func:`gev_nllh_value`: one (mu, sigma, xi) lane per row of ``X``.
+# Values per kernel call.  A pass over more lanes is cut into blocks of rows,
+# each gathered on its own, so the temporaries of a pass stay at about
+# twenty arrays of this size however many lanes it has.
+BLOCK_ELEMENTS = 16_384
 
-    Returns ``(value, valid)`` arrays; lane r equals ``gev_nllh_value(X[r], ...)``
-    bit for bit, lanes with ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface.
-    """
+
+def _block_lanes(X):
+    """Lanes per block of a pass over the rows of X."""
+    return max(1, BLOCK_ELEMENTS // max(1, X.shape[1]))
+
+
+def _blocks(X, rows, lanes):
+    """``(part, block)`` per block of a pass of ``lanes`` lanes: a slice of the
+    lanes and their rows of X, ``X[rows[part]]``, or ``X[part]`` where
+    ``rows`` is None."""
+    size = _block_lanes(X)
+    for a in range(0, lanes, size):
+        part = slice(a, a + size)
+        yield part, X[part] if rows is None else X[rows[part]]
+
+
+def _by_blocks(kernel, X, rows, *params):
+    """``kernel`` over a pass, block by block, its outputs joined."""
+    if params[0].size <= _block_lanes(X):
+        return kernel(X if rows is None else X[rows], *params)
+    parts = [kernel(block, *(p[part] for p in params)) for part, block in _blocks(X, rows, params[0].size)]
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _subset(rows, lanes):
+    """The rows of X that the lanes ``lanes`` of a pass read."""
+    return lanes if rows is None else rows[lanes]
+
+
+# The row kernels below evaluate a pass: lane i at its own parameters, on row
+# ``rows[i]`` of X (on row i where ``rows`` is None, which a broadcast view
+# of one sample serves without a copy).  Lane i returns bit for bit what the
+# one-lane call on that row returns, however the pass is cut into blocks.
+
+
+def gev_nllh_rows(X, mu, sigma, xi, rows=None):
+    """Row-wise :func:`gev_nllh_value`: ``(value, valid)`` arrays of a pass,
+    lanes with ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface."""
     gumbel = np.abs(xi) < GUMBEL_XI_EPS
     if not gumbel.any():
-        return _core.gev_nllh_rows(X, mu, sigma, xi)
+        return _by_blocks(_core.gev_nllh_rows, X, rows, mu, sigma, xi)
     value = np.empty(xi.size)
     valid = np.empty(xi.size, dtype=bool)
-    value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X[gumbel], mu[gumbel], sigma[gumbel])
-    rest = ~gumbel
-    if rest.any():
-        value[rest], valid[rest] = _core.gev_nllh_rows(X[rest], mu[rest], sigma[rest], xi[rest])
+    for lanes, kernel, params in ((np.flatnonzero(gumbel), _core.gumbel_nllh_rows, (mu, sigma)),
+                                  (np.flatnonzero(~gumbel), _core.gev_nllh_rows, (mu, sigma, xi))):
+        if lanes.size:
+            value[lanes], valid[lanes] = _by_blocks(kernel, X, _subset(rows, lanes),
+                                                    *(p[lanes] for p in params))
     return value, valid
 
 
-def gumbel_nllh_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """Row-wise :func:`gumbel_nllh_value`: ``(value, valid)`` arrays."""
-    return _core.gumbel_nllh_rows(X, mu, sigma)
+def gumbel_nllh_rows(X, mu, sigma, rows=None):
+    """Row-wise :func:`gumbel_nllh_value`: ``(value, valid)`` arrays of a pass."""
+    return _by_blocks(_core.gumbel_nllh_rows, X, rows, mu, sigma)
 
 
-def gev_derivatives_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray):
+def gev_derivatives_rows(X, mu, sigma, xi, rows=None):
     """Row-wise ``(value, valid, score, info)`` of the GEV surface in (mu, sigma, xi).
 
     ``value`` and ``valid`` are :func:`gev_nllh_rows`' bit for bit, lanes with
     ``|xi| < GUMBEL_XI_EPS`` on the Gumbel surface; ``score`` (lanes, 3) and
     ``info`` (lanes, 3, 3) are the gradient and the Hessian of the GEV
-    negative log-likelihood, continuous through xi = 0.  Lane r equals the
-    call on ``X[r:r+1]`` bit for bit.
+    negative log-likelihood, continuous through xi = 0.
+
+    The closed forms run block by block.  The lanes whose |xi*z| stays
+    within the series radius take their sums from the series instead, all
+    of them together, at most BLOCK_ELEMENTS values per call; the lanes on
+    the Gumbel surface take their values from one Gumbel pass.
     """
-    value, valid, score, info = _core.gev_derivatives_rows(X, mu, sigma, xi)
+    if xi.size <= _block_lanes(X):
+        value, valid, sums, series = _core.gev_derivative_sums(
+            X if rows is None else X[rows], mu, sigma, xi)
+    else:
+        value, valid, sums, series = zip(*(
+            _core.gev_derivative_sums(block, mu[part], sigma[part], xi[part])
+            for part, block in _blocks(X, rows, xi.size)))
+        value, valid, series = (np.concatenate(field) for field in (value, valid, series))
+        sums = [np.concatenate(column) for column in zip(*sums)]
+    if series.any():
+        near = np.flatnonzero(series)
+        for part, block in _blocks(X, _subset(rows, near), near.size):
+            lanes = near[part]
+            exact = _core.gev_series_sums(block, mu[lanes], sigma[lanes], xi[lanes])
+            for total, term in zip(sums, exact):
+                total[lanes] = term
     gumbel = np.abs(xi) < GUMBEL_XI_EPS
     if gumbel.any():
-        value[gumbel], valid[gumbel] = _core.gumbel_nllh_rows(X[gumbel], mu[gumbel], sigma[gumbel])
+        lanes = np.flatnonzero(gumbel)
+        value[lanes], valid[lanes] = gumbel_nllh_rows(X, mu[lanes], sigma[lanes], _subset(rows, lanes))
+    score, info = _core.score_info(X.shape[1], sigma, *sums[:5], sums[5:])
     return value, valid, score, info
 
 
-def gumbel_derivatives_rows(X: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+def gumbel_derivatives_rows(X, mu, sigma, rows=None):
     """Row-wise ``(value, valid, score, info)`` of the Gumbel surface in (mu, sigma)."""
-    return _core.gumbel_derivatives_rows(X, mu, sigma)
+    return _by_blocks(_core.gumbel_derivatives_rows, X, rows, mu, sigma)
 
 
 def _check_nonempty(values):

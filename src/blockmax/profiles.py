@@ -24,10 +24,10 @@ from .inference import (
     NONREGULAR_XI,
     FitResult,
     ProfileBracketError,
-    _in_blocks,
     _newton_direction,
     _newton_rows,
     _standardize,
+    _Values,
     delta_method,
     fit_gev,
     fit_gumbel,
@@ -56,7 +56,7 @@ class ProfileCurve:
     """Profile log-likelihood over a grid with the deviance-based interval.
 
     ``counts`` tallies the grid points solved by Newton (``newton``), the
-    derivative passes over all of them (``steps``), the lockstep waves that
+    Newton iterations over all of them (``steps``), the lockstep waves that
     solved them (``waves``) and the points that fell back to the simplex
     search, by cause; ``expansions`` is how often the default grid was
     widened.
@@ -153,7 +153,7 @@ def _restricted_rows(values, model, k, location=None):
 
     def objective(G, R):
         theta, outside = _lane_theta(k, location, G, R)
-        value, valid = _in_blocks(nllh, rows(G.size), theta)
+        value, valid = nllh(rows(G.size), *theta.T)
         _outside(value, valid, theta, outside)
         return value, valid
 
@@ -181,7 +181,7 @@ def _restricted_derivatives(values, model, k, p=None):
 
     def derivatives(G, R):
         theta, outside = _lane_theta(k, location, G, R)
-        value, valid, score, info = _in_blocks(kernel, rows(G.size), theta)
+        value, valid, score, info = kernel(rows(G.size), *theta.T)
         if p is None:
             return value, valid, score[:, free], info[:, free][:, :, free], info[:, free, k]
         _outside(value, valid, theta, outside)
@@ -355,6 +355,7 @@ class _Problem:
         self.objective = _restricted(values, model, k, location)
         self.nllh = _restricted_rows(values, model, k, location)
         self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
+        self.width = values.size
         # the slot of xi among the free parameters, or whether xi is the pinned one
         gev = model == "gev"
         self.xi_column = 1 if gev and k != 2 else None
@@ -378,8 +379,10 @@ def _slope(info, cross):
 
 def _newton_lanes(problem, g, start, free=None):
     """``(r, f_min, cause, steps, slope)`` of :func:`_newton_rows` on lanes pinned
-    at ``g`` from ``start`` (``free`` as there), with each lane's slope from
-    its last derivative pass."""
+    at ``g`` from ``start`` (``free`` as there): the Newton iterations over
+    all lanes, and each lane's slope from its derivative pass at its last
+    iterate.  A trial pass writes the slope of its lanes too; where the trial
+    is rejected, the lane's next pass writes it again, or the lane fails."""
     d = start.shape[1]
     info_last, cross_last = np.empty((g.size, d, d)), np.empty((g.size, d))
 
@@ -389,9 +392,9 @@ def _newton_lanes(problem, g, start, free=None):
         return value, valid, score, info
 
     theta, f_min, cause, steps = _newton_rows(
-        derivatives, lambda lanes, points: problem.nllh(g[lanes], points), start, problem.xi_column,
-        free)
-    return theta, f_min, cause, steps, _slope(info_last, cross_last)
+        derivatives, _Values(lambda lanes, points: problem.nllh(g[lanes], points), problem.width),
+        start, problem.xi_column, free)
+    return theta, f_min, cause, int(steps.sum()), _slope(info_last, cross_last)
 
 
 def _lockstep(problem, legs, counts) -> list:
@@ -420,7 +423,7 @@ def _lockstep(problem, legs, counts) -> list:
     plus NEWTON_TRIES failed solves.
 
     ``edge`` is the anchor at the leg's last point, for a leg that extends
-    it; ``counts`` gains the Newton points, derivative passes, waves and
+    it; ``counts`` gains the Newton points, Newton iterations, waves and
     fallbacks by cause.
     """
     sizes = [leg[0].size for leg in legs]

@@ -22,6 +22,12 @@ split between this process and forked children wherever every process gets
 results are consumed in batch order, so the reports and errors are those of
 a serial run.  A ``rows`` method may therefore run in a child process: its
 side effects there, other than warnings, are not seen by the caller.
+
+:func:`bootstrap_jackknife` runs both methods, with the jackknife's batches
+in the bootstrap's first round: the fork rule counts the values of both,
+and every process gets a near-equal share of each.  Its reports and errors
+are those of :func:`bootstrap` and :func:`jackknife` called one after the
+other.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "ResamplingReport",
     "Verdict",
     "bootstrap",
+    "bootstrap_jackknife",
     "jackknife",
     "rmse",
     "rmse_approx",
@@ -301,6 +308,13 @@ def _assemble(method, labels, estimate, bias, se, **extra) -> ResamplingReport:
     )
 
 
+def _check_bootstrap(b: int, seed: int):
+    if b < 2:
+        raise ValueError("bootstrap needs at least 2 replicates")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> ResamplingReport:
     """Nonparametric bootstrap bias and standard error of a statistic.
 
@@ -317,10 +331,7 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
     causes of every failure so far.
     """
     values = as_values(sample)
-    if b < 2:
-        raise ValueError("bootstrap needs at least 2 replicates")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    _check_bootstrap(b, seed)
     estimate = _evaluate(statistic, values)
 
     replicates = np.empty((b, estimate.size))
@@ -329,10 +340,13 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
         failed = _bootstrap_rows(values, statistic, seed, replicates, failures)
     else:
         failed = _bootstrap_loop(values, statistic, seed, replicates, failures)
+    return _bootstrap_report(labels, estimate, replicates, seed, failed, failures)
 
+
+def _bootstrap_report(labels, estimate, replicates, seed, failed, failures) -> ResamplingReport:
     bias = replicates.mean(axis=0) - estimate
     se = replicates.std(axis=0, ddof=1)
-    return _assemble("bootstrap", labels, estimate, bias, se, b=b, seed=seed,
+    return _assemble("bootstrap", labels, estimate, bias, se, b=replicates.shape[0], seed=seed,
                      failed=failed, failures=dict(sorted(failures.items())))
 
 
@@ -359,49 +373,104 @@ def _bootstrap_loop(values, statistic, seed, replicates, failures) -> int:
     return failed
 
 
-def _bootstrap_rows(values, statistic, seed, replicates, failures) -> int:
+def _run(share):
+    """The results of a share of a round: ``fn(item)`` for each ``(fn, item)``."""
+    return [fn(item) for fn, item in share]
+
+
+def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> int:
     """Replicates in batches of gathered rows; failed ones are redrawn next round.
 
     Every replicate goes through the same (seed, i, attempt) draws as in the
     loop, so the replicates, the failure count and whether the budget breaks
     are the same; only the order of evaluation differs.  The batches of a
     round may be split over forked processes; they are consumed in order.
+
+    With ``loo``, an (n, k) array, the jackknife's leave-one-out batches ride
+    in the first round: the fork rule counts both methods' values, every
+    process gets a near-equal share of each method's batches, and the
+    replicates fill ``loo``.  A batch whose ``rows`` call raises or has a
+    failed row leaves NaN in its rows of ``loo`` instead, and does not stop
+    the bootstrap.
     """
     b, k = replicates.shape
     n = values.size
-    lanes = _lanes(n)
 
-    def evaluate(chunk):
+    def resample(chunk):
         X = values[_draws(seed, chunk, n)]
         counted: Counter = Counter()
         theta, ok = _evaluate_rows(statistic, X, k, counted)
         return theta, ok, counted
 
+    def leave_one_out(span):
+        try:
+            theta, ok, _ = _leave_one_out(values, statistic, k, span)
+        except ResamplingError:
+            return None
+        return np.where(ok[:, None], theta, np.nan)
+
     failed = 0
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
     while pending:
-        processes = _fork.processes(len(pending) * n, MIN_SHARE_VALUES)
-        chunks = [pending[a:z] for a, z in _chunk_spans(len(pending), lanes, processes)]
+        work = len(pending) * n + (0 if loo is None else n * (n - 1))
+        processes = _fork.processes(work, MIN_SHARE_VALUES)
+        chunks = [pending[a:z] for a, z in _chunk_spans(len(pending), _lanes(n), processes)]
+        runs = [[(resample, chunk) for chunk in chunks]]
+        if loo is not None:
+            runs.append([(leave_one_out, span) for span in _loo_spans(n, processes)])
+        # share p holds the p-th of `processes` near-equal runs of each method's batches
+        cuts = zip(*(_fork.spans(len(run), processes) for run in runs))
+        shares = [[task for run, (a, z) in zip(runs, cut) for task in run[a:z]] for cut in cuts]
         redraw, broke = [], None
-        with closing(_fork.ordered(evaluate, chunks, processes)) as results:
-            for chunk, (theta, ok, counted) in zip(chunks, results):
-                failures.update(counted)
-                rows = np.array([i for i, _ in chunk])
-                replicates[rows[ok]] = theta[ok]
-                for (i, attempt), good in zip(chunk, ok):
-                    if not good:
-                        redraw.append((i, attempt + 1))
-                        failed += 1  # one at a time, to break at the same count as the loop
-                        if broke is None and failed > 0.10 * b:
-                            broke = failed
+        with closing(_fork.ordered(_run, shares, processes)) as results:
+            for share, outs in zip(shares, results):
+                for (fn, item), out in zip(share, outs):
+                    if fn is leave_one_out:
+                        start, stop = item
+                        loo[start:stop] = np.nan if out is None else out
+                        continue
+                    theta, ok, counted = out
+                    failures.update(counted)
+                    rows = np.array([i for i, _ in item])
+                    replicates[rows[ok]] = theta[ok]
+                    for (i, attempt), good in zip(item, ok):
+                        if not good:
+                            redraw.append((i, attempt + 1))
+                            failed += 1  # one at a time, to break at the same count as the loop
+                            if broke is None and failed > 0.10 * b:
+                                broke = failed
         if broke is not None:
             # the round is finished first, so the causes do not depend on the batching
             raise ResamplingError(
                 f"{broke} of {b} bootstrap replicates failed "
                 f"(limit 10%); causes: {', '.join(sorted(failures))}"
             )
-        pending = redraw
+        pending, loo = redraw, None
     return failed
+
+
+def _loo_spans(n: int, processes: int) -> list[tuple[int, int]]:
+    """The jackknife's batches of leave-one-out rows, at least one per process."""
+    return _chunk_spans(n, _lanes(n - 1), processes)
+
+
+def _leave_one_out(values, statistic, k, span):
+    """``(theta, ok, counted)`` of the rows ``statistic.rows`` gives the samples
+    without observation i, for i in ``range(*span)``; an exception raised by
+    ``rows`` aborts as ResamplingError."""
+    start, stop = span
+    # row i skips observation i: column j reads j, or j + 1 from i on
+    column = np.arange(values.size - 1)
+    X = values[column + (column >= np.arange(start, stop)[:, None])]
+    counted: Counter = Counter()
+    try:
+        theta, ok = _evaluate_rows(statistic, X, k, counted)
+    except Exception as exc:  # noqa: BLE001
+        raise ResamplingError(
+            f"jackknife refits without observations {start} to {stop - 1} "
+            f"failed: {exc!r}"
+        ) from exc
+    return theta, ok, counted
 
 
 def jackknife(sample, statistic, labels=None) -> ResamplingReport:
@@ -420,29 +489,18 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     if n < 3:
         raise ValueError("jackknife needs at least 3 observations")
     estimate = _evaluate(statistic, values)
+    k = estimate.size
 
-    loo = np.empty((n, estimate.size))
+    loo = np.empty((n, k))
     if _batched(statistic, n - 1):
         processes = _fork.processes(n * (n - 1), MIN_SHARE_VALUES)
-        spans = _chunk_spans(n, _lanes(n - 1), processes)
-
-        def evaluate(span):
-            start, stop = span
-            # row i skips observation i: column j reads j, or j + 1 from i on
-            column = np.arange(n - 1)
-            X = values[column + (column >= np.arange(start, stop)[:, None])]
-            counted: Counter = Counter()
-            try:
-                theta, ok = _evaluate_rows(statistic, X, estimate.size, counted)
-            except Exception as exc:  # noqa: BLE001
-                raise ResamplingError(
-                    f"jackknife refits without observations {start} to {stop - 1} "
-                    f"failed: {exc!r}"
-                ) from exc
-            return theta, ok, counted
-
+        spans = _loo_spans(n, processes)
         failures: Counter = Counter()
         ok = np.empty(n, dtype=bool)
+
+        def evaluate(span):
+            return _leave_one_out(values, statistic, k, span)
+
         with closing(_fork.ordered(evaluate, spans, processes)) as results:
             for (start, stop), (theta, chunk_ok, counted) in zip(spans, results):
                 failures.update(counted)
@@ -464,11 +522,42 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
                     f"jackknife refit without observation {i} failed: {exc!r}"
                 ) from exc
             mask[i] = True
+    return _jackknife_report(labels, estimate, loo)
 
+
+def _jackknife_report(labels, estimate, loo) -> ResamplingReport:
+    n = loo.shape[0]
     center = loo.mean(axis=0)
     bias = (n - 1.0) * (center - estimate)
     se = np.sqrt((n - 1.0) / n * ((loo - center) ** 2).sum(axis=0))
     return _assemble("jackknife", labels, estimate, bias, se)
+
+
+def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=None):
+    """``(bootstrap(sample, statistic, b, seed, labels), jackknife(sample, statistic, labels))``.
+
+    The reports and errors are those of the two calls, bit for bit.  With a
+    ``rows`` statistic the full-sample value is evaluated once, and the
+    jackknife's leave-one-out batches ride in the bootstrap's first round
+    (see :func:`_bootstrap_rows`), so on two CPUs neither waits for the
+    other.  The bootstrap's errors come first, as in the two calls; a
+    jackknife batch that failed in the round runs :func:`jackknife` again
+    once the bootstrap is done, which raises its error.
+    """
+    values = as_values(sample)
+    n = values.size
+    if n < 3 or not _batched(statistic, n):
+        return bootstrap(values, statistic, b, seed, labels), jackknife(values, statistic, labels)
+    _check_bootstrap(b, seed)
+    estimate = _evaluate(statistic, values)
+    replicates = np.empty((b, estimate.size))
+    loo = np.empty((n, estimate.size))
+    failures: Counter = Counter()
+    failed = _bootstrap_rows(values, statistic, seed, replicates, failures, loo)
+    boot = _bootstrap_report(labels, estimate, replicates, seed, failed, failures)
+    if np.isnan(loo).any():
+        return boot, jackknife(values, statistic, labels)
+    return boot, _jackknife_report(labels, estimate, loo)
 
 
 def screen(report: ResamplingReport) -> tuple[Verdict, ...]:

@@ -28,7 +28,7 @@ from .data import MaximaSample
 from .gev import GevParams, cdf
 from .inference import FitResult, LrtResult, Refit, aic, fit_gev, fit_gumbel, lrt
 from .orderstats import order_cdf
-from .resampling import Verdict, bootstrap, jackknife, screen
+from .resampling import Verdict, bootstrap, bootstrap_jackknife, jackknife, screen
 from .returns import return_level_ci
 from .special import chi2_quantile
 
@@ -196,15 +196,21 @@ def resample(values, fit: FitResult, boot_b: int = 999, seed: int | None = None,
              run_jackknife: bool = True) -> dict:
     """Stage "resampling": the report sections of the bootstrap (``boot_b``
     replicates; 0 skips it) and the jackknife of ``fit``'s model, by method.
-    Every refit starts from ``fit``'s estimate (see :class:`Refit`)."""
+    Every refit starts from ``fit``'s estimate (see :class:`Refit`).  With
+    both methods on, the jackknife's refits ride in the bootstrap's first
+    round (:func:`blockmax.resampling.bootstrap_jackknife`)."""
     stat, labels = Refit(fit.model, start=fit.theta), _labels(fit)
     sections = {}
     with _stage("resampling"):
-        if boot_b:
-            rep = bootstrap(values, stat, b=boot_b, seed=resolve_seed(seed), labels=labels)
-            sections["bootstrap"] = _report_dict(rep)
-        if run_jackknife:
-            sections["jackknife"] = _report_dict(jackknife(values, stat, labels=labels))
+        if boot_b and run_jackknife:
+            reports = bootstrap_jackknife(values, stat, b=boot_b, seed=resolve_seed(seed),
+                                          labels=labels)
+        elif boot_b:
+            reports = [bootstrap(values, stat, b=boot_b, seed=resolve_seed(seed), labels=labels)]
+        else:
+            reports = [jackknife(values, stat, labels=labels)] if run_jackknife else []
+        for rep in reports:
+            sections[rep.method] = _report_dict(rep)
     return sections
 
 
