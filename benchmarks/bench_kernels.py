@@ -32,6 +32,26 @@ series calls of a ``run_workflow`` job, the minor page faults
 and on every CPU, with the bootstrap alone on every CPU beside it.  The
 counts are taken on one CPU, so no refit runs in a child.
 
+``--worker-json FILE`` writes the ``worker`` report, for this tree and
+``--src``: per perfbench report-standard input of seeds 1-10 (GEV n=129,
+``workflow.resample`` with B=999, seed 4 and the jackknife), the resampling
+stage's wall seconds, the CPU seconds and minor page faults (``ru_minflt``)
+of this process, and those of its children: the reaped ones
+(RUSAGE_CHILDREN) and the live resampling workers (``/proc/<pid>/stat``),
+on one CPU (pinned, as ``taskset -c 0``) and on every CPU.  On every CPU
+the parent tree's rounds fork a child each; this tree's go to a worker kept
+warm from call to call.  Beside them, on every CPU, the stages that a fork
+floor (``resampling.MIN_SHARE_VALUES``) of 40 000 values kept in one
+process at n=129, the jackknife alone and bootstrap B=99-299, each in one
+process and split.
+
+``--pairs-json FILE --workload W --seeds A-B`` runs perfbench
+(``perfbench/run.py --workload W --seed S --seconds SECONDS``) in the
+checkout of ``--src`` and in this one for each seed, the side that runs
+first alternating from seed to seed, and adds the pairs and their
+summary (medians, quartiles, the pairs each side won) to FILE under
+``perfbench_pairs``.
+
 With ``--layers-json`` each tree (this one as "change", ``--src`` as
 "parent") runs in fresh interpreters, the sides alternating, REPEATS times,
 and the file gets the medians with the host facts.  The first run of each
@@ -80,6 +100,16 @@ _NOT_FALLBACKS = ("newton", "steps", "waves")
 # perfbench report-standard seeds of the passes report
 PASS_SEEDS = (*range(1, 11), 37, 38)
 PASS_REPEATS = 3
+# perfbench report-standard seeds of the worker report, its fresh runs per
+# tree, and its stage calls per seed and CPU set: untimed, then timed
+WORKER_SEEDS = range(1, 11)
+WORKER_REPEATS = 3
+WORKER_WARMUP = 3
+WORKER_CALLS = 15
+# the stages (boot_b, jackknife) at n=129 that a fork floor of 40 000 values
+# per process kept in one process: the jackknife alone and bootstrap B=99-299
+FLOOR_STAGES = {"jackknife": (0, True), **{f"bootstrap_b{b}": (b, False) for b in range(99, 300, 50)}}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def best_of(fn, repeats=5, inner=200):
@@ -476,6 +506,89 @@ def passes() -> dict:
     return out
 
 
+def _children_usage():
+    """(CPU seconds, minor page faults) of this process's reaped children and
+    of its live resampling workers, where the tree keeps any."""
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu, minflt = kids.ru_utime + kids.ru_stime, kids.ru_minflt
+    for worker in getattr(bm._fork, "_workers", ()):
+        with open(f"/proc/{worker.pid}/stat", encoding="ascii") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()  # from field 3, the state
+        minflt += int(fields[7])
+        cpu += (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    return cpu, minflt
+
+
+def _stage_usage(stage) -> dict:
+    """``stage()`` WORKER_WARMUP times untimed, then WORKER_CALLS times: the
+    medians of its wall seconds and of this process's CPU seconds and minor
+    faults per call, and its children's per call (their total over the calls
+    divided by WORKER_CALLS, as a live worker's clock ticks are coarse)."""
+    for _ in range(WORKER_WARMUP):
+        stage()
+    calls = []
+    kids0 = _children_usage()
+    for _ in range(WORKER_CALLS):
+        own0 = resource.getrusage(resource.RUSAGE_SELF)
+        w0 = time.perf_counter()
+        stage()
+        wall = time.perf_counter() - w0
+        own1 = resource.getrusage(resource.RUSAGE_SELF)
+        calls.append((wall, own1.ru_utime + own1.ru_stime - own0.ru_utime - own0.ru_stime,
+                      own1.ru_minflt - own0.ru_minflt))
+    kids1 = _children_usage()
+    wall, cpu, minflt = (statistics.median(column) for column in zip(*calls))
+    return {"wall_ms": 1e3 * wall, "parent_cpu_ms": 1e3 * cpu, "parent_minflt": minflt,
+            "child_cpu_ms": 1e3 * (kids1[0] - kids0[0]) / WORKER_CALLS,
+            "child_minflt": (kids1[1] - kids0[1]) / WORKER_CALLS}
+
+
+def _floor(values, fit) -> dict:
+    """The stages below the fork floor (see FLOOR_STAGES) on every CPU, in one
+    process and split (``resampling.MIN_SHARE_VALUES`` patched), alternating:
+    the median ms of each and the calls in which the split was faster."""
+    resampling, floor = bm.resampling, bm.resampling.MIN_SHARE_VALUES
+    out = {}
+    try:
+        for name, (boot_b, jackknife) in FLOOR_STAGES.items():
+            stage = lambda: bm.workflow.resample(values, fit, boot_b=boot_b, seed=4,  # noqa: E731
+                                                 run_jackknife=jackknife)
+            times = {"one_process": [], "split": []}
+            for call in range(WORKER_WARMUP + WORKER_CALLS):
+                for label, value in (("one_process", 10**12), ("split", 1)):
+                    resampling.MIN_SHARE_VALUES = value
+                    w0 = time.perf_counter()
+                    stage()
+                    if call >= WORKER_WARMUP:
+                        times[label].append(time.perf_counter() - w0)
+            out[name] = {f"{label}_ms": 1e3 * statistics.median(t) for label, t in times.items()}
+            out[name]["split_faster_in"] = sum(s < o for o, s in zip(*times.values()))
+    finally:
+        resampling.MIN_SHARE_VALUES = floor
+    return out
+
+
+def worker_stage() -> dict:
+    """The worker report of this tree: per seed of WORKER_SEEDS, see the module docstring."""
+    every = os.sched_getaffinity(0)
+    one = {min(every)}
+    out = {}
+    try:
+        for seed in WORKER_SEEDS:
+            with tempfile.TemporaryDirectory() as directory:
+                sample = _standard_input(seed, directory)
+            values, fit = sample.values, bm.fit_gev(sample)
+            row = {}
+            for label, mask in (("one_cpu", one), ("all_cpus", every)):
+                os.sched_setaffinity(0, mask)
+                row[label] = _stage_usage(lambda: bm.workflow.resample(values, fit, boot_b=999, seed=4))
+            row["floor"] = _floor(values, fit)
+            out[f"seed{seed}"] = row
+    finally:
+        os.sched_setaffinity(0, every)
+    return out
+
+
 def _run_side(src, side) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     command = [sys.executable, __file__, "--side", side]
@@ -502,11 +615,20 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
+def _trees(src) -> dict:
+    trees = {"change": ROOT / "src"}
+    return trees if src is None else {"parent": Path(src).resolve(), **trees}
+
+
+def _host() -> dict:
+    return {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
+            "platform": platform.platform(), "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def compare(label, src=None) -> dict:
     """The table for this tree ("change") and ``src`` ("parent"), in alternating fresh runs."""
-    trees = {"change": Path(__file__).resolve().parent.parent / "src"}
-    if src is not None:
-        trees = {"parent": Path(src).resolve(), **trees}
+    trees = _trees(src)
     runs = {side: [] for side in trees}
     for repeat in range(REPEATS):
         for side, tree in trees.items():
@@ -551,9 +673,7 @@ def compare_passes(label, src=None) -> dict:
     """The passes report of this tree ("change") and ``src`` ("parent"), in
     PASS_REPEATS alternating fresh runs of each, every number the median over
     the runs (the counts do not vary)."""
-    trees = {"change": Path(__file__).resolve().parent.parent / "src"}
-    if src is not None:
-        trees = {"parent": Path(src).resolve(), **trees}
+    trees = _trees(src)
     runs = {side: [] for side in trees}
     for repeat in range(PASS_REPEATS):
         for side, tree in trees.items():
@@ -565,9 +685,7 @@ def compare_passes(label, src=None) -> dict:
                    "--src <src of a checkout of the parent commit>",
         "cores": "counts and page faults on one CPU (pinned); times on one CPU and on all "
                  f"{len(os.sched_getaffinity(0))} CPUs",
-        "host": {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
-                 "platform": platform.platform(), "python": platform.python_version(),
-                 "numpy": np.__version__},
+        "host": _host(),
         "input": "perfbench report-standard inputs (GEV(79, 21, 0), n=129) of seeds "
                  f"{', '.join(map(str, PASS_SEEDS))}; workflow.resample B=999 seed 4, the fit "
                  "fit_gev; the job run_workflow(model='gev', boot_b=999, seed=4)",
@@ -578,6 +696,101 @@ def compare_passes(label, src=None) -> dict:
                      "of 5 calls within a run (all_cpus_bootstrap_ms: the bootstrap without the "
                      "jackknife), then the median over the runs",
         "results": {side: _median(sides) for side, sides in runs.items()},
+    }
+
+
+def compare_worker(label, src=None) -> dict:
+    """The worker report of this tree ("change") and ``src`` ("parent"), in
+    WORKER_REPEATS alternating fresh runs of each, every number the median
+    over the runs; ``ranges`` holds each number's range over the seeds."""
+    runs = {side: [] for side in _trees(src)}
+    for repeat in range(WORKER_REPEATS):
+        for side, tree in _trees(src).items():
+            runs[side].append(_run_side(tree, "worker"))
+            print(f"run {repeat + 1}/{WORKER_REPEATS} {side} done", file=sys.stderr)
+    results = {side: _median(sides) for side, sides in runs.items()}
+    ranges = {}
+    for side, seeds in results.items():
+        for cpus in ("one_cpu", "all_cpus"):
+            rows = [row[cpus] for row in seeds.values()]
+            ranges[f"{side}.{cpus}"] = {key: [min(r[key] for r in rows), max(r[key] for r in rows)]
+                                       for key in rows[0]}
+    floor = {side: {stage: {key: statistics.median(row["floor"][stage][key] for row in seeds.values())
+                            for key in ("one_process_ms", "split_ms")}
+                    for stage in FLOOR_STAGES}
+             for side, seeds in results.items()}
+    for side, seeds in runs.items():
+        for stage in FLOOR_STAGES:
+            wins = sum(run[seed]["floor"][stage]["split_faster_in"] for run in seeds for seed in run)
+            floor[side][stage]["split_faster_in"] = f"{wins} of {len(seeds) * len(seeds[0]) * WORKER_CALLS}"
+    return {
+        "label": label,
+        "command": f"python benchmarks/bench_kernels.py --worker-json BENCH_{label}.json "
+                   "--src <src of a checkout of the parent commit>",
+        "cores": "one_cpu: pinned to one CPU, as taskset -c 0 (no split, no child); all_cpus: "
+                 f"the {len(os.sched_getaffinity(0))} CPUs the process may use (the parent tree "
+                 "forks a child per round, this tree sends the round to its warm worker)",
+        "host": _host(),
+        "input": "perfbench report-standard inputs (GEV(79, 21, 0), n=129) of seeds "
+                 f"{WORKER_SEEDS.start}-{WORKER_SEEDS.stop - 1}; the stage "
+                 "workflow.resample(values, fit_gev(values), boot_b=999, seed=4), jackknife on",
+        "statistic": f"{WORKER_REPEATS} runs per tree, each in a fresh interpreter, the trees "
+                     f"alternating; per seed and CPU set {WORKER_WARMUP} untimed calls, then "
+                     f"{WORKER_CALLS} timed: wall, parent CPU and parent minflt the median per "
+                     "call, child CPU and child minflt the total over the calls per call; then "
+                     "the median over the runs.  floor: per stage the median over the seeds of "
+                     "those medians, and the calls, over every seed and run, in which the split "
+                     "was faster than the one-process call beside it",
+        "results": results,
+        "ranges": ranges,
+        "floor": floor,
+    }
+
+
+def perfbench_pairs(workload, seeds, seconds, src) -> dict:
+    """perfbench on ``workload`` for each seed in the checkout of ``src``
+    ("parent") and in this one ("change"), the side that runs first
+    alternating; the runs and, per end-to-end metric, the summary."""
+    roots = {side: tree.parent for side, tree in _trees(src).items()}
+    runs = {"parent": [], "change": []}
+    for k, seed in enumerate(seeds):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                 "--seconds", str(seconds)], cwd=roots[side], capture_output=True, text=True)
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            runs[side].append({"seed": seed, "correct": result["correct"],
+                               "attempted": result["attempted"], "failed": result["failed"],
+                               **{name: m["value"] for name, m in result["metrics"].items()}})
+            print(f"{workload} seed {seed} {side} done", file=sys.stderr)
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {}
+    for name, direction in better.items():
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        p_q = statistics.quantiles(parent, n=4)
+        metrics[name] = {
+            "parent_median": statistics.median(parent), "parent_quartiles": [p_q[0], p_q[2]],
+            "change_median": statistics.median(change),
+            "change_quartiles": [statistics.quantiles(change, n=4)[i] for i in (0, 2)],
+            "relative": statistics.median(change) / statistics.median(parent) - 1.0,
+            "change_better_in": wins,
+            "median_gap_exceeds_parent_quartile_spread":
+                abs(statistics.median(change) - statistics.median(parent)) > p_q[2] - p_q[0],
+        }
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed S --seconds {seconds:g} "
+                   "in a checkout of the parent and in this tree, the side that runs first "
+                   "alternating from pair to pair",
+        "seeds": f"{seeds[0]}-{seeds[-1]}", "pairs": len(seeds),
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "failed_operations": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "statistic": "quartiles by statistics.quantiles(n=4); change_better_in counts pairs, "
+                     "ties for neither",
+        "metrics": metrics,
+        "runs": runs,
     }
 
 
@@ -596,11 +809,37 @@ if __name__ == "__main__":
                         help="write the table of this tree (and of --src) to this file")
     parser.add_argument("--passes-json", default=None,
                         help="write the passes report of this tree (and of --src) to this file")
+    parser.add_argument("--worker-json", default=None,
+                        help="write the worker report of this tree (and of --src) to this file")
+    parser.add_argument("--pairs-json", default=None,
+                        help="add perfbench pairs of this tree and --src to this file")
+    parser.add_argument("--workload", default="report-standard", help="perfbench workload of the pairs")
+    parser.add_argument("--seeds", default=None, help="perfbench seeds of the pairs, A-B")
+    parser.add_argument("--seconds", type=float, default=50.0, help="seconds per perfbench run")
     parser.add_argument("--src", default=None, help="src directory of the tree to compare against")
-    parser.add_argument("--side", choices=["fast", "slow", "passes"], help=argparse.SUPPRESS)
+    parser.add_argument("--side", choices=["fast", "slow", "passes", "worker"], help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side:  # one run, in its own interpreter
-        json.dump(passes() if args.side == "passes" else layers(args.side == "slow"), sys.stdout)
+        sides = {"passes": passes, "worker": worker_stage}
+        json.dump(sides[args.side]() if args.side in sides else layers(args.side == "slow"), sys.stdout)
+    elif args.worker_json is not None:
+        path = Path(args.worker_json)
+        kept = json.loads(path.read_text()) if path.exists() else {}
+        report = compare_worker(path.stem.removeprefix("BENCH_"), args.src)
+        if "perfbench_pairs" in kept:
+            report["perfbench_pairs"] = kept["perfbench_pairs"]
+        path.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    elif args.pairs_json is not None:
+        if args.src is None or args.seeds is None:
+            parser.error("--pairs-json needs --src and --seeds")
+        first, last = map(int, args.seeds.split("-"))
+        path = Path(args.pairs_json)
+        report = json.loads(path.read_text()) if path.exists() else {}
+        report.setdefault("perfbench_pairs", {})[args.workload] = perfbench_pairs(
+            args.workload, list(range(first, last + 1)), args.seconds, args.src)
+        path.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
     elif args.passes_json is not None:
         report = compare_passes(Path(args.passes_json).stem.removeprefix("BENCH_"), args.src)
         Path(args.passes_json).write_text(json.dumps(report, indent=2) + "\n")

@@ -1,37 +1,57 @@
-"""Independent work split between this process and forked children.
+"""Independent work split between this process and persistent forked workers.
 
 :func:`ordered` yields ``fn(item)`` for a list of items, in item order.  With
 ``processes`` above 1 the items are cut into that many contiguous groups:
 this process runs the first group as the results are consumed, and each
-other group runs in a child forked when the iteration starts.  A child sends
-back each result, with the warnings it raised, through a pipe; results reach
-the consumer in item order whichever process computed them.  Where a child
-fails (its ``fn`` raised, or it died) or cannot be forked, the items it did
-not deliver are run here at their turn, so an exception surfaces exactly as
-in a serial run.
+other group is sent to a worker.  A worker is a child forked the first time
+a round needs it and kept for the life of this process: each round sends it
+one request, ``fn`` and a group pickled through a pipe, and it sends back
+each result, with the warnings it raised, through a second pipe.  Results
+reach the consumer in item order whichever process computed them.  Where a
+worker fails (its ``fn`` raised, or it died) or cannot be forked, the items
+it did not deliver are run here at their turn, so an exception surfaces
+exactly as in a serial run.  Where ``fn`` or a group does not pickle, that
+group runs here.
+
+A worker is killed and reaped when its round ends early (the consumer
+closes the generator, or this process's group raises) and when it dies or
+fails; the next round that splits forks a new one.  :func:`close` ends
+every worker: it closes their request pipes, on which a worker exits, and
+reaps them, killing any that has not exited within ``CLOSE_WAIT_S``.  It
+runs at exit (``atexit``), and a worker whose parent died without it exits
+when its request pipe closes.  A child forked from this process by anyone
+else (``os.register_at_fork``) drops the workers it inherited, without
+touching them, and forks its own when it splits.
+
+A worker runs ``fn`` in the state this process had when the worker was
+forked, apart from the warning filters, which go with every request: module
+state patched since then is not seen there.  Side effects of ``fn`` in a
+worker, other than warnings, do not reach this process.  A worker ends with
+``os._exit``: it flushes no inherited output buffer and runs no exit
+handler, so nothing the parent printed is written twice.
 
 :func:`processes` is the rule for splitting: fork exists and is safe (not
 macOS, one Python thread), one process per CPU this process may run on, and
 every process gets at least ``min_share`` units of work.  Otherwise it
-returns 1 and :func:`ordered` is a plain loop.  ``taskset -c 0`` therefore
-makes every run serial.
-
-A child ends with ``os._exit``: it flushes no inherited output buffer and
-runs no exit handler, so nothing the parent printed is written twice.
-Side effects of ``fn`` in a child, other than warnings, do not reach the
-parent.
+returns 1 and :func:`ordered` is a plain loop that starts no worker.
+``taskset -c 0`` therefore makes every run serial.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import signal
 import sys
 import threading
+import time
 import warnings
 
-__all__ = ["cpus", "ordered", "processes", "spans"]
+__all__ = ["close", "cpus", "ordered", "processes", "spans"]
+
+# Seconds close() waits for an idle worker to exit on its closed pipe before killing it.
+CLOSE_WAIT_S = 1.0
 
 
 def cpus() -> int:
@@ -62,85 +82,172 @@ def ordered(fn, items, processes: int = 1):
     """Yield ``fn(item)`` for each of ``items`` in order, split over ``processes``.
 
     Close the generator (``contextlib.closing``) when stopping early: that
-    kills and reaps the children still running.
+    kills and reaps the workers still running its groups.
     """
     items = list(items)
     groups = [items[a:b] for a, b in spans(len(items), max(1, min(processes, len(items))))]
-    children = []
+    shares = []
     try:
         for group in groups[1:]:
-            children.append(_Child(fn, group))
+            shares.append((group, _send(fn, group)))
         for item in groups[0]:
             yield fn(item)
-        for child in children:
-            yield from child.results()
+        for group, worker in shares:
+            yield from _results(fn, group, worker)
     finally:
-        for child in children:
-            child.close()
+        for _, worker in shares:
+            if worker is not None and worker.busy:  # the round ended early
+                worker.kill()
 
 
-class _Child:
-    """A forked process running ``fn`` over ``group``, and the parent's end of its pipe.
+def _send(fn, group):
+    """The worker now running ``fn`` over ``group``, or None where the group runs here."""
+    try:
+        request = pickle.dumps((fn, group, warnings.filters), pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None
+    worker = next((w for w in _workers if not w.busy), None) or _Worker.fork()
+    if worker is not None and worker.send(request):
+        return worker
+    return None
 
-    If no process can be forked, ``pid`` is None and the parent runs the group.
-    """
 
-    def __init__(self, fn, group):
-        self.fn, self.group, self.pid = fn, group, None
-        read, write = os.pipe()
+def _results(fn, group, worker):
+    """``fn(item)`` for ``group`` from ``worker``; what it did not deliver is computed here."""
+    delivered = 0
+    if worker is not None:
+        try:
+            for _ in group:
+                result, raised = pickle.load(worker.results)
+                delivered += 1
+                worker.busy = delivered < len(group)  # idle once the last result is in
+                for message, category, filename, lineno in raised:
+                    module, registry = _origin(filename)
+                    warnings.warn_explicit(message, category, filename, lineno, module, registry)
+                yield result
+        except (EOFError, pickle.UnpicklingError):
+            worker.kill()  # it failed or died: the rest of its group is redone below
+    for item in group[delivered:]:
+        yield fn(item)
+
+
+class _Worker:
+    """A forked process serving requests, and this process's ends of its two pipes."""
+
+    def __init__(self, pid, requests, results):
+        self.pid, self.requests, self.results = pid, requests, results
+        self.busy = False
+
+    @classmethod
+    def fork(cls):
+        """A new worker in ``_workers``, or None if no process can be forked."""
+        request_read, request_write = os.pipe()
+        result_read, result_write = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
-            return
+            pid = None
         if pid == 0:
             code = 1
             try:
-                os.close(read)
-                with open(write, "wb") as out, warnings.catch_warnings(record=True) as caught:
-                    for item in group:
-                        result = fn(item)
-                        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                        pickle.dump((result, raised), out, pickle.HIGHEST_PROTOCOL)
-                        out.flush()
-                        caught.clear()
+                os.close(request_write)
+                os.close(result_read)
+                _serve(open(request_read, "rb"), open(result_write, "wb"))
                 code = 0
             finally:
                 os._exit(code)
-        os.close(write)
-        self.pid, self.pipe = pid, open(read, "rb")
+        os.close(request_read)
+        os.close(result_write)
+        if pid is None:
+            os.close(request_write)
+            os.close(result_read)
+            return None
+        worker = cls(pid, request_write, open(result_read, "rb"))
+        _workers.append(worker)
+        return worker
 
-    def results(self):
-        """The child's results in order; what it did not deliver is computed here."""
-        delivered = 0
-        if self.pid is not None:
-            try:
-                for _ in self.group:
-                    result, raised = pickle.load(self.pipe)
-                    for message, category, filename, lineno in raised:
-                        module, registry = _origin(filename)
-                        warnings.warn_explicit(message, category, filename, lineno, module, registry)
-                    yield result
-                    delivered += 1
-            except (EOFError, pickle.UnpicklingError):
-                pass  # the child failed or died: the rest of its share is redone below
-            finally:
-                self.close()
-        for item in self.group[delivered:]:
-            yield self.fn(item)
-
-    def close(self):
-        """Kill and reap the child, if it is still there."""
-        if self.pid is None:
-            return
-        self.pipe.close()
+    def send(self, request) -> bool:
+        """Start a round with the pickled ``request``; False, and the worker is gone, if it died."""
         try:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # already reaped, where SIGCHLD is ignored
-        self.pid = None
+            view = memoryview(request)
+            while view:
+                view = view[os.write(self.requests, view):]
+        except BrokenPipeError:
+            self.kill()
+            return False
+        self.busy = True
+        return True
+
+    def kill(self):
+        """Kill and reap the worker."""
+        self._drop()
+        _kill(self.pid)
+
+    def _drop(self):
+        """Close this process's ends of the pipes and forget the worker."""
+        _workers.remove(self)
+        self.busy = False
+        os.close(self.requests)
+        self.results.close()
+
+
+def _serve(requests, results):
+    """The worker's loop: run each request's group and send back its results, until EOF."""
+    while True:
+        try:
+            fn, group, filters = pickle.load(requests)
+        except EOFError:
+            return  # the parent closed the pipe, or died
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.filters[:] = filters
+            for item in group:
+                result = fn(item)
+                raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+                pickle.dump((result, raised), results, pickle.HIGHEST_PROTOCOL)
+                results.flush()
+                caught.clear()
+
+
+def _reap(pid, block):
+    """Whether ``pid`` has been reaped (or was, where SIGCHLD is ignored)."""
+    try:
+        return os.waitpid(pid, 0 if block else os.WNOHANG)[0] == pid
+    except ChildProcessError:
+        return True
+
+
+def _kill(pid):
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    _reap(pid, block=True)
+
+
+def close():
+    """End every worker of this process: close its request pipe, reap it, kill it if it lingers."""
+    ending = list(_workers)
+    for worker in ending:
+        worker._drop()
+    deadline = time.monotonic() + CLOSE_WAIT_S
+    for worker in ending:
+        while not _reap(worker.pid, block=False):
+            if time.monotonic() > deadline:
+                _kill(worker.pid)
+                break
+            time.sleep(0.001)
+
+
+def _forget():
+    """In a forked child: drop the inherited workers, which belong to the parent."""
+    for worker in list(_workers):
+        worker._drop()
+
+
+_workers: list[_Worker] = []
+atexit.register(close)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget)
 
 
 def _origin(filename):

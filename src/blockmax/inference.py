@@ -469,9 +469,11 @@ class Refit:
     in NEWTON_STEPS steps or that enters the nonregular shapes falls back to
     the fit of ``fit_<model>``, and gets exactly the bits of
     ``Refit(model)``.  ``ok`` and the failure causes follow the same rules,
-    and the call is the one-row case of ``rows``.  ``counts`` tallies, in
-    this process, the rows refitted by Newton from ``start`` (``newton``),
-    their Newton iterations (``steps``) and the fallbacks by cause.
+    and the call is the one-row case of ``rows``.  ``counts`` tallies the
+    rows refitted by Newton from ``start`` (``newton``), their Newton
+    iterations (``steps``) and the fallbacks by cause; a resampling round
+    split over processes adds the tallies of its workers' shares, so they
+    are those of the serial run.
     """
 
     def __init__(self, model: str, start=None):

@@ -17,11 +17,21 @@ are identical.  Samples longer than ``MAX_BATCHED_N`` go through the loop as
 well.
 
 The batches of a round are near-equal, at least one per process, and are
-split between this process and forked children wherever every process gets
-``MIN_SHARE_VALUES`` resampled values (see :mod:`blockmax._fork`); the
-results are consumed in batch order, so the reports and errors are those of
-a serial run.  A ``rows`` method may therefore run in a child process: its
-side effects there, other than warnings, are not seen by the caller.
+split between this process and its worker processes wherever every process
+gets ``MIN_SHARE_VALUES`` resampled values (see :mod:`blockmax._fork`).  A
+round's work is a :class:`_Round`, which pickles: each worker is sent it
+with its share of the batches, runs the share, and sends back the results,
+consumed here in batch order, so the reports and errors are those of a
+serial run.  A worker is forked at the first round that splits and serves
+every later one; it is killed when a round ends early or it dies (the next
+split forks another), it is reaped at exit, and a process forked from the
+caller does not share it.  A ``rows`` method may therefore run in a worker,
+in the module state of the moment that worker was forked: its side effects
+there, other than warnings and the tallies of a ``counts`` Counter
+attribute (which come back and are added to the caller's statistic), are
+not seen by the caller.  A statistic that does not pickle runs all its
+batches here.  There is no option or environment variable for any of it:
+``taskset -c 0`` makes every round serial.
 
 :func:`bootstrap_jackknife` runs both methods, with the jackknife's batches
 in the bootstrap's first round: the fork rule counts the values of both,
@@ -33,6 +43,7 @@ other.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -74,13 +85,15 @@ CHUNK_ELEMENTS = 65_536
 # BENCH_newton.json.  Refit(model) without a start runs the full-sample fit
 # of each row on either path.
 MAX_BATCHED_N = 10_000
-# Fewest resampled values (rows x n) per process for which forking a round
-# pays.  On a 2-vCPU Xeon VM, Newton refits of GEV samples broke even on two
-# CPUs at about 65 000 to 90 000 values in all, bootstrap or jackknife (a
-# fork costs about 8-10 ms there).  So the jackknife of n=129 (129 x 128
-# values) runs in one process and bootstrap B=999 at n=129 on two CPUs.
-# See BENCH_one_simplex.json.
-MIN_SHARE_VALUES = 40_000
+# Fewest resampled values (rows x n) per process for which splitting a round
+# pays.  With the worker process warm, on a 2-vCPU Xeon VM, Newton refits at
+# n=129 were faster split over two CPUs than in one process at every size
+# timed, in 74-81% of paired calls: the jackknife alone (129 x 128 values)
+# 3.7 against 4.0 ms, bootstrap B=99 (12 771 values) 5.62 against 5.64 ms,
+# B=149-299 by 0.1-0.7 ms (medians over ten inputs, BENCH_worker.json).  The
+# floor is B=99's share of 6 386 values, rounded down; smaller rounds stay in
+# one process.
+MIN_SHARE_VALUES = 6_000
 
 
 class ResamplingError(Exception):
@@ -373,9 +386,65 @@ def _bootstrap_loop(values, statistic, seed, replicates, failures) -> int:
     return failed
 
 
-def _run(share):
-    """The results of a share of a round: ``fn(item)`` for each ``(fn, item)``."""
-    return [fn(item) for fn, item in share]
+@dataclass(frozen=True, eq=False)
+class _Round:
+    """A round's batched work, run on a share of its tasks; it pickles, so a
+    worker process (see :mod:`blockmax._fork`) can run a share.
+
+    A task is ``("boot", chunk)``: the bootstrap replicates of the
+    ``(i, attempt)`` pairs in ``chunk``, as ``(theta, ok, counted)``;
+    ``("loo", span)``: the leave-one-out refits of :func:`_leave_one_out`; or
+    ``("loo_nan", span)``: those refits with NaN where one failed, or None
+    where ``rows`` raised.  A call returns the share's outputs, and, when it
+    runs in a process other than the one that made the round, what the share
+    added to the statistic's ``counts`` Counter; where the round was made,
+    the share adds to it directly and the second item is None.
+    """
+
+    values: np.ndarray
+    statistic: object
+    seed: int | None
+    k: int
+    home: int = field(default_factory=os.getpid)
+
+    def __call__(self, share):
+        counts = getattr(self.statistic, "counts", None)
+        away = isinstance(counts, Counter) and os.getpid() != self.home
+        if away:
+            counts.clear()  # this statistic is the worker's copy: keep what the share adds
+        return [self._task(kind, item) for kind, item in share], counts if away else None
+
+    def _task(self, kind, item):
+        if kind == "boot":
+            X = self.values[_draws(self.seed, item, self.values.size)]
+            counted: Counter = Counter()
+            theta, ok = _evaluate_rows(self.statistic, X, self.k, counted)
+            return theta, ok, counted
+        if kind == "loo":
+            return _leave_one_out(self.values, self.statistic, self.k, item)
+        try:
+            theta, ok, _ = _leave_one_out(self.values, self.statistic, self.k, item)
+        except ResamplingError:
+            return None
+        return np.where(ok[:, None], theta, np.nan)
+
+
+def _split(work: _Round, runs, processes: int) -> list:
+    """``(kind, item, output)`` of every task of ``runs``, one list of tasks per method, in order.
+
+    Share p holds the p-th of ``processes`` near-equal runs of each method's
+    tasks, and the shares are split over processes by :func:`_fork.ordered`;
+    the counts a share made in a worker are added to the statistic's here.
+    """
+    cuts = zip(*(_fork.spans(len(run), processes) for run in runs))
+    shares = [[task for run, (a, z) in zip(runs, cut) for task in run[a:z]] for cut in cuts]
+    done = []
+    with closing(_fork.ordered(work, shares, processes)) as results:
+        for share, (outputs, counts) in zip(shares, results):
+            if counts:
+                work.statistic.counts.update(counts)
+            done += [(kind, item, out) for (kind, item), out in zip(share, outputs)]
+    return done
 
 
 def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> int:
@@ -384,7 +453,7 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> 
     Every replicate goes through the same (seed, i, attempt) draws as in the
     loop, so the replicates, the failure count and whether the budget breaks
     are the same; only the order of evaluation differs.  The batches of a
-    round may be split over forked processes; they are consumed in order.
+    round may be split over worker processes; they are consumed in order.
 
     With ``loo``, an (n, k) array, the jackknife's leave-one-out batches ride
     in the first round: the fork rule counts both methods' values, every
@@ -395,50 +464,31 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> 
     """
     b, k = replicates.shape
     n = values.size
-
-    def resample(chunk):
-        X = values[_draws(seed, chunk, n)]
-        counted: Counter = Counter()
-        theta, ok = _evaluate_rows(statistic, X, k, counted)
-        return theta, ok, counted
-
-    def leave_one_out(span):
-        try:
-            theta, ok, _ = _leave_one_out(values, statistic, k, span)
-        except ResamplingError:
-            return None
-        return np.where(ok[:, None], theta, np.nan)
-
+    work = _Round(values, statistic, seed, k)
     failed = 0
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
     while pending:
-        work = len(pending) * n + (0 if loo is None else n * (n - 1))
-        processes = _fork.processes(work, MIN_SHARE_VALUES)
-        chunks = [pending[a:z] for a, z in _chunk_spans(len(pending), _lanes(n), processes)]
-        runs = [[(resample, chunk) for chunk in chunks]]
+        processes = _fork.processes(len(pending) * n + (0 if loo is None else n * (n - 1)),
+                                    MIN_SHARE_VALUES)
+        runs = [[("boot", pending[a:z]) for a, z in _chunk_spans(len(pending), _lanes(n), processes)]]
         if loo is not None:
-            runs.append([(leave_one_out, span) for span in _loo_spans(n, processes)])
-        # share p holds the p-th of `processes` near-equal runs of each method's batches
-        cuts = zip(*(_fork.spans(len(run), processes) for run in runs))
-        shares = [[task for run, (a, z) in zip(runs, cut) for task in run[a:z]] for cut in cuts]
+            runs.append([("loo_nan", span) for span in _loo_spans(n, processes)])
         redraw, broke = [], None
-        with closing(_fork.ordered(_run, shares, processes)) as results:
-            for share, outs in zip(shares, results):
-                for (fn, item), out in zip(share, outs):
-                    if fn is leave_one_out:
-                        start, stop = item
-                        loo[start:stop] = np.nan if out is None else out
-                        continue
-                    theta, ok, counted = out
-                    failures.update(counted)
-                    rows = np.array([i for i, _ in item])
-                    replicates[rows[ok]] = theta[ok]
-                    for (i, attempt), good in zip(item, ok):
-                        if not good:
-                            redraw.append((i, attempt + 1))
-                            failed += 1  # one at a time, to break at the same count as the loop
-                            if broke is None and failed > 0.10 * b:
-                                broke = failed
+        for kind, item, out in _split(work, runs, processes):
+            if kind == "loo_nan":
+                start, stop = item
+                loo[start:stop] = np.nan if out is None else out
+                continue
+            theta, ok, counted = out
+            failures.update(counted)
+            rows = np.array([i for i, _ in item])
+            replicates[rows[ok]] = theta[ok]
+            for (i, attempt), good in zip(item, ok):
+                if not good:
+                    redraw.append((i, attempt + 1))
+                    failed += 1  # one at a time, to break at the same count as the loop
+                    if broke is None and failed > 0.10 * b:
+                        broke = failed
         if broke is not None:
             # the round is finished first, so the causes do not depend on the batching
             raise ResamplingError(
@@ -494,18 +544,14 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     loo = np.empty((n, k))
     if _batched(statistic, n - 1):
         processes = _fork.processes(n * (n - 1), MIN_SHARE_VALUES)
-        spans = _loo_spans(n, processes)
+        runs = [[("loo", span) for span in _loo_spans(n, processes)]]
         failures: Counter = Counter()
         ok = np.empty(n, dtype=bool)
-
-        def evaluate(span):
-            return _leave_one_out(values, statistic, k, span)
-
-        with closing(_fork.ordered(evaluate, spans, processes)) as results:
-            for (start, stop), (theta, chunk_ok, counted) in zip(spans, results):
-                failures.update(counted)
-                loo[start:stop] = theta
-                ok[start:stop] = chunk_ok
+        for _, (start, stop), (theta, span_ok, counted) in _split(
+                _Round(values, statistic, None, k), runs, processes):
+            failures.update(counted)
+            loo[start:stop] = theta
+            ok[start:stop] = span_ok
         if not ok.all():
             raise ResamplingError(
                 f"jackknife refit without observation {int(np.flatnonzero(~ok)[0])} failed; "

@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 import blockmax as bm
+from blockmax import _fork
+
+
+@pytest.fixture(autouse=True)
+def _fresh_workers():
+    """End the resampling workers after each test, so that a test that patches
+    module state gets a worker forked after its patches."""
+    yield
+    _fork.close()
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,13 @@
 ``serial`` forces every split back into one process by making the CPU-count
 probe report one CPU.  ``small_floor`` lowers the work a process must get
 (``resampling.MIN_SHARE_VALUES``) so that the small inputs here fork.  Tests
-that need a child process skip where the fork rule allows only one (one CPU,
-another thread, no ``fork``).
+that need a worker process skip where the fork rule allows only one (one CPU,
+another thread, no ``fork``).  The statistics sent to a worker are defined at
+module level, so that they pickle: one that does not pickle runs here.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -69,6 +71,12 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _no_children_after_close():
+    """A worker outlives its round; ``_fork.close()`` ends it."""
+    _fork.close()
+    _no_children_left()
+
+
 # -- parity ----------------------------------------------------------------------
 
 
@@ -81,7 +89,7 @@ def test_bootstrap_and_jackknife_match_the_serial_run(model, small_floor):
 
     for split, alone in zip(run(), _serially(run)):
         _same_report(split, alone)
-    _no_children_left()
+    _no_children_after_close()
 
 
 def test_bootstrap_redraws_match_the_serial_run(small_floor):
@@ -118,19 +126,22 @@ def test_budget_break_message_matches_the_serial_run(small_floor):
     assert message.startswith("7 of 60 bootstrap replicates failed (limit 10%); causes: eight, nine")
 
 
+class _FailsWithout30(_Flaky):
+    """The refit without observation 30 fails."""
+
+    def rows(self, X, failures):
+        ok = (X == 30.0).any(axis=1)
+        if not ok.all():
+            failures["lost_30"] += int(np.count_nonzero(~ok))
+        return X.mean(axis=1)[:, None], ok
+
+
 def test_jackknife_failures_match_the_serial_run(small_floor):
     values = np.arange(40.0)
 
-    class FailsWithout30(_Flaky):  # the refit without observation 30 fails
-        def rows(self, X, failures):
-            ok = (X == 30.0).any(axis=1)
-            if not ok.all():
-                failures["lost_30"] += int(np.count_nonzero(~ok))
-            return X.mean(axis=1)[:, None], ok
-
     def run():
         with pytest.raises(ResamplingError) as err:
-            jackknife(values, FailsWithout30())
+            jackknife(values, _FailsWithout30())
         return str(err.value)
 
     assert run() == _serially(run) == "jackknife refit without observation 30 failed; causes: lost_30"
@@ -183,18 +194,27 @@ class _InChild:
         return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
 
 
+def _die():
+    os._exit(3)
+
+
+def _warn():
+    warnings.warn("raised in the child", RuntimeWarning)
+
+
 def test_a_child_that_dies_has_its_share_redone(forking):
     x = np.arange(40.0)
-    died = _InChild(lambda: os._exit(3))
+    died = _InChild(_die)
     _same_report(bootstrap(x, died, b=200, seed=1), _serially(lambda: bootstrap(x, died, b=200, seed=1)))
     _same_report(jackknife(x, died), _serially(lambda: jackknife(x, died)))
-    _no_children_left()
+    _no_children_left()  # each dead worker was reaped
 
 
 def test_a_failed_fork_leaves_the_share_to_the_parent(forking, monkeypatch):
     def no_fork():
         raise BlockingIOError("fork refused")
 
+    _fork.close()  # no warm worker: the round must fork
     x = np.arange(40.0)
     alone = _serially(lambda: bootstrap(x, _Shapes(), b=200, seed=3))
     monkeypatch.setattr(os, "fork", no_fork)
@@ -204,52 +224,54 @@ def test_a_failed_fork_leaves_the_share_to_the_parent(forking, monkeypatch):
 
 
 def test_a_warning_in_a_child_reaches_the_parent(forking):
-    def warn():
-        warnings.warn("raised in the child", RuntimeWarning)
-
     with pytest.warns(RuntimeWarning, match="raised in the child"):
-        bootstrap(np.arange(40.0), _InChild(warn), b=200, seed=1)
+        bootstrap(np.arange(40.0), _InChild(_warn), b=200, seed=1)
+
+
+class _LosesObservation30(_Flaky):
+    """Only the refits of the second half of np.arange(40.0) lack 30: they raise."""
+
+    def rows(self, X, failures):
+        if not (X == 30.0).any(axis=1).all():
+            raise KeyError("bug")
+        return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
+
+
+# the last replicate of the first round of B=200, seed 5 on np.arange(40.0): in the child's share
+_LAST = resampling._draw(5, 199, 0, 40)
+
+
+class _BreaksOnTheLastReplicate(_Flaky):
+    def rows(self, X, failures):
+        if (X == _LAST).all(axis=1).any():
+            raise KeyError("bug")
+        return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
 
 
 def test_a_program_error_in_a_child_surfaces_with_its_type(forking):
     values = np.arange(40.0)
-
-    class LosesObservation30(_Flaky):  # only the refits of the second half lack 30
-        def rows(self, X, failures):
-            if not (X == 30.0).any(axis=1).all():
-                raise KeyError("bug")
-            return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
-
     with pytest.raises(ResamplingError, match="without observations 20 to 39") as err:
-        jackknife(values, LosesObservation30())
+        jackknife(values, _LosesObservation30())
     assert isinstance(err.value.__cause__, KeyError)
 
-    # the last replicate of the first round is in the child's share
-    last = resampling._draw(5, 199, 0, values.size)
-
-    class BreaksOnTheLastReplicate(_Flaky):
-        def rows(self, X, failures):
-            if (X == last).all(axis=1).any():
-                raise KeyError("bug")
-            return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
-
     with pytest.raises(KeyError):
-        bootstrap(values, BreaksOnTheLastReplicate(), b=200, seed=5)
-    _no_children_left()
+        bootstrap(values, _BreaksOnTheLastReplicate(), b=200, seed=5)
+    _no_children_left()  # the worker that raised died, and was reaped
+
+
+class _SlowChild(_InChild):
+    def rows(self, X, failures):
+        if os.getpid() == self.parent:
+            raise KeyError("bug")
+        time.sleep(60)
 
 
 def test_an_error_in_the_parents_share_stops_the_children(forking):
-    class SlowChild(_InChild):
-        def rows(self, X, failures):
-            if os.getpid() == self.parent:
-                raise KeyError("bug")
-            time.sleep(60)
-
     start = time.perf_counter()
     with pytest.raises(KeyError):
-        bootstrap(np.arange(40.0), SlowChild(None), b=200, seed=1)
+        bootstrap(np.arange(40.0), _SlowChild(None), b=200, seed=1)
     assert time.perf_counter() - start < 30
-    _no_children_left()
+    _no_children_left()  # the worker was killed and reaped with its round
 
 
 def test_piped_report_output_is_not_duplicated(tmp_path):
@@ -272,6 +294,119 @@ def test_piped_report_output_is_not_duplicated(tmp_path):
     if hasattr(os, "sched_setaffinity"):
         one_cpu = min(os.sched_getaffinity(0))
         assert run(preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu})) == out
+
+
+# -- the worker's life ------------------------------------------------------------
+
+
+def test_a_worker_serves_every_split_round(forking):
+    x = np.arange(40.0)
+    alone = _serially(lambda: bootstrap(x, _Shapes(), b=200, seed=3))
+    stat = _Shapes()
+    _same_report(bootstrap(x, stat, b=200, seed=3), alone)
+    (worker,) = _fork._workers
+    _same_report(jackknife(x, stat), _serially(lambda: jackknife(x, _Shapes())))
+    _same_report(bootstrap(x, stat, b=200, seed=3), alone)
+    assert _fork._workers == [worker]
+    assert stat.lanes == [100, 20, 100]  # the other halves ran in the worker
+    _no_children_after_close()
+
+
+@pytest.mark.parametrize("case", ["standard", "n=12, xi=-0.8"])
+def test_refit_counts_are_those_of_the_serial_run(forking, case):
+    if case == "standard":
+        x, b = STANDARD, 999
+        start = fit_gev(x).theta
+    else:  # most rows fall back from Newton to the full fit, for more than one cause
+        x, b = bm.sample(bm.GevParams(0.0, 1.0, -0.8), 12, seed=5).values, 100
+        start = [0.1, 0.9, -0.3]
+
+    def run():
+        stat = Refit("gev", start=start)
+        if case == "standard":
+            resampling.bootstrap_jackknife(x, stat, b=b, seed=1, labels=LABELS)
+        else:
+            bootstrap(x, stat, b=b, seed=1, labels=LABELS)
+        return stat.counts
+
+    split = run()
+    assert _fork._workers  # a worker ran part of it
+    alone = _serially(run)
+    assert split == alone
+    assert split["newton"] > 0 and split["steps"] > split["newton"]
+    if case != "standard":
+        assert split["indefinite"] > 0 and split["nonregular"] > 0  # fallbacks by cause
+
+
+def test_a_statistic_that_does_not_pickle_runs_here(forking):
+    class Local(_Shapes):
+        pass
+
+    x = np.arange(40.0)
+    stat = Local()
+    _same_report(bootstrap(x, stat, b=200, seed=3), _serially(lambda: bootstrap(x, _Shapes(), b=200, seed=3)))
+    assert stat.lanes == [100, 100] and not _fork._workers
+
+
+def test_workers_exit_on_their_closed_pipes(forking, monkeypatch):
+    # three processes: the second worker must not hold the first one's pipe open
+    monkeypatch.setattr(_fork, "cpus", lambda: 3)
+    x = np.arange(60.0)
+    alone = _serially(lambda: bootstrap(x, _Shapes(), b=300, seed=3))
+    _same_report(bootstrap(x, _Shapes(), b=300, seed=3), alone)
+    assert len(_fork._workers) == 2
+    killed = []
+    kill = _fork._kill
+    monkeypatch.setattr(_fork, "_kill", lambda pid: (killed.append(pid), kill(pid)))
+    _no_children_after_close()
+    assert killed == []
+
+
+def test_a_forked_caller_forks_its_own_worker(forking):
+    x = np.arange(40.0)
+    alone = _serially(lambda: bootstrap(x, _Shapes(), b=200, seed=3))
+    bootstrap(x, _Shapes(), b=200, seed=3)
+    (worker,) = _fork._workers
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            inherited = len(_fork._workers)
+            report = bootstrap(x, _Shapes(), b=200, seed=3)
+            own = [w.pid for w in _fork._workers]
+            _fork.close()
+            with open(write, "wb") as out:
+                pickle.dump((inherited, own, _bits(report.se)), out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        sent = pipe.read()
+    assert os.waitpid(pid, 0)[1] == 0
+    inherited, own, se = pickle.loads(sent)
+    assert inherited == 0 and len(own) == 1 and own[0] not in (worker.pid, pid)
+    assert se == _bits(alone.se)
+    _same_report(bootstrap(x, _Shapes(), b=200, seed=3), alone)  # the parent's worker still serves
+    assert _fork._workers == [worker]
+    _no_children_after_close()
+
+
+def test_a_worker_is_gone_when_its_process_exits(forking):
+    script = ("import numpy as np; from blockmax import _fork, resampling; "
+              "from blockmax.inference import Refit; resampling.MIN_SHARE_VALUES = 1; "
+              "x = np.random.default_rng(1).gumbel(80.0, 20.0, 129); "
+              "resampling.bootstrap(x, Refit('gev'), b=99, seed=1); "
+              "print(*[w.pid for w in _fork._workers])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (pid,) = map(int, proc.stdout.split())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 # -- batching and the fork rule ---------------------------------------------------
@@ -298,17 +433,20 @@ def test_batches_are_balanced(serial):
     assert resampling._chunk_spans(999, 508, 2) == _fork.spans(999, 2) == [(0, 500), (500, 999)]
 
 
-def test_the_standard_jackknife_stays_in_one_process(monkeypatch):
+def test_the_standard_jackknife_splits_and_a_small_bootstrap_does_not(monkeypatch):
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
     if _fork.processes(2, 1) == 1:
         pytest.skip("fork is unavailable or another thread runs here")
     stat = _Shapes()
     jackknife(STANDARD, stat)
-    assert stat.lanes == [129]  # all of it here
+    assert stat.lanes == [65]  # the other 64 rows ran in the worker
     stat.lanes.clear()
     bootstrap(STANDARD, stat, b=999, seed=0)
-    assert stat.lanes == [500]  # the other batch ran in a child
-    _no_children_left()
+    assert stat.lanes == [500]  # the other batch ran in the worker
+    stat.lanes.clear()
+    bootstrap(STANDARD, stat, b=80, seed=0)
+    assert stat.lanes == [80]  # below the floor: all of it here
+    _no_children_after_close()
 
 
 def test_spans_cover_the_range_in_near_equal_pieces():
@@ -329,7 +467,9 @@ def test_the_fork_rule(monkeypatch):
     assert _fork.processes(20, 8) == 2  # every process gets at least 8 units
     assert _fork.processes(15, 8) == 1
     floor = resampling.MIN_SHARE_VALUES  # in resampled values, rows x n
-    assert _fork.processes(129 * 128, floor) == 1  # the jackknife of n=129
+    assert _fork.processes(129 * 128, floor) == 2  # the jackknife of n=129
+    assert _fork.processes(99 * 129, floor) == 2  # bootstrap B=99 at n=129
+    assert _fork.processes(80 * 129, floor) == 1  # bootstrap B=80 at n=129
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
     assert _fork.processes(999 * 129, floor) == 2  # bootstrap B=999 at n=129
     monkeypatch.setattr(_fork, "cpus", lambda: 1)
