@@ -52,6 +52,18 @@ first alternating from seed to seed, and adds the pairs and their
 summary (medians, quartiles, the pairs each side won) to FILE under
 ``perfbench_pairs``.
 
+``--memory-json FILE --seeds A-B`` runs perfbench report-standard for
+``--seconds`` in the checkout of ``--src`` and in this one for each seed,
+reads ``/proc`` of the perfbench process and of its forked children (the
+resampling workers, or the per-round children) every MEMORY_POLL_S, and
+adds to FILE under ``memory``, per run, the last sample of the timed loop
+that had a forked child, and each field's largest value over the loop:
+``VmRSS``, ``RssAnon`` and ``VmHWM`` from ``status``, and ``Pss`` and the
+private pages from ``smaps_rollup``.  A sample is in the timed loop while
+the perfbench process's ``VmHWM`` is within 0.5 MB of the ``peak_rss_mb``
+it reports, which it reads as the loop ends; the checks after the loop
+take more memory.
+
 With ``--layers-json`` each tree (this one as "change", ``--src`` as
 "parent") runs in fresh interpreters, the sides alternating, REPEATS times,
 and the file gets the medians with the host facts.  The first run of each
@@ -110,6 +122,8 @@ WORKER_CALLS = 15
 # per process kept in one process: the jackknife alone and bootstrap B=99-299
 FLOOR_STAGES = {"jackknife": (0, True), **{f"bootstrap_b{b}": (b, False) for b in range(99, 300, 50)}}
 ROOT = Path(__file__).resolve().parent.parent
+# seconds between two samples of /proc in the memory report
+MEMORY_POLL_S = 0.2
 
 
 def best_of(fn, repeats=5, inner=200):
@@ -794,6 +808,84 @@ def perfbench_pairs(workload, seeds, seconds, src) -> dict:
     }
 
 
+def _proc_memory(pid) -> dict:
+    """MB of ``pid``: VmRSS, RssAnon, VmHWM, and Pss and private pages from smaps_rollup."""
+    out = {}
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            key, _, value = line.partition(":")
+            if key in ("VmRSS", "RssAnon", "VmHWM"):
+                out[key] = int(value.split()[0]) / 1024.0
+    with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as handle:
+        rollup = {key: int(value.split()[0]) / 1024.0 for key, _, value in
+                  (line.partition(":") for line in handle) if value.strip().endswith("kB")}
+    out["Pss"] = rollup["Pss"]
+    out["Private"] = rollup["Private_Clean"] + rollup["Private_Dirty"]
+    return out
+
+
+def _forked_children(pid) -> list:
+    """The children of ``pid`` that it forked without exec (same command line)."""
+    def cmdline(p):
+        with open(f"/proc/{p}/cmdline", "rb") as handle:
+            return handle.read()
+
+    with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as handle:
+        children = [int(c) for c in handle.read().split()]
+    own = cmdline(pid)
+    return [c for c in children if cmdline(c) == own]
+
+
+def memory_run(root, seed, seconds) -> dict:
+    """perfbench report-standard in ``root``, its process and forked children
+    sampled from ``/proc`` every MEMORY_POLL_S (see the module docstring)."""
+    proc = subprocess.Popen([sys.executable, "perfbench/run.py", "--workload", "report-standard",
+                             "--seed", str(seed), "--seconds", str(seconds)],
+                            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    samples = []
+    while proc.poll() is None:
+        try:
+            children = _forked_children(proc.pid)
+            samples.append({"parent": _proc_memory(proc.pid),
+                            "children": [_proc_memory(c) for c in children]})
+        except (FileNotFoundError, ProcessLookupError, KeyError):
+            pass  # a process ended while it was read
+        time.sleep(MEMORY_POLL_S)
+    result = json.loads(proc.stdout.read().strip().splitlines()[-1])
+    peak_rss_mb = result["metrics"]["peak_rss_mb"]["value"]
+    loop = [s for s in samples if s["parent"]["VmHWM"] <= peak_rss_mb + 0.5]
+    with_child = [s for s in loop if s["children"]]
+    largest = {}
+    for sample in with_child:
+        for who, memory in (("parent", sample["parent"]), *(("child", c) for c in sample["children"])):
+            for key, value in memory.items():
+                largest.setdefault(who, {})[key] = max(largest.get(who, {}).get(key, 0.0), value)
+    return {"seed": seed, "peak_rss_mb": peak_rss_mb,
+            "jobs_per_s": result["metrics"]["jobs_per_s"]["value"],
+            "samples_in_loop": len(loop), "samples_with_a_child": len(with_child),
+            "last_with_a_child": with_child[-1] if with_child else None, "largest": largest}
+
+
+def compare_memory(seeds, seconds, src) -> dict:
+    """memory_run of ``src`` ("parent") and of this tree ("change") for each seed, alternating."""
+    roots = {side: tree.parent for side, tree in _trees(src).items()}
+    runs = {side: [] for side in roots}
+    for k, seed in enumerate(seeds):
+        for side in (list(roots) if k % 2 == 0 else list(roots)[::-1]):
+            runs[side].append(memory_run(roots[side], seed, seconds))
+            print(f"memory seed {seed} {side} done", file=sys.stderr)
+    return {
+        "command": f"python3 perfbench/run.py --workload report-standard --seed S --seconds "
+                   f"{seconds:g}, its /proc read every {MEMORY_POLL_S:g} s",
+        "fields": "MB; VmRSS, RssAnon, VmHWM from /proc/<pid>/status; Pss and Private "
+                  "(Private_Clean + Private_Dirty) from /proc/<pid>/smaps_rollup; parent: the "
+                  "perfbench process, child: a process it forked (a resampling worker, or a "
+                  "per-round child); peak_rss_mb is perfbench's own (RUSAGE_SELF)",
+        "host": _host(),
+        "runs": runs,
+    }
+
+
 def _print(table: dict, indent=""):
     for key, value in table.items():
         if isinstance(value, dict):
@@ -813,6 +905,8 @@ if __name__ == "__main__":
                         help="write the worker report of this tree (and of --src) to this file")
     parser.add_argument("--pairs-json", default=None,
                         help="add perfbench pairs of this tree and --src to this file")
+    parser.add_argument("--memory-json", default=None,
+                        help="add the memory of perfbench runs of this tree and --src to this file")
     parser.add_argument("--workload", default="report-standard", help="perfbench workload of the pairs")
     parser.add_argument("--seeds", default=None, help="perfbench seeds of the pairs, A-B")
     parser.add_argument("--seconds", type=float, default=50.0, help="seconds per perfbench run")
@@ -826,8 +920,9 @@ if __name__ == "__main__":
         path = Path(args.worker_json)
         kept = json.loads(path.read_text()) if path.exists() else {}
         report = compare_worker(path.stem.removeprefix("BENCH_"), args.src)
-        if "perfbench_pairs" in kept:
-            report["perfbench_pairs"] = kept["perfbench_pairs"]
+        for key in ("perfbench_pairs", "memory"):
+            if key in kept:
+                report[key] = kept[key]
         path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     elif args.pairs_json is not None:
@@ -838,6 +933,15 @@ if __name__ == "__main__":
         report = json.loads(path.read_text()) if path.exists() else {}
         report.setdefault("perfbench_pairs", {})[args.workload] = perfbench_pairs(
             args.workload, list(range(first, last + 1)), args.seconds, args.src)
+        path.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    elif args.memory_json is not None:
+        if args.src is None or args.seeds is None:
+            parser.error("--memory-json needs --src and --seeds")
+        first, last = map(int, args.seeds.split("-"))
+        path = Path(args.memory_json)
+        report = json.loads(path.read_text()) if path.exists() else {}
+        report["memory"] = compare_memory(list(range(first, last + 1)), args.seconds, args.src)
         path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     elif args.passes_json is not None:

@@ -24,9 +24,14 @@ else (``os.register_at_fork``) drops the workers it inherited, without
 touching them, and forks its own when it splits.
 
 A worker runs ``fn`` in the state this process had when the worker was
-forked, apart from the warning filters, which go with every request: module
-state patched since then is not seen there.  Side effects of ``fn`` in a
-worker, other than warnings, do not reach this process.  A worker ends with
+forked, apart from the warning filters and numpy's error state
+(``np.seterr``), which go with every request: module state patched since
+then is not seen there.  The classes and functions a request names by
+reference must be the objects the worker has under those names: one
+redefined or reloaded here since the fork (a notebook cell run again,
+``importlib.reload``) ends the worker, the group runs here, and the next
+round forks a fresh worker.  Side effects of ``fn`` in a worker, other than
+warnings, do not reach this process.  A worker ends with
 ``os._exit``: it flushes no inherited output buffer and runs no exit
 handler, so nothing the parent printed is written twice.
 
@@ -40,6 +45,8 @@ returns 1 and :func:`ordered` is a plain loop that starts no worker.
 from __future__ import annotations
 
 import atexit
+import contextlib
+import io
 import os
 import pickle
 import signal
@@ -102,10 +109,16 @@ def ordered(fn, items, processes: int = 1):
 
 def _send(fn, group):
     """The worker now running ``fn`` over ``group``, or None where the group runs here."""
+    numpy = sys.modules.get("numpy")
+    errstate = None if numpy is None else (numpy.geterr(), numpy.geterrcall())
+    buffer = io.BytesIO()
+    pickler = _Naming(buffer)
     try:
-        request = pickle.dumps((fn, group, warnings.filters), pickle.HIGHEST_PROTOCOL)
+        pickler.dump((fn, group, warnings.filters, errstate))
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
+    pickle.dump({id(obj) for obj in pickler.given}, buffer, pickle.HIGHEST_PROTOCOL)
+    request = buffer.getbuffer()
     worker = next((w for w in _workers if not w.busy), None) or _Worker.fork()
     if worker is not None and worker.send(request):
         return worker
@@ -191,14 +204,47 @@ class _Worker:
         self.results.close()
 
 
+class _Naming(pickle.Pickler):
+    """A pickler that keeps every object it is given other than the builtin
+    numbers, strings and containers: all that it writes by name among them."""
+
+    def __init__(self, file):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.given = []
+
+    def reducer_override(self, obj):
+        self.given.append(obj)
+        return NotImplemented
+
+
+class _Resolving(pickle.Unpickler):
+    """An unpickler that notes the id of each object it looks up by name."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.found = set()
+
+    def find_class(self, module, name):
+        obj = super().find_class(module, name)
+        self.found.add(id(obj))
+        return obj
+
+
 def _serve(requests, results):
-    """The worker's loop: run each request's group and send back its results, until EOF."""
+    """The worker's loop: run each request's group and send back its results, until EOF.
+
+    A request whose names resolve here to other objects than in the parent
+    (a fork keeps every address, so an object unchanged since the fork has
+    the same id in both) ends the loop, and with it the worker."""
     while True:
+        loader = _Resolving(requests)
         try:
-            fn, group, filters = pickle.load(requests)
+            fn, group, filters, errstate = loader.load()
         except EOFError:
             return  # the parent closed the pipe, or died
-        with warnings.catch_warnings(record=True) as caught:
+        if not loader.found <= pickle.load(requests):
+            return  # redefined or reloaded in the parent since the fork
+        with warnings.catch_warnings(record=True) as caught, _numpy_errors(errstate):
             warnings.filters[:] = filters
             for item in group:
                 result = fn(item)
@@ -206,6 +252,16 @@ def _serve(requests, results):
                 pickle.dump((result, raised), results, pickle.HIGHEST_PROTOCOL)
                 results.flush()
                 caught.clear()
+
+
+def _numpy_errors(errstate):
+    """numpy's error state ``(np.geterr(), np.geterrcall())`` of the parent, as a context."""
+    if errstate is None:
+        return contextlib.nullcontext()
+    import numpy
+
+    handling, call = errstate
+    return numpy.errstate(call=call, **handling)
 
 
 def _reap(pid, block):

@@ -26,7 +26,9 @@ serial run.  A worker is forked at the first round that splits and serves
 every later one; it is killed when a round ends early or it dies (the next
 split forks another), it is reaped at exit, and a process forked from the
 caller does not share it.  A ``rows`` method may therefore run in a worker,
-in the module state of the moment that worker was forked: its side effects
+in the module state of the moment that worker was forked (apart from the
+warning filters and numpy's error state, and a statistic whose class was
+redefined since then, which :mod:`blockmax._fork` handles): its side effects
 there, other than warnings and the tallies of a ``counts`` Counter
 attribute (which come back and are added to the caller's statistic), are
 not seen by the caller.  A statistic that does not pickle runs all its
@@ -86,14 +88,16 @@ CHUNK_ELEMENTS = 65_536
 # of each row on either path.
 MAX_BATCHED_N = 10_000
 # Fewest resampled values (rows x n) per process for which splitting a round
-# pays.  With the worker process warm, on a 2-vCPU Xeon VM, Newton refits at
-# n=129 were faster split over two CPUs than in one process at every size
-# timed, in 74-81% of paired calls: the jackknife alone (129 x 128 values)
-# 3.7 against 4.0 ms, bootstrap B=99 (12 771 values) 5.62 against 5.64 ms,
-# B=149-299 by 0.1-0.7 ms (medians over ten inputs, BENCH_worker.json).  The
-# floor is B=99's share of 6 386 values, rounded down; smaller rounds stay in
-# one process.
-MIN_SHARE_VALUES = 6_000
+# is kept.  On a 2-vCPU Xeon VM a forked round of Newton refits at n=129 was
+# slower than one process at every size below about 65 000 values in all.
+# With the worker warm, a split of the jackknife alone (129 x 128 values)
+# took 3.7 against 4.0 ms and bootstrap B=99 5.62 against 5.64 ms, within
+# the noise, slower in several inputs (medians over ten inputs,
+# BENCH_worker.json); the first split of a process still pays a whole fork,
+# which was not timed, and no benchmark workload runs rounds of that size.
+# So the floor stays: the jackknife of n=129 alone runs in one process, and
+# bootstrap B=999 at n=129 on two CPUs.
+MIN_SHARE_VALUES = 40_000
 
 
 class ResamplingError(Exception):

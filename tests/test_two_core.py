@@ -409,6 +409,56 @@ def test_a_worker_is_gone_when_its_process_exits(forking):
         os.kill(pid, 0)
 
 
+class _LogOfZeroOnTheLastReplicate(_Flaky):
+    """Takes log(0) on the last replicate of B=200, seed 5 only: in the worker's share."""
+
+    def rows(self, X, failures):
+        last = (X == _LAST).all(axis=1)
+        np.log(0.0 * X[last, 0])
+        return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
+
+
+def test_numpy_error_state_set_after_the_fork_holds_in_the_worker(forking):
+    x = np.arange(40.0)
+    stat = _LogOfZeroOnTheLastReplicate()
+    with np.errstate(divide="raise"):
+        bootstrap(x, _Shapes(), b=200, seed=5)  # the worker is forked raising
+    (worker,) = _fork._workers
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        _same_report(bootstrap(x, stat, b=200, seed=5),
+                     _serially(lambda: bootstrap(x, stat, b=200, seed=5)))
+    assert _fork._workers == [worker]  # it warned there, as here, and did not fail
+
+    _fork.close()
+    bootstrap(x, _Shapes(), b=200, seed=5)  # a worker forked warning
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        bootstrap(x, stat, b=200, seed=5)
+    _no_children_left()  # it raised there, and was reaped
+
+
+class _Shifted(_Flaky):
+    shift = 0.0
+
+    def rows(self, X, failures):
+        return X.mean(axis=1)[:, None] + self.shift, np.ones(X.shape[0], dtype=bool)
+
+
+def test_a_class_redefined_after_the_fork_is_not_run_stale(forking, monkeypatch):
+    x = np.arange(40.0)
+    bootstrap(x, _Shifted(), b=200, seed=3)
+    (worker,) = _fork._workers
+    # as a notebook cell run again, or importlib.reload, would redefine it
+    redefined = type("_Shifted", (_Flaky,), {"shift": 1.0, "rows": _Shifted.rows,
+                                             "__module__": __name__, "__qualname__": "_Shifted"})
+    monkeypatch.setattr(sys.modules[__name__], "_Shifted", redefined)
+    alone = _serially(lambda: bootstrap(x, redefined(), b=200, seed=3))
+    _same_report(bootstrap(x, redefined(), b=200, seed=3), alone)
+    assert not _fork._workers  # the stale worker ended, and its share ran here
+    _no_children_left()
+    _same_report(bootstrap(x, redefined(), b=200, seed=3), alone)
+    assert len(_fork._workers) == 1 and _fork._workers[0].pid != worker.pid
+
+
 # -- batching and the fork rule ---------------------------------------------------
 
 
@@ -433,19 +483,16 @@ def test_batches_are_balanced(serial):
     assert resampling._chunk_spans(999, 508, 2) == _fork.spans(999, 2) == [(0, 500), (500, 999)]
 
 
-def test_the_standard_jackknife_splits_and_a_small_bootstrap_does_not(monkeypatch):
+def test_the_standard_jackknife_stays_in_one_process(monkeypatch):
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
     if _fork.processes(2, 1) == 1:
         pytest.skip("fork is unavailable or another thread runs here")
     stat = _Shapes()
     jackknife(STANDARD, stat)
-    assert stat.lanes == [65]  # the other 64 rows ran in the worker
+    assert stat.lanes == [129]  # all of it here
     stat.lanes.clear()
     bootstrap(STANDARD, stat, b=999, seed=0)
     assert stat.lanes == [500]  # the other batch ran in the worker
-    stat.lanes.clear()
-    bootstrap(STANDARD, stat, b=80, seed=0)
-    assert stat.lanes == [80]  # below the floor: all of it here
     _no_children_after_close()
 
 
@@ -467,9 +514,7 @@ def test_the_fork_rule(monkeypatch):
     assert _fork.processes(20, 8) == 2  # every process gets at least 8 units
     assert _fork.processes(15, 8) == 1
     floor = resampling.MIN_SHARE_VALUES  # in resampled values, rows x n
-    assert _fork.processes(129 * 128, floor) == 2  # the jackknife of n=129
-    assert _fork.processes(99 * 129, floor) == 2  # bootstrap B=99 at n=129
-    assert _fork.processes(80 * 129, floor) == 1  # bootstrap B=80 at n=129
+    assert _fork.processes(129 * 128, floor) == 1  # the jackknife of n=129
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
     assert _fork.processes(999 * 129, floor) == 2  # bootstrap B=999 at n=129
     monkeypatch.setattr(_fork, "cpus", lambda: 1)
