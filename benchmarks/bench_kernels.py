@@ -52,6 +52,15 @@ first alternating from seed to seed, and adds the pairs and their
 summary (medians, quartiles, the pairs each side won) to FILE under
 ``perfbench_pairs``.
 
+``--one-path-json FILE`` writes the ``one_path`` report of this tree: the
+crossover cases above 10 000 values (bootstrap B=999 at n = 10 001, 20 000
+and 50 000, and the jackknife at n = 12 000; see ``_paths``), each timed in
+ONE_PATH_PAIRS alternating pairs of the loop and the batched path, the path
+that runs first alternating from pair to pair, on one CPU (pinned, as
+``taskset -c 0``) and on every CPU.  Per case it holds the seconds of every
+run, each path's median and quartiles, the pairs each path won, and the se
+bits of both paths.
+
 ``--memory-json FILE --seeds A-B`` runs perfbench report-standard for
 ``--seconds`` in the checkout of ``--src`` and in this one for each seed,
 reads ``/proc`` of the perfbench process and of its forked children (the
@@ -70,10 +79,11 @@ and the file gets the medians with the host facts.  The first run of each
 tree also takes the slow parts, on one CPU: a straggler sweep of small,
 strongly bounded or heavy-tailed samples (wall time, outcomes and refit
 counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
-50 000 through the batched path and through the one-at-a-time loop, the
-heavy-tailed profile sweep (xi and the 100-block level of GEV(0, 1, 0.3)
-samples of 40 and GEV(0, 1, 0.4) samples of 30, seeds 0-17), timed on one
-CPU and, where the process may use two, again on every CPU.  With ``--src``
+50 000 and the jackknife at n = 12 000 through the batched path and through
+the one-at-a-time loop, the heavy-tailed profile sweep (xi and the
+100-block level of GEV(0, 1, 0.3) samples of 40 and GEV(0, 1, 0.4) samples
+of 30, seeds 0-17), timed on one CPU and, where the process may use two,
+again on every CPU.  With ``--src``
 the file also gets the agreement of the two trees' heavy sweeps: interval
 shifts, worse optima and fallbacks by cause.
 ``best_of`` is also the kernel timer of ``perfbench/run.py``.
@@ -100,6 +110,11 @@ from blockmax import _core
 REPEATS = 5
 SIZES = (129, 2000, 10_000)
 CROSS_SIZES = (2048, 4096, 8192, 10_000, 20_000, 50_000)
+# the crossover's jackknife: leave-one-out rows above 10 000 values
+JACKKNIFE_N = 12_000
+# the one-path report: its bootstrap sizes, and its pairs per method
+ONE_PATH_SIZES = (10_001, 20_000, 50_000)
+ONE_PATH_PAIRS = {"bootstrap": 5, "jackknife": 3}
 # (n, xi, seeds): samples where refits fail or straggle
 SWEEP = ((12, -0.8, range(10)), (12, 0.5, range(10)), (15, 1.0, range(10)))
 SWEEP_B = 400
@@ -217,30 +232,96 @@ def _sweep() -> dict:
     return {"wall_s": wall, "samples": dict(outcome), "counts": dict(counts)}
 
 
+def _paths(method, n) -> dict:
+    """``{"loop": run, "batched": run}`` of one crossover case, each ``run()``
+    returning its report: ``bm.sample(GevParams(79, 21, 0.1), n, seed=7)``
+    refit from its estimate, by bootstrap B=999 seed 3 or by the jackknife.
+    The loop is the same refit with ``.rows`` hidden, as a plain callable."""
+    values = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
+    fit = bm.fit_gev(values)
+    refit = bm.workflow.Refit(fit.model, start=fit.theta)
+
+    def run(statistic):
+        if method == "bootstrap":
+            return bm.bootstrap(values, statistic, b=999, seed=3)
+        return bm.jackknife(values, statistic)
+
+    return {"loop": lambda: run(lambda v: refit(v)), "batched": lambda: run(refit)}
+
+
+def _se_bits(report) -> str:
+    return " ".join(float(v).hex() for v in report.se)
+
+
 def _crossover() -> dict:
-    """Bootstrap B=999 of long samples, the batched path against the loop: seconds
-    per path and the se bits (float.hex), which the two paths must share.  The
-    loop is the same refit with ``.rows`` hidden, as a plain callable; the
-    batched path is timed above ``MAX_BATCHED_N`` too, by raising the limit."""
-    resampling = bm.resampling
-    limit = resampling.MAX_BATCHED_N
-    resampling.MAX_BATCHED_N = max(CROSS_SIZES)
+    """Bootstrap B=999 of long samples and the jackknife at n = JACKKNIFE_N,
+    the batched path against the loop (see :func:`_paths`): seconds per path
+    and the se bits, which the two paths must share.  A tree that sends long
+    samples to the loop runs the loop on both paths there."""
+    out = {}
+    for method, n in [("bootstrap", n) for n in CROSS_SIZES] + [("jackknife", JACKKNIFE_N)]:
+        key = f"n{n}" if method == "bootstrap" else f"jackknife_n{n}"
+        reports = {}
+        for path, run in _paths(method, n).items():
+            t0 = time.perf_counter()
+            reports[path] = run()
+            out[f"{key}.{path}_s"] = time.perf_counter() - t0
+        assert _se_bits(reports["loop"]) == _se_bits(reports["batched"]), key
+        out[f"{key}.se"] = _se_bits(reports["batched"])
+    return out
+
+
+def _quartiles(values) -> list:
+    q = statistics.quantiles(values, n=4)
+    return [q[0], q[2]]
+
+
+def one_path() -> dict:
+    """The one-path report of this tree: see the module docstring."""
+    every = os.sched_getaffinity(0)
+    cases = [("bootstrap", n) for n in ONE_PATH_SIZES] + [("jackknife", JACKKNIFE_N)]
     out = {}
     try:
-        for n in CROSS_SIZES:
-            values = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
-            fit = bm.fit_gev(values)
-            refit = bm.workflow.Refit(fit.model, start=fit.theta)
-            reports = []
-            for path, statistic in (("loop", lambda v: refit(v)), ("batched", refit)):
-                t0 = time.perf_counter()
-                reports.append(bm.bootstrap(values, statistic, b=999, seed=3))
-                out[f"n{n}.{path}_s"] = time.perf_counter() - t0
-            assert reports[0].se.tobytes() == reports[1].se.tobytes(), n
-            out[f"n{n}.se"] = " ".join(float(v).hex() for v in reports[1].se)
+        for label, mask in (("one_cpu", {min(every)}), ("all_cpus", every)):
+            os.sched_setaffinity(0, mask)
+            for method, n in cases:
+                paths = _paths(method, n)
+                seconds = {"loop": [], "batched": []}
+                se = {"loop": set(), "batched": set()}
+                for pair in range(ONE_PATH_PAIRS[method]):
+                    for path in (("loop", "batched") if pair % 2 == 0 else ("batched", "loop")):
+                        t0 = time.perf_counter()
+                        report = paths[path]()
+                        seconds[path].append(time.perf_counter() - t0)
+                        se[path].add(_se_bits(report))
+                loop, batched = seconds["loop"], seconds["batched"]
+                out[f"{label}.{method}_n{n}"] = {
+                    "loop_s": loop, "batched_s": batched,
+                    "loop_median_s": statistics.median(loop), "loop_quartiles_s": _quartiles(loop),
+                    "batched_median_s": statistics.median(batched),
+                    "batched_quartiles_s": _quartiles(batched),
+                    "batched_faster_in": sum(b < a for a, b in zip(loop, batched)),
+                    "loop_faster_in": sum(a < b for a, b in zip(loop, batched)),
+                    "se_bits": {path: sorted(bits) for path, bits in se.items()},
+                    "same_se_bits": len(se["loop"] | se["batched"]) == 1,
+                }
+                print(f"{label} {method} n={n} done", file=sys.stderr)
     finally:
-        resampling.MAX_BATCHED_N = limit
-    return out
+        os.sched_setaffinity(0, every)
+    return {
+        "label": "one_path",
+        "command": "PYTHONPATH=src python benchmarks/bench_kernels.py --one-path-json BENCH_one_path.json",
+        "cores": "one_cpu: pinned to one CPU, as taskset -c 0 (no split); all_cpus: the "
+                 f"{len(every)} CPUs the process may use",
+        "host": _host(),
+        "input": "bm.sample(GevParams(79, 21, 0.1), n, seed=7), refit by Refit('gev', "
+                 "start=fit_gev(values).theta); bootstrap B=999 seed 3, or the jackknife; loop: "
+                 "the same refit as a plain callable",
+        "statistic": f"pairs per case {ONE_PATH_PAIRS}, in one process, the path that runs "
+                     "first alternating from pair to pair; quartiles by statistics.quantiles(n=4); "
+                     "*_faster_in counts pairs, ties for neither",
+        "results": out,
+    }
 
 
 def _profile_runs(values, fit, n_grid=100):
@@ -672,7 +753,8 @@ def compare(label, src=None) -> dict:
                  "README series; kernels: bm.sample(GevParams(80, 20, -0.05), n, seed=1); sweep: "
                  f"bm.sample(GevParams(0, 1, xi), n, seed) for (n, xi) in "
                  f"{[(n, xi) for n, xi, _ in SWEEP]}, seeds 0-9, bootstrap B={SWEEP_B}; crossover: "
-                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3; profiles: "
+                 "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3 and the "
+                 f"jackknife at n={JACKKNIFE_N}; profiles: "
                  "bm.sample(GevParams(79, 21, 0.1), n=129, seed=1); heavy sweep: "
                  f"bm.sample(GevParams(0, 1, xi), n, seed) for (xi, n) in {list(HEAVY)}, seeds 0-17",
         "statistic": f"median of {REPEATS} runs per tree, each in a fresh interpreter, the trees "
@@ -905,6 +987,8 @@ if __name__ == "__main__":
                         help="write the worker report of this tree (and of --src) to this file")
     parser.add_argument("--pairs-json", default=None,
                         help="add perfbench pairs of this tree and --src to this file")
+    parser.add_argument("--one-path-json", default=None,
+                        help="write the one-path report of this tree to this file")
     parser.add_argument("--memory-json", default=None,
                         help="add the memory of perfbench runs of this tree and --src to this file")
     parser.add_argument("--workload", default="report-standard", help="perfbench workload of the pairs")
@@ -925,6 +1009,9 @@ if __name__ == "__main__":
                 report[key] = kept[key]
         path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}", file=sys.stderr)
+    elif args.one_path_json is not None:
+        Path(args.one_path_json).write_text(json.dumps(one_path(), indent=2) + "\n")
+        print(f"wrote {args.one_path_json}", file=sys.stderr)
     elif args.pairs_json is not None:
         if args.src is None or args.seeds is None:
             parser.error("--pairs-json needs --src and --seeds")

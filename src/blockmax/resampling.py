@@ -8,13 +8,12 @@ verdict helpers built on the quarter-of-a-standard-error rule of thumb.
 A statistic with a ``rows(X, failures)`` method, which returns
 ``(theta, ok)`` for the rows of ``X`` and adds the cause of each failed row
 to the ``failures`` Counter (such as :class:`blockmax.inference.Refit`), is
-evaluated in batches: the resampled samples are gathered into the rows of a
-matrix of about ``CHUNK_ELEMENTS`` values, and each batch is one ``rows``
-call.  A batch's index matrix is drawn in one pass (:func:`_draws`), bit
-for bit the per-replicate streams of :func:`_draw`, so the samples are the
-same as in the one-at-a-time loop used for plain callables, and the reports
-are identical.  Samples longer than ``MAX_BATCHED_N`` go through the loop as
-well.
+evaluated in batches at every sample size: the resampled samples are
+gathered into the rows of a matrix of about ``CHUNK_ELEMENTS`` values, and
+each batch is one ``rows`` call.  A batch's index matrix is drawn in one
+pass (:func:`_draws`), bit for bit the per-replicate streams of
+:func:`_draw`, so the samples are the same as in the one-at-a-time loop used
+for plain callables, and the reports are identical.
 
 The batches of a round are near-equal, at least one per process, and are
 split between this process and its worker processes wherever every process
@@ -79,14 +78,6 @@ CORRECT_MAX = 1.0
 # iteration has a fixed cost, and a batch runs as many iterations as its
 # slowest lane; wide batches pay both fewer times.
 CHUNK_ELEMENTS = 65_536
-# Longest sample that is resampled in batches; longer ones are passed to the
-# statistic one sample at a time.  On one CPU of a 2-vCPU Xeon VM, bootstrap
-# B=999 of a GEV sample with Newton refits from the estimate took 0.40 s
-# batched against 1.34 s in the loop at n=2048, and 2.09 s against 2.48 s at
-# n=10 000 (6 rows per batch); longer samples were not timed.  See
-# BENCH_newton.json.  Refit(model) without a start runs the full-sample fit
-# of each row on either path.
-MAX_BATCHED_N = 10_000
 # Fewest resampled values (rows x n) per process for which splitting a round
 # is kept.  On a 2-vCPU Xeon VM a forked round of Newton refits at n=129 was
 # slower than one process at every size below about 65 000 values in all.
@@ -200,11 +191,6 @@ def _lanes(n: int) -> int:
     return max(1, CHUNK_ELEMENTS // n)
 
 
-def _batched(statistic, n: int) -> bool:
-    """Whether samples of size n go through ``statistic.rows``."""
-    return hasattr(statistic, "rows") and n <= MAX_BATCHED_N
-
-
 def _chunk_spans(rows: int, lanes: int, processes: int) -> list[tuple[int, int]]:
     """Near-equal batches of about ``lanes`` rows, at least one per process."""
     return _fork.spans(rows, max(processes, round(rows / lanes)))
@@ -250,9 +236,13 @@ def _draws(seed: int, chunk, n: int) -> np.ndarray:
     each 32-bit half (low first) to ``(u * n) >> 32`` (Lemire's bound) and
     rejects a draw whose low product word is below :func:`_lemire_threshold`;
     a lane with a rejected draw, or whose i or attempt takes more than one
-    word, goes through :func:`_draw`.
+    word, goes through :func:`_draw`, and so does a chunk of one lane, which
+    would pay the hash's fixed cost alone: every batch of a sample longer
+    than ``CHUNK_ELEMENTS // 2`` values is one.
     """
     lanes = len(chunk)
+    if lanes == 1:
+        return _draw(seed, *chunk[0], n)[None, :]
     index = np.array([i for i, _ in chunk], dtype=np.int64)
     attempt = np.array([a for _, a in chunk], dtype=np.int64)
     wide = (index > _MASK32) | (attempt > _MASK32)
@@ -353,7 +343,7 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
 
     replicates = np.empty((b, estimate.size))
     failures: Counter = Counter()
-    if _batched(statistic, values.size):
+    if hasattr(statistic, "rows"):
         failed = _bootstrap_rows(values, statistic, seed, replicates, failures)
     else:
         failed = _bootstrap_loop(values, statistic, seed, replicates, failures)
@@ -546,7 +536,7 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     k = estimate.size
 
     loo = np.empty((n, k))
-    if _batched(statistic, n - 1):
+    if hasattr(statistic, "rows"):
         processes = _fork.processes(n * (n - 1), MIN_SHARE_VALUES)
         runs = [[("loo", span) for span in _loo_spans(n, processes)]]
         failures: Counter = Counter()
@@ -586,8 +576,9 @@ def _jackknife_report(labels, estimate, loo) -> ResamplingReport:
 def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=None):
     """``(bootstrap(sample, statistic, b, seed, labels), jackknife(sample, statistic, labels))``.
 
-    The reports and errors are those of the two calls, bit for bit.  With a
-    ``rows`` statistic the full-sample value is evaluated once, and the
+    The reports and errors are those of the two calls, bit for bit, and a
+    plain callable makes the two calls.  With a ``rows`` statistic, at any
+    sample size, the full-sample value is evaluated once, and the
     jackknife's leave-one-out batches ride in the bootstrap's first round
     (see :func:`_bootstrap_rows`), so on two CPUs neither waits for the
     other.  The bootstrap's errors come first, as in the two calls; a
@@ -596,7 +587,7 @@ def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=N
     """
     values = as_values(sample)
     n = values.size
-    if n < 3 or not _batched(statistic, n):
+    if n < 3 or not hasattr(statistic, "rows"):
         return bootstrap(values, statistic, b, seed, labels), jackknife(values, statistic, labels)
     _check_bootstrap(b, seed)
     estimate = _evaluate(statistic, values)

@@ -20,9 +20,8 @@ from blockmax.likelihood import (
     gumbel_nllh_rows,
     gumbel_nllh_value,
 )
-from blockmax import resampling
 from blockmax.cli import main
-from blockmax.resampling import bootstrap, jackknife
+from blockmax.resampling import bootstrap, bootstrap_jackknife, jackknife
 
 BASE = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 1000, seed=5).values
 
@@ -261,14 +260,40 @@ class _RowsForbidden(_RowsMean):
         raise AssertionError("rows called")
 
 
-def test_long_samples_use_the_loop():
-    # samples longer than MAX_BATCHED_N are evaluated one at a time
-    n = resampling.MAX_BATCHED_N
-    assert n == 10_000
-    long = np.arange(n + 1.0)
-    bootstrap(long, _RowsForbidden(), b=3, seed=0)
-    jackknife(np.arange(n + 2.0), _RowsForbidden())  # leave-one-out rows of n + 1
+def test_long_samples_go_through_rows():
+    # every sample size is batched: the AssertionError shows that rows ran
+    n = 10_001
     with pytest.raises(AssertionError, match="rows called"):
-        bootstrap(long[:n], _RowsForbidden(), b=3, seed=0)
+        bootstrap(np.arange(float(n)), _RowsForbidden(), b=3, seed=0)
     with pytest.raises(bm.ResamplingError, match="rows called"):
-        jackknife(long, _RowsForbidden())
+        jackknife(np.arange(n + 1.0), _RowsForbidden())  # leave-one-out rows of n values
+    with pytest.raises(AssertionError, match="rows called"):
+        bootstrap_jackknife(np.arange(float(n)), _RowsForbidden(), b=3, seed=0)
+
+
+def test_bootstrap_jackknife_of_a_long_sample_is_the_two_calls():
+    x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 10_002, seed=7).values
+    boot, jack = bootstrap_jackknife(x, _RowsMean(), b=8, seed=3)
+    _assert_reports_equal(boot, bootstrap(x, _RowsMean(), b=8, seed=3))
+    _assert_reports_equal(jack, jackknife(x, _RowsMean()))
+
+
+class _ResamplesRaise:
+    """Mean statistic that raises TypeError on a sample that is not sorted:
+    every resample of ``np.arange(n)``, but not the sample itself."""
+
+    def __call__(self, v):
+        if (np.diff(v) < 0).any():
+            raise TypeError("not sorted")
+        return np.mean(v)
+
+    def rows(self, X, failures):
+        if (np.diff(X, axis=1) < 0).any():
+            raise TypeError("not sorted")
+        return X.mean(axis=1)[:, None], np.ones(X.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001])
+def test_program_errors_propagate_at_every_size(n):
+    with pytest.raises(TypeError, match="not sorted"):
+        bootstrap(np.arange(float(n)), _ResamplesRaise(), b=20, seed=0)

@@ -101,6 +101,39 @@ def test_bootstrap_redraws_match_the_serial_run(small_floor):
     _same_report(split, alone)
 
 
+def _with_replicates(run):
+    """``(report, replicates)`` of the bootstrap that ``run()`` makes."""
+    seen = []
+    report = resampling._bootstrap_report
+
+    def keep(labels, estimate, replicates, *rest):
+        seen.append(replicates.copy())
+        return report(labels, estimate, replicates, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resampling, "_bootstrap_report", keep)
+        out = run()
+    return out, seen[0]
+
+
+@pytest.mark.parametrize("n, b", [(10_001, 8), (50_000, 4)])
+def test_long_samples_match_the_loop_and_the_serial_run(n, b):
+    # every process gets MIN_SHARE_VALUES: wherever two CPUs are free, the round splits
+    assert b * n >= 2 * resampling.MIN_SHARE_VALUES
+    x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
+    refit = Refit("gev", start=fit_gev(x).theta)
+
+    def run(statistic):
+        return _with_replicates(lambda: bootstrap(x, statistic, b=b, seed=3, labels=LABELS))
+
+    split, split_replicates = run(refit)
+    assert len(_fork._workers) == _fork.processes(b * n, resampling.MIN_SHARE_VALUES) - 1
+    for report, replicates in (_serially(lambda: run(refit)), run(lambda v: refit(v))):
+        assert _bits(replicates) == _bits(split_replicates)
+        _same_report(report, split)
+    _no_children_after_close()
+
+
 class _Flaky:
     """Mean statistic whose rows fail with a cause picked by their first value."""
 
