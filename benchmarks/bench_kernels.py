@@ -61,6 +61,14 @@ that runs first alternating from pair to pair, on one CPU (pinned, as
 run, each path's median and quartiles, the pairs each path won, and the se
 bits of both paths.
 
+``--identity --seeds A-B`` runs ``blockmax report`` in fresh interpreters
+of this tree and of ``--src``, pinned to one CPU (as ``taskset -c 0``) and
+to two, on each seed's perfbench report-standard input with that
+workload's flags and on ``tests/data/maxima.txt --model gev --boot-B 999
+--seed 4``.  It compares the two trees' report files, standard output,
+standard error and exit codes byte for byte, prints each case's verdict,
+and exits 1 on any difference.
+
 ``--memory-json FILE --seeds A-B`` runs perfbench report-standard for
 ``--seconds`` in the checkout of ``--src`` and in this one for each seed,
 reads ``/proc`` of the perfbench process and of its forked children (the
@@ -90,10 +98,12 @@ shifts, worse optima and fallbacks by cause.
 """
 
 import argparse
+import importlib
 import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -541,14 +551,18 @@ def _pass_kernels():
             "series": series}
 
 
-def _standard_input(seed, directory):
-    """The perfbench report-standard input of ``seed``, read back as the CLI reads it."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+def _perfbench(module):
+    """A module of perfbench/, imported as perfbench/run.py imports it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        import inputs
+        return importlib.import_module(module)
     finally:
         sys.path.pop(0)
-    (path,) = inputs.make_series(Path(directory), seed, n=129, mu=79.0, sigma=21.0, xi=0.0)
+
+
+def _standard_input(seed, directory):
+    """The perfbench report-standard input of ``seed``, read back as the CLI reads it."""
+    (path,) = _perfbench("inputs").make_series(Path(directory), seed, n=129, mu=79.0, sigma=21.0, xi=0.0)
     return bm.data.ingest(path)
 
 
@@ -890,6 +904,49 @@ def perfbench_pairs(workload, seeds, seconds, src) -> dict:
     }
 
 
+def _report_output(tree, argv, cpus, directory) -> dict:
+    """``blockmax report argv`` of ``tree`` in a fresh interpreter on ``cpus``:
+    ``{name: bytes}`` of its output files, standard output, standard error and exit code."""
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir(parents=True)
+    script = "import sys; from blockmax.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, "report", *argv, "--out-dir", "out"],
+                          cwd=directory, env=dict(os.environ, PYTHONPATH=str(tree)), capture_output=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    out = {"<stdout>": proc.stdout, "<stderr>": proc.stderr, "<exit>": str(proc.returncode).encode()}
+    if (directory / "out").is_dir():
+        out.update((path.name, path.read_bytes()) for path in (directory / "out").iterdir())
+    return out
+
+
+def identity(seeds, src) -> bool:
+    """Whether ``blockmax report`` writes the same bytes in this tree and in ``src``
+    on every case, pinned to one CPU and to two; prints each case's verdict."""
+    workloads = _perfbench("workloads")
+    trees = _trees(src)
+    allowed = sorted(os.sched_getaffinity(0))
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cases = {"maxima.txt": [str(ROOT / "tests" / "data" / "maxima.txt"), "--model", "gev",
+                                "--boot-B", "999", "--seed", "4"]}
+        for seed in seeds:
+            directory = tmp / f"input_{seed}"
+            directory.mkdir()
+            (path,) = workloads.inputs.make_series(directory, seed, **workloads.STANDARD)
+            cases[f"report-standard seed {seed}"] = [str(path), *workloads.REPORT_FLAGS, "--boot-B", "999"]
+        for cpus in (allowed[:1], allowed[:2]):
+            for case, argv in cases.items():
+                parent, change = (_report_output(tree, argv, cpus, tmp / side)
+                                  for side, tree in trees.items())
+                differ = sorted(name for name in parent.keys() | change.keys()
+                                if parent.get(name) != change.get(name))
+                same &= not differ
+                verdict = f"differ: {', '.join(differ)}" if differ else f"{len(change)} outputs identical"
+                print(f"{len(cpus)} CPU {case}: {verdict}", flush=True)
+    return same
+
+
 def _proc_memory(pid) -> dict:
     """MB of ``pid``: VmRSS, RssAnon, VmHWM, and Pss and private pages from smaps_rollup."""
     out = {}
@@ -991,6 +1048,8 @@ if __name__ == "__main__":
                         help="write the one-path report of this tree to this file")
     parser.add_argument("--memory-json", default=None,
                         help="add the memory of perfbench runs of this tree and --src to this file")
+    parser.add_argument("--identity", action="store_true",
+                        help="compare blockmax report output of this tree and --src byte for byte")
     parser.add_argument("--workload", default="report-standard", help="perfbench workload of the pairs")
     parser.add_argument("--seeds", default=None, help="perfbench seeds of the pairs, A-B")
     parser.add_argument("--seconds", type=float, default=50.0, help="seconds per perfbench run")
@@ -1009,6 +1068,11 @@ if __name__ == "__main__":
                 report[key] = kept[key]
         path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}", file=sys.stderr)
+    elif args.identity:
+        if args.src is None or args.seeds is None:
+            parser.error("--identity needs --src and --seeds")
+        first, last = map(int, args.seeds.split("-"))
+        sys.exit(0 if identity(list(range(first, last + 1)), args.src) else 1)
     elif args.one_path_json is not None:
         Path(args.one_path_json).write_text(json.dumps(one_path(), indent=2) + "\n")
         print(f"wrote {args.one_path_json}", file=sys.stderr)

@@ -1,20 +1,19 @@
 """Independent work split between this process and persistent forked workers.
 
-:func:`ordered` yields ``fn(item)`` for a list of items, in item order.  With
-``processes`` above 1 the items are cut into that many contiguous groups:
-this process runs the first group as the results are consumed, and each
-other group is sent to a worker.  A worker is a child forked the first time
-a round needs it and kept for the life of this process: each round sends it
-one request, ``fn`` and a group pickled through a pipe, and it sends back
-each result, with the warnings it raised, through a second pipe.  Results
-reach the consumer in item order whichever process computed them.  Where a
-worker fails (its ``fn`` raised, or it died) or cannot be forked, the items
-it did not deliver are run here at their turn, so an exception surfaces
-exactly as in a serial run.  Where ``fn`` or a group does not pickle, that
-group runs here.
+:func:`ordered` yields ``fn(item)`` for a list of items, in item order.
+This process runs the first item as the results are consumed, and each
+other item is sent to a worker of its own.  A worker is a child forked the
+first time a round needs it and kept for the life of this process: each
+round sends it one request, ``fn`` and its item pickled through a pipe, and
+it sends back the result, with the warnings it raised, through a second
+pipe.  Results reach the consumer in item order whichever process computed
+them.  Where a worker fails (its ``fn`` raised, or it died) or cannot be
+forked, its item is run here at its turn, so an exception surfaces exactly
+as in a serial run.  Where ``fn`` or an item does not pickle, that item
+runs here.
 
 A worker is killed and reaped when its round ends early (the consumer
-closes the generator, or this process's group raises) and when it dies or
+closes the generator, or this process's item raises) and when it dies or
 fails; the next round that splits forks a new one.  :func:`close` ends
 every worker: it closes their request pipes, on which a worker exits, and
 reaps them, killing any that has not exited within ``CLOSE_WAIT_S``.  It
@@ -29,7 +28,7 @@ forked, apart from the warning filters and numpy's error state
 then is not seen there.  The classes and functions a request names by
 reference must be the objects the worker has under those names: one
 redefined or reloaded here since the fork (a notebook cell run again,
-``importlib.reload``) ends the worker, the group runs here, and the next
+``importlib.reload``) ends the worker, the item runs here, and the next
 round forks a fresh worker.  Side effects of ``fn`` in a worker, other than
 warnings, do not reach this process.  A worker ends with
 ``os._exit``: it flushes no inherited output buffer and runs no exit
@@ -38,8 +37,8 @@ handler, so nothing the parent printed is written twice.
 :func:`processes` is the rule for splitting: fork exists and is safe (not
 macOS, one Python thread), one process per CPU this process may run on, and
 every process gets at least ``min_share`` units of work.  Otherwise it
-returns 1 and :func:`ordered` is a plain loop that starts no worker.
-``taskset -c 0`` therefore makes every run serial.
+returns 1, and a caller that passes :func:`ordered` one item per process
+starts no worker.  ``taskset -c 0`` therefore makes every run serial.
 """
 
 from __future__ import annotations
@@ -85,36 +84,35 @@ def spans(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def ordered(fn, items, processes: int = 1):
-    """Yield ``fn(item)`` for each of ``items`` in order, split over ``processes``.
+def ordered(fn, items):
+    """Yield ``fn(item)`` for each of ``items`` in order: the first here, each other in a worker.
 
     Close the generator (``contextlib.closing``) when stopping early: that
-    kills and reaps the workers still running its groups.
+    kills and reaps the workers still running its items.
     """
     items = list(items)
-    groups = [items[a:b] for a, b in spans(len(items), max(1, min(processes, len(items))))]
-    shares = []
+    sent = []
     try:
-        for group in groups[1:]:
-            shares.append((group, _send(fn, group)))
-        for item in groups[0]:
-            yield fn(item)
-        for group, worker in shares:
-            yield from _results(fn, group, worker)
+        for item in items[1:]:
+            sent.append((item, _send(fn, item)))
+        if items:
+            yield fn(items[0])
+        for item, worker in sent:
+            yield _result(fn, item, worker)
     finally:
-        for _, worker in shares:
+        for _, worker in sent:
             if worker is not None and worker.busy:  # the round ended early
                 worker.kill()
 
 
-def _send(fn, group):
-    """The worker now running ``fn`` over ``group``, or None where the group runs here."""
+def _send(fn, item):
+    """The worker now running ``fn(item)``, or None where it runs here."""
     numpy = sys.modules.get("numpy")
     errstate = None if numpy is None else (numpy.geterr(), numpy.geterrcall())
     buffer = io.BytesIO()
     pickler = _Naming(buffer)
     try:
-        pickler.dump((fn, group, warnings.filters, errstate))
+        pickler.dump((fn, item, warnings.filters, errstate))
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
     pickle.dump({id(obj) for obj in pickler.given}, buffer, pickle.HIGHEST_PROTOCOL)
@@ -125,23 +123,20 @@ def _send(fn, group):
     return None
 
 
-def _results(fn, group, worker):
-    """``fn(item)`` for ``group`` from ``worker``; what it did not deliver is computed here."""
-    delivered = 0
+def _result(fn, item, worker):
+    """``fn(item)`` from ``worker``, or computed here where it did not deliver it."""
     if worker is not None:
         try:
-            for _ in group:
-                result, raised = pickle.load(worker.results)
-                delivered += 1
-                worker.busy = delivered < len(group)  # idle once the last result is in
-                for message, category, filename, lineno in raised:
-                    module, registry = _origin(filename)
-                    warnings.warn_explicit(message, category, filename, lineno, module, registry)
-                yield result
+            result, raised = pickle.load(worker.results)
         except (EOFError, pickle.UnpicklingError):
-            worker.kill()  # it failed or died: the rest of its group is redone below
-    for item in group[delivered:]:
-        yield fn(item)
+            worker.kill()  # it failed or died: the item is redone below
+        else:
+            worker.busy = False
+            for message, category, filename, lineno in raised:
+                module, registry = _origin(filename)
+                warnings.warn_explicit(message, category, filename, lineno, module, registry)
+            return result
+    return fn(item)
 
 
 class _Worker:
@@ -231,7 +226,7 @@ class _Resolving(pickle.Unpickler):
 
 
 def _serve(requests, results):
-    """The worker's loop: run each request's group and send back its results, until EOF.
+    """The worker's loop: run each request's item and send back its result, until EOF.
 
     A request whose names resolve here to other objects than in the parent
     (a fork keeps every address, so an object unchanged since the fork has
@@ -239,19 +234,17 @@ def _serve(requests, results):
     while True:
         loader = _Resolving(requests)
         try:
-            fn, group, filters, errstate = loader.load()
+            fn, item, filters, errstate = loader.load()
         except EOFError:
             return  # the parent closed the pipe, or died
         if not loader.found <= pickle.load(requests):
             return  # redefined or reloaded in the parent since the fork
         with warnings.catch_warnings(record=True) as caught, _numpy_errors(errstate):
             warnings.filters[:] = filters
-            for item in group:
-                result = fn(item)
-                raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                pickle.dump((result, raised), results, pickle.HIGHEST_PROTOCOL)
-                results.flush()
-                caught.clear()
+            result = fn(item)
+        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        pickle.dump((result, raised), results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
 
 
 def _numpy_errors(errstate):

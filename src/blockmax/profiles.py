@@ -188,18 +188,20 @@ def _restricted_derivatives(values, model, k, p=None):
         # mu moves with the free parameters by v = (a, sigma*a') (GEV) or (a,)
         # (Gumbel): with h the mu column of H, the free block of J'HJ is
         # H_rr + v h' + h v' + H_mumu v v', and its g column h + H_mumu v
-        a, a1, a2 = shape(R[:, 1] if gev else np.zeros(G.size))
-        v = np.stack([a, R[:, 0] * a1], axis=1) if gev else a[:, None]
-        g_mu, h_mumu, h = score[:, 0], info[:, 0, 0], info[:, 1:, 0]
-        spread = v[:, :, None] * h[:, None, :]
-        hessian = (info[:, 1:, 1:] + (spread + spread.transpose(0, 2, 1))
-                   + h_mumu[:, None, None] * (v[:, :, None] * v[:, None, :]))
-        if gev:  # the second derivatives of mu: d2/dsigma dxi = a', d2/dxi2 = sigma*a''
-            hessian[:, 0, 1] += g_mu * a1
-            hessian[:, 1, 0] += g_mu * a1
-            hessian[:, 1, 1] += g_mu * R[:, 0] * a2
-        gradient = score[:, 1:] + g_mu[:, None] * v
-        return value, valid, gradient, hessian, h + h_mumu[:, None] * v
+        # a valid lane far out may overflow: its Hessian is then not finite, so not definite
+        with np.errstate(all="ignore"):
+            a, a1, a2 = shape(R[:, 1] if gev else np.zeros(G.size))
+            v = np.stack([a, R[:, 0] * a1], axis=1) if gev else a[:, None]
+            g_mu, h_mumu, h = score[:, 0], info[:, 0, 0], info[:, 1:, 0]
+            spread = v[:, :, None] * h[:, None, :]
+            hessian = (info[:, 1:, 1:] + (spread + spread.transpose(0, 2, 1))
+                       + h_mumu[:, None, None] * (v[:, :, None] * v[:, None, :]))
+            if gev:  # the second derivatives of mu: d2/dsigma dxi = a', d2/dxi2 = sigma*a''
+                hessian[:, 0, 1] += g_mu * a1
+                hessian[:, 1, 0] += g_mu * a1
+                hessian[:, 1, 1] += g_mu * R[:, 0] * a2
+            gradient = score[:, 1:] + g_mu[:, None] * v
+            return value, valid, gradient, hessian, h + h_mumu[:, None] * v
 
     return derivatives
 

@@ -34,11 +34,15 @@ not seen by the caller.  A statistic that does not pickle runs all its
 batches here.  There is no option or environment variable for any of it:
 ``taskset -c 0`` makes every round serial.
 
-:func:`bootstrap_jackknife` runs both methods, with the jackknife's batches
-in the bootstrap's first round: the fork rule counts the values of both,
-and every process gets a near-equal share of each.  Its reports and errors
-are those of :func:`bootstrap` and :func:`jackknife` called one after the
-other.
+:func:`bootstrap`, :func:`jackknife` and :func:`bootstrap_jackknife` send
+a ``rows`` statistic through one driver, :func:`_rounds`.  With both
+methods, the jackknife's batches ride in the bootstrap's first round: the
+fork rule counts the values of both, and every process gets a near-equal
+share of each; :func:`jackknife` alone is that round without bootstrap
+batches.  The reports and errors of :func:`bootstrap_jackknife` are those
+of :func:`bootstrap` and :func:`jackknife` called one after the other: the
+jackknife's error is raised from the round it rode in, once the bootstrap
+is done, and no batch runs twice.
 """
 
 from __future__ import annotations
@@ -344,7 +348,7 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
     replicates = np.empty((b, estimate.size))
     failures: Counter = Counter()
     if hasattr(statistic, "rows"):
-        failed = _bootstrap_rows(values, statistic, seed, replicates, failures)
+        failed = _rounds(values, statistic, seed, replicates, failures)
     else:
         failed = _bootstrap_loop(values, statistic, seed, replicates, failures)
     return _bootstrap_report(labels, estimate, replicates, seed, failed, failures)
@@ -386,13 +390,12 @@ class _Round:
     worker process (see :mod:`blockmax._fork`) can run a share.
 
     A task is ``("boot", chunk)``: the bootstrap replicates of the
-    ``(i, attempt)`` pairs in ``chunk``, as ``(theta, ok, counted)``;
-    ``("loo", span)``: the leave-one-out refits of :func:`_leave_one_out`; or
-    ``("loo_nan", span)``: those refits with NaN where one failed, or None
-    where ``rows`` raised.  A call returns the share's outputs, and, when it
-    runs in a process other than the one that made the round, what the share
-    added to the statistic's ``counts`` Counter; where the round was made,
-    the share adds to it directly and the second item is None.
+    ``(i, attempt)`` pairs in ``chunk``, as ``(theta, ok, counted)``; or
+    ``("loo", span)``: the leave-one-out refits of :func:`_leave_one_out`.
+    A call returns the share's outputs, and, when it runs in a process other
+    than the one that made the round, what the share added to the
+    statistic's ``counts`` Counter; where the round was made, the share adds
+    to it directly and the second item is None.
     """
 
     values: np.ndarray
@@ -409,31 +412,25 @@ class _Round:
         return [self._task(kind, item) for kind, item in share], counts if away else None
 
     def _task(self, kind, item):
-        if kind == "boot":
-            X = self.values[_draws(self.seed, item, self.values.size)]
-            counted: Counter = Counter()
-            theta, ok = _evaluate_rows(self.statistic, X, self.k, counted)
-            return theta, ok, counted
         if kind == "loo":
             return _leave_one_out(self.values, self.statistic, self.k, item)
-        try:
-            theta, ok, _ = _leave_one_out(self.values, self.statistic, self.k, item)
-        except ResamplingError:
-            return None
-        return np.where(ok[:, None], theta, np.nan)
+        X = self.values[_draws(self.seed, item, self.values.size)]
+        counted: Counter = Counter()
+        theta, ok = _evaluate_rows(self.statistic, X, self.k, counted)
+        return theta, ok, counted
 
 
 def _split(work: _Round, runs, processes: int) -> list:
     """``(kind, item, output)`` of every task of ``runs``, one list of tasks per method, in order.
 
     Share p holds the p-th of ``processes`` near-equal runs of each method's
-    tasks, and the shares are split over processes by :func:`_fork.ordered`;
-    the counts a share made in a worker are added to the statistic's here.
+    tasks, and runs in a worker unless p is 0 (:func:`_fork.ordered`); the
+    counts a share made in a worker are added to the statistic's here.
     """
     cuts = zip(*(_fork.spans(len(run), processes) for run in runs))
     shares = [[task for run, (a, z) in zip(runs, cut) for task in run[a:z]] for cut in cuts]
     done = []
-    with closing(_fork.ordered(work, shares, processes)) as results:
+    with closing(_fork.ordered(work, shares)) as results:
         for share, (outputs, counts) in zip(shares, results):
             if counts:
                 work.statistic.counts.update(counts)
@@ -441,37 +438,48 @@ def _split(work: _Round, runs, processes: int) -> list:
     return done
 
 
-def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> int:
-    """Replicates in batches of gathered rows; failed ones are redrawn next round.
+def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
+    """The rounds of a ``rows`` statistic; the bootstrap's failure count.
 
-    Every replicate goes through the same (seed, i, attempt) draws as in the
-    loop, so the replicates, the failure count and whether the budget breaks
-    are the same; only the order of evaluation differs.  The batches of a
-    round may be split over worker processes; they are consumed in order.
+    The replicates fill ``replicates`` in batches of gathered rows, and failed
+    ones are redrawn next round.  Every replicate goes through the same
+    (seed, i, attempt) draws as in the loop, so the replicates, the failure
+    count and whether the budget breaks are the same; only the order of
+    evaluation differs.  A round's batches may be split over worker
+    processes; they are consumed in order.
 
     With ``loo``, an (n, k) array, the jackknife's leave-one-out batches ride
-    in the first round: the fork rule counts both methods' values, every
-    process gets a near-equal share of each method's batches, and the
-    replicates fill ``loo``.  A batch whose ``rows`` call raises or has a
-    failed row leaves NaN in its rows of ``loo`` instead, and does not stop
-    the bootstrap.
+    in the first round, the only one where there are no replicates: the fork
+    rule counts both methods' values, and every process gets a near-equal
+    share of each method's batches.  Their values fill ``loo``; their
+    failures are kept apart from the bootstrap's, and the jackknife's error
+    (see :func:`jackknife`) is raised once the bootstrap is done without one.
     """
     b, k = replicates.shape
     n = values.size
     work = _Round(values, statistic, seed, k)
     failed = 0
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
-    while pending:
+    loo_ok = np.ones(n, dtype=bool)
+    loo_failures: Counter = Counter()
+    raised = None  # (span, exception) of the first leave-one-out batch whose rows call raised
+    while pending or loo is not None:
         processes = _fork.processes(len(pending) * n + (0 if loo is None else n * (n - 1)),
                                     MIN_SHARE_VALUES)
-        runs = [[("boot", pending[a:z]) for a, z in _chunk_spans(len(pending), _lanes(n), processes)]]
+        runs = []
+        if pending:
+            spans = _chunk_spans(len(pending), _lanes(n), processes)
+            runs.append([("boot", pending[a:z]) for a, z in spans])
         if loo is not None:
-            runs.append([("loo_nan", span) for span in _loo_spans(n, processes)])
+            runs.append([("loo", span) for span in _loo_spans(n, processes)])
         redraw, broke = [], None
         for kind, item, out in _split(work, runs, processes):
-            if kind == "loo_nan":
-                start, stop = item
-                loo[start:stop] = np.nan if out is None else out
+            if kind == "loo":
+                if isinstance(out, Exception):
+                    raised = raised or (item, out)
+                else:
+                    loo[slice(*item)], loo_ok[slice(*item)], counted = out
+                    loo_failures.update(counted)
                 continue
             theta, ok, counted = out
             failures.update(counted)
@@ -490,6 +498,16 @@ def _bootstrap_rows(values, statistic, seed, replicates, failures, loo=None) -> 
                 f"(limit 10%); causes: {', '.join(sorted(failures))}"
             )
         pending, loo = redraw, None
+    if raised is not None:
+        (start, stop), exc = raised
+        raise ResamplingError(
+            f"jackknife refits without observations {start} to {stop - 1} failed: {exc!r}"
+        ) from exc
+    if not loo_ok.all():
+        raise ResamplingError(
+            f"jackknife refit without observation {int(np.flatnonzero(~loo_ok)[0])} failed; "
+            f"causes: {', '.join(sorted(loo_failures))}"
+        )
     return failed
 
 
@@ -500,8 +518,8 @@ def _loo_spans(n: int, processes: int) -> list[tuple[int, int]]:
 
 def _leave_one_out(values, statistic, k, span):
     """``(theta, ok, counted)`` of the rows ``statistic.rows`` gives the samples
-    without observation i, for i in ``range(*span)``; an exception raised by
-    ``rows`` aborts as ResamplingError."""
+    without observation i, for i in ``range(*span)``, or the exception that
+    ``rows`` raised."""
     start, stop = span
     # row i skips observation i: column j reads j, or j + 1 from i on
     column = np.arange(values.size - 1)
@@ -509,11 +527,8 @@ def _leave_one_out(values, statistic, k, span):
     counted: Counter = Counter()
     try:
         theta, ok = _evaluate_rows(statistic, X, k, counted)
-    except Exception as exc:  # noqa: BLE001
-        raise ResamplingError(
-            f"jackknife refits without observations {start} to {stop - 1} "
-            f"failed: {exc!r}"
-        ) from exc
+    except Exception as exc:  # noqa: BLE001 - raised as the jackknife's error once the rounds end
+        return exc
     return theta, ok, counted
 
 
@@ -525,8 +540,9 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     se = sqrt((n-1)/n * sum (theta_(i) - mean)^2).  Fully deterministic;
     any failed evaluation aborts with ResamplingError (there is no redraw to
     fall back on).  With a ``rows`` statistic the leave-one-out samples are
-    evaluated in batches; an exception raised by ``rows`` aborts the same way,
-    and a failed refit aborts once every batch is in, naming the first one.
+    evaluated in batches, one round of :func:`_rounds`, and it aborts once
+    every batch is in: naming the first batch whose ``rows`` call raised, or
+    else the first failed refit.
     """
     values = as_values(sample)
     n = values.size
@@ -537,20 +553,7 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
 
     loo = np.empty((n, k))
     if hasattr(statistic, "rows"):
-        processes = _fork.processes(n * (n - 1), MIN_SHARE_VALUES)
-        runs = [[("loo", span) for span in _loo_spans(n, processes)]]
-        failures: Counter = Counter()
-        ok = np.empty(n, dtype=bool)
-        for _, (start, stop), (theta, span_ok, counted) in _split(
-                _Round(values, statistic, None, k), runs, processes):
-            failures.update(counted)
-            loo[start:stop] = theta
-            ok[start:stop] = span_ok
-        if not ok.all():
-            raise ResamplingError(
-                f"jackknife refit without observation {int(np.flatnonzero(~ok)[0])} failed; "
-                f"causes: {', '.join(sorted(failures))}"
-            )
+        _rounds(values, statistic, None, np.empty((0, k)), Counter(), loo)
     else:
         mask = np.ones(n, dtype=bool)
         for i in range(n):
@@ -576,14 +579,16 @@ def _jackknife_report(labels, estimate, loo) -> ResamplingReport:
 def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=None):
     """``(bootstrap(sample, statistic, b, seed, labels), jackknife(sample, statistic, labels))``.
 
-    The reports and errors are those of the two calls, bit for bit, and a
-    plain callable makes the two calls.  With a ``rows`` statistic, at any
-    sample size, the full-sample value is evaluated once, and the
-    jackknife's leave-one-out batches ride in the bootstrap's first round
-    (see :func:`_bootstrap_rows`), so on two CPUs neither waits for the
-    other.  The bootstrap's errors come first, as in the two calls; a
-    jackknife batch that failed in the round runs :func:`jackknife` again
-    once the bootstrap is done, which raises its error.
+    The reports are those of the two calls, bit for bit, and a plain
+    callable makes the two calls.  With a ``rows`` statistic, at any sample
+    size, the full-sample value is evaluated once, and the jackknife's
+    leave-one-out batches ride in the bootstrap's first round (see
+    :func:`_rounds`), so on two CPUs neither waits for the other.  The
+    errors are those of the two calls: the bootstrap's come first, and the
+    jackknife's is raised from that round once the bootstrap is done.  The
+    one difference: where a leave-one-out ``rows`` call raised, the error
+    names the round's batch, which on two CPUs may be part of the one that
+    :func:`jackknife` alone would name.
     """
     values = as_values(sample)
     n = values.size
@@ -594,11 +599,9 @@ def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=N
     replicates = np.empty((b, estimate.size))
     loo = np.empty((n, estimate.size))
     failures: Counter = Counter()
-    failed = _bootstrap_rows(values, statistic, seed, replicates, failures, loo)
-    boot = _bootstrap_report(labels, estimate, replicates, seed, failed, failures)
-    if np.isnan(loo).any():
-        return boot, jackknife(values, statistic, labels)
-    return boot, _jackknife_report(labels, estimate, loo)
+    failed = _rounds(values, statistic, seed, replicates, failures, loo)
+    return (_bootstrap_report(labels, estimate, replicates, seed, failed, failures),
+            _jackknife_report(labels, estimate, loo))
 
 
 def screen(report: ResamplingReport) -> tuple[Verdict, ...]:

@@ -12,6 +12,7 @@ intervals against a simplex walk over the same grid.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -149,6 +150,18 @@ def test_an_overflowing_location_is_not_valid_in_the_lane_wise_chain_rule():
     assert np.isfinite(score[1]).all() and np.isfinite(info[1]).all() and np.isfinite(cross[1]).all()
     rows_value, rows_valid = _restricted_rows(values, "gev", 0, level_location(0.01))(G, R)
     assert _bits(rows_value) == _bits(value) and rows_valid.tolist() == valid.tolist()
+
+
+def test_a_far_level_lane_forms_its_chain_rule_without_warnings(sample):
+    (z,), _, _ = inference._standardize(sample[None, :])
+    k, location = _pinned("gev", "return_level", 0.01)
+    problem = profiles._Problem(z, "gev", k, location, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the product h_mumu * v v' overflowed here
+        value, valid, score, info, cross = problem.derivatives(np.array([3.0]), np.array([[1.0, 80.0]]))
+    # a valid lane, its location about -8.4e157: the Hessian is not finite, so not definite
+    assert valid[0] and not np.isfinite(info).all()
+    assert not inference._newton_direction(score, info)[2][0]
 
 
 # -- fallbacks, expansion and the crossing rule --------------------------------------

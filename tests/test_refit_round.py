@@ -10,6 +10,7 @@ bootstrap's first round against the two methods run apart.
 
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,3 +278,24 @@ def test_a_failed_jackknife_raises_its_own_error_after_the_bootstrap(processes, 
     assert message == _message(lambda: jackknife(values, _FailingJackknife(raises)))
     assert message.startswith("jackknife refit")
 
+
+class _CountedJackknife(_FailingJackknife):
+    """Counts its leave-one-out ``rows`` calls in ``counts``, which a worker sends back."""
+
+    def __init__(self, raises):
+        super().__init__(raises)
+        self.counts = Counter()
+
+    def rows(self, X, failures):
+        if X.shape[1] == 9:
+            self.counts["loo_calls"] += 1
+        return super().rows(X, failures)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_a_failed_jackknife_runs_each_batch_once(processes, raises):
+    values = np.arange(10.0)
+    stat = _CountedJackknife(raises)
+    _message(lambda: bootstrap_jackknife(values, stat, b=60, seed=2))
+    batches = resampling._loo_spans(10, 1 if processes == "one process" else 2)
+    assert stat.counts["loo_calls"] == len(batches)  # no batch is run again for the error

@@ -565,8 +565,21 @@ def test_the_fork_rule(monkeypatch):
 
 
 def test_ordered_without_children_is_a_loop():
+    # a lambda does not pickle: every item runs here
     assert list(_fork.ordered(lambda i: i * i, range(5))) == [0, 1, 4, 9, 16]
-    assert list(_fork.ordered(lambda i: i * i, [], 2)) == []
+    assert list(_fork.ordered(lambda i: i * i, [])) == []
+    assert not _fork._workers
+
+
+def _call(item):
+    return item()
+
+
+def test_items_that_do_not_pickle_run_here_in_order():
+    ran = []
+    items = [lambda i=i: ran.append(i) or i * i for i in range(4)]  # fn pickles, no item does
+    assert list(_fork.ordered(_call, items)) == [0, 1, 4, 9]
+    assert ran == [0, 1, 2, 3] and not _fork._workers
 
 
 # -- tie-dominated samples ------------------------------------------------------
