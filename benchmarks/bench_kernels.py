@@ -88,12 +88,14 @@ tree also takes the slow parts, on one CPU: a straggler sweep of small,
 strongly bounded or heavy-tailed samples (wall time, outcomes and refit
 counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
 50 000 and the jackknife at n = 12 000 through the batched path and through
-the one-at-a-time loop, the heavy-tailed profile sweep (xi and the
-100-block level of GEV(0, 1, 0.3) samples of 40 and GEV(0, 1, 0.4) samples
-of 30, seeds 0-17), timed on one CPU and, where the process may use two,
-again on every CPU.  With ``--src``
-the file also gets the agreement of the two trees' heavy sweeps: interval
-shifts, worse optima and fallbacks by cause.
+the one-at-a-time loop, and the profile sweep (``HEAVY_PROFILES``: xi, mu,
+sigma and the 10- and 100-block levels, of the GEV(0, 1, xi) samples of n
+in ``HEAVY``, seeds 0-17: heavy-tailed samples whose profiles branch, and
+small or bounded ones whose profiles reach the nonregular shapes; 630
+profiles), timed on one CPU and, where the process may use two, again on
+every CPU.  With ``--src`` the file also gets the agreement of the two
+trees' sweeps: interval shifts, worse optima, outcomes that differ, and
+fallbacks by profile and cause.
 ``best_of`` is also the kernel timer of ``perfbench/run.py``.
 """
 
@@ -129,9 +131,13 @@ ONE_PATH_PAIRS = {"bootstrap": 5, "jackknife": 3}
 SWEEP = ((12, -0.8, range(10)), (12, 0.5, range(10)), (15, 1.0, range(10)))
 SWEEP_B = 400
 PROFILES = (("xi", None), ("level10", 0.1), ("level40", 0.025), ("level100", 0.01))
-# (xi, n): heavy-tailed samples whose profiles branch, seeds 0-17
-HEAVY = ((0.3, 40), (0.4, 30))
+# (xi, n): heavy-tailed samples whose profiles branch, and small or bounded
+# samples whose profiles reach the nonregular shapes (xi <= -0.5), seeds 0-17
+HEAVY = ((0.3, 40), (0.4, 30), (-0.3, 30), (-0.3, 50), (-0.45, 20), (0.1, 20), (0.0, 15))
 HEAVY_SEEDS = range(18)
+# (name, which, p): the profiles of each sample of the heavy sweep
+HEAVY_PROFILES = (("xi", "xi", None), ("mu", "mu", None), ("sigma", "sigma", None),
+                  ("level10", "return_level", 0.1), ("level100", "return_level", 0.01))
 # ProfileCurve.counts keys that are not fallback causes
 _NOT_FALLBACKS = ("newton", "steps", "waves")
 # perfbench report-standard seeds of the passes report
@@ -369,11 +375,12 @@ def _profiles(values, fit, one, every) -> dict:
 
 
 def _heavy_sweep() -> dict:
-    """Profiles of xi and of the 100-block level on heavy-tailed samples, one CPU.
+    """The HEAVY_PROFILES of each HEAVY sample, one CPU.
 
     Per case: the grid, the profile log-likelihoods (read where the interval
-    is formed, so a grid that does not bracket keeps them), the interval or
-    the side that failed, and the curve's counts where the tree has them.
+    is formed, so a grid that does not bracket keeps them), the interval,
+    the side that failed or the error that the profile raised, and the
+    curve's counts where the tree has them.
     """
     inference = bm.inference
     profiles = getattr(bm, "profiles", inference)  # where the tree keeps the profile code
@@ -392,16 +399,17 @@ def _heavy_sweep() -> dict:
             for seed in HEAVY_SEEDS:
                 values = bm.sample(bm.GevParams(0.0, 1.0, xi), n, seed=seed).values
                 fit = bm.fit_gev(values)
-                for name, p in (("xi", None), ("level100", 0.01)):
+                for name, which, p in HEAVY_PROFILES:
                     formed.clear()
-                    case = {"lhat": -fit.nllh}
+                    case = {"lhat": -fit.nllh, "grid": [], "lp": []}
                     try:
-                        curve = inference.profile(values, "gev", "xi" if p is None else "return_level",
-                                                  p=p, fit=fit)
+                        curve = inference.profile(values, "gev", which, p=p, fit=fit)
                         case["ci"] = list(curve.ci)
                         case["counts"] = dict(getattr(curve, "counts", {}))
                     except inference.ProfileBracketError as error:
                         case["unbracketed"] = error.side
+                    except ValueError as error:  # such as a fit without standard errors
+                        case["error"] = f"{type(error).__name__}: {error}"
                     out[f"xi{xi}_n{n}_seed{seed}_{name}"] = {**case, **formed}
         wall = time.perf_counter() - t0
     finally:
@@ -415,17 +423,22 @@ def _agreement(parent: dict, change: dict) -> dict:
     Intervals are compared in units of the parent's width where the parent
     left no grid point on the penalty surface; the nllh of the change is
     compared at every shared grid point, split at a deviance of twice the
-    critical value.  Fallbacks are counted by cause in each tree.
+    critical value.  Fallbacks are counted by profile and cause in each
+    tree, and every case whose outcome (an interval, the side that did not
+    bracket, or the error) differs between the trees is listed.
     """
     critical = bm.special.chi2_quantile(0.95, 1)
-    shift, near, far, far_gap, penalized = 0.0, 0, 0, 0.0, {}
-    fallbacks = {"parent": Counter(), "change": Counter()}
+    shift, near, far, far_gap, penalized, differ = 0.0, 0, 0, 0.0, {}, {}
+    fallbacks = {"parent": {}, "change": {}}
+    outcomes = {"parent": Counter(), "change": Counter()}
     points = 0
     for name, old in parent["cases"].items():
         new = change["cases"][name]
+        profile_name = name.rsplit("_", 1)[1]
         for tree, case in (("parent", old), ("change", new)):
-            fallbacks[tree].update({k: v for k, v in case.get("counts", {}).items()
-                                    if k not in _NOT_FALLBACKS})
+            fallbacks[tree].setdefault(profile_name, Counter()).update(
+                {k: v for k, v in case.get("counts", {}).items() if k not in _NOT_FALLBACKS})
+            outcomes[tree][next(k for k in ("ci", "unbracketed", "error") if k in case)] += 1
         old_lp = dict(zip(old["grid"], old["lp"]))
         points += len(new["grid"])
         for g, lp in zip(new["grid"], new["lp"]):
@@ -435,27 +448,30 @@ def _agreement(parent: dict, change: dict) -> dict:
                 else:
                     far += 1
                     far_gap = max(far_gap, old_lp[g] - lp)
+        old_outcome = old.get("ci", old.get("unbracketed", old.get("error")))
+        new_outcome = new.get("ci", new.get("unbracketed", new.get("error")))
         on_penalty = sum(lp <= -bm.likelihood.PENALTY for lp in old["lp"])
         if on_penalty:
             penalized[name] = {"parent_penalized_points": on_penalty,
-                               "parent": old.get("ci", old.get("unbracketed")),
-                               "change": new.get("ci", new.get("unbracketed"))}
+                               "parent": old_outcome, "change": new_outcome}
         elif "ci" in old and "ci" in new:
             width = old["ci"][1] - old["ci"][0]
             shift = max(shift, max(abs(a - b) for a, b in zip(old["ci"], new["ci"])) / width)
-        elif old.get("unbracketed") != new.get("unbracketed"):
-            penalized[name] = {"parent": old.get("ci", old.get("unbracketed")),
-                               "change": new.get("ci", new.get("unbracketed"))}
+        elif old_outcome != new_outcome:
+            differ[name] = {"parent": old_outcome, "change": new_outcome}
     return {
         "critical": critical,
         "cases": len(parent["cases"]),
         "grid_points": points,
+        "outcomes": {tree: dict(counts) for tree, counts in outcomes.items()},
         "max_ci_shift_per_width": shift,
         "worse_nllh_points_within_2x_critical": near,
         "worse_nllh_points_beyond": far,
         "worse_nllh_largest_gap_beyond": far_gap,
-        "fallbacks": {tree: dict(counts) for tree, counts in fallbacks.items()},
+        "fallbacks": {tree: {name: dict(counts) for name, counts in by_profile.items()}
+                      for tree, by_profile in fallbacks.items()},
         "cases_with_penalized_parent_points": penalized,
+        "cases_whose_outcome_differs": differ,
     }
 
 
@@ -769,8 +785,9 @@ def compare(label, src=None) -> dict:
                  f"{[(n, xi) for n, xi, _ in SWEEP]}, seeds 0-9, bootstrap B={SWEEP_B}; crossover: "
                  "bm.sample(GevParams(79, 21, 0.1), n, seed=7), bootstrap B=999 seed 3 and the "
                  f"jackknife at n={JACKKNIFE_N}; profiles: "
-                 "bm.sample(GevParams(79, 21, 0.1), n=129, seed=1); heavy sweep: "
-                 f"bm.sample(GevParams(0, 1, xi), n, seed) for (xi, n) in {list(HEAVY)}, seeds 0-17",
+                 "bm.sample(GevParams(79, 21, 0.1), n=129, seed=1); heavy sweep: the profiles "
+                 f"{[name for name, _, _ in HEAVY_PROFILES]} of bm.sample(GevParams(0, 1, xi), n, "
+                 f"seed) for (xi, n) in {list(HEAVY)}, seeds 0-17",
         "statistic": f"median of {REPEATS} runs per tree, each in a fresh interpreter, the trees "
                      "alternating; kernels best of 7 loops and stages median of 3 calls within a "
                      "run; profiles median of 5 calls within a run; the sweep, the crossover and "

@@ -307,9 +307,10 @@ def _fit_rows(X, model, compute_se=False):
     the moment start (Gumbel); the lanes step on the eigenvalue-floored
     information where it is indefinite, within the step and halving caps of
     the refits (``patient``).  A lane that falls back runs the simplex search
-    (:func:`_search`) on its standardized row, and where that stands with a
-    regular shape (xi > NONREGULAR_XI), Newton steps from its optimum finish
-    it.  The estimate
+    (:func:`_search`) on its standardized row, and where that stands, Newton
+    steps from its optimum finish it; a GEV optimum with a nonregular shape
+    falls back from those at their first iteration (:func:`_newton_rows`)
+    and keeps the search's.  The estimate
     maps back exactly: mu = center + scale*mu_z, sigma = scale*sigma_z, the
     same xi, and the covariance (from the information at the standardized
     optimum) by the diagonal Jacobian (scale, scale[, 1]).  Every step is
@@ -344,7 +345,7 @@ def _fit_rows(X, model, compute_se=False):
             return nllh_rows(Z, *points.T, rows=rows[lanes])
 
         theta, f_min, cause, steps = _newton_rows(
-            derivatives, _Values(nllh_at, n), start, 2 if gev else None,
+            derivatives, nllh_at, n, start, 2 if gev else None,
             np.ones(rows.size, dtype=bool), patient=True)
         iterations[rows] += steps
         return theta, f_min, cause
@@ -358,11 +359,10 @@ def _fit_rows(X, model, compute_se=False):
     converged = np.array([opt is None or opt.converged for opt in opts], dtype=bool)
     penalized = f_z >= PENALTY
     collapsed = ~penalized & _collapsed(theta_z[:, 1], Z.max(axis=1) - Z.min(axis=1))
-    # a search that stands in the regular shapes is finished by Newton steps
-    # from its optimum, so that it is as exact as a lane Newton solved
+    # a search that stands is finished by Newton steps from its optimum, so
+    # that it is as exact as a lane Newton solved; in the nonregular shapes
+    # the first iteration falls back, and the search's optimum stays
     finish = searched[(converged & ~penalized & ~collapsed)[searched]]
-    if gev:
-        finish = finish[theta_z[finish, 2] > NONREGULAR_XI]
     if finish.size:
         exact, f_exact, failed = newton(finish, theta_z[finish])
         done = failed == ""
@@ -531,7 +531,8 @@ class Refit:
         nllh_rows = gev_nllh_rows if gev else gumbel_nllh_rows
         theta, _, why, steps = _newton_rows(
             lambda lanes, points: kernel(X, *points.T, rows=lanes),
-            _Values(lambda lanes, points: nllh_rows(X, *points.T, rows=lanes), X.shape[1]),
+            lambda lanes, points: nllh_rows(X, *points.T, rows=lanes),
+            X.shape[1],
             np.tile(self.start, (X.shape[0], 1)),
             2 if gev else None,
         )
@@ -637,26 +638,16 @@ def _modified_eigh(g, H):
     return step, decrement
 
 
-@dataclass(frozen=True)
-class _Values:
-    """The ``nllh_rows`` of :func:`_newton_rows`: ``nllh(lanes, points)``,
-    whose lanes each cover ``width`` values."""
-
-    nllh: object
-    width: int
-
-    def __call__(self, lanes, points):
-        return self.nllh(lanes, points)
-
-
-def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patient=False):
+def _newton_rows(derivatives, nllh_rows, width, theta, xi_column=None, free=None, patient=False):
     """Damped Newton from every row of ``theta`` (lanes, d), the lanes in lockstep.
 
     ``derivatives(lanes, points)`` returns ``(value, valid, score, info)`` and
     ``nllh_rows(lanes, points)`` returns ``(value, valid)`` of the objective
     of the lanes at the indices ``lanes`` (ascending) at ``points``, the
-    values bit for bit the same.  A lane whose column ``xi_column`` reaches
-    NONREGULAR_XI falls back.  The lanes of the boolean mask ``free`` step
+    values bit for bit the same; each lane's objective covers ``width``
+    values.  A lane whose column ``xi_column``, a free shape, reaches
+    NONREGULAR_XI falls back (NONREGULAR): the one place where fits, refits
+    and profiles apply that rule.  The lanes of the boolean mask ``free`` step
     on :func:`_modified_direction` where their information is indefinite,
     and unless ``patient`` give up (with the cause STEP_CAP or that of the
     line search) after FREE_STEPS steps or FREE_HALVINGS halvings of one
@@ -664,8 +655,8 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patie
     information.
 
     Where the first trial points of a line search cover at least
-    BLOCK_ELEMENTS values (``nllh_rows.width`` values per lane, for a
-    :class:`_Values`), they are evaluated by ``derivatives``: a lane whose
+    BLOCK_ELEMENTS values (``width`` per lane), they are evaluated by
+    ``derivatives``: a lane whose
     trial is accepted keeps that pass for its next iteration, which then
     evaluates only the other lanes.  Narrower trials, later halvings and the
     last full step of a converged lane go to ``nllh_rows``.  So a lane's
@@ -681,7 +672,6 @@ def _newton_rows(derivatives, nllh_rows, theta, xi_column=None, free=None, patie
     """
     theta = theta.copy()
     lanes, d = theta.shape
-    width = getattr(nllh_rows, "width", 0)
     cut_free = free is not None and not patient
     f_min = np.full(lanes, np.nan)
     cause = np.full(lanes, "", dtype=object)

@@ -20,14 +20,11 @@ from . import inference
 from .data import as_values
 from .inference import (
     _PARAMETERS,
-    NONREGULAR,
-    NONREGULAR_XI,
     FitResult,
     ProfileBracketError,
     _newton_direction,
     _newton_rows,
     _standardize,
-    _Values,
     delta_method,
     fit_gev,
     fit_gumbel,
@@ -220,8 +217,6 @@ def _profile_center(fit: FitResult, which: str, k: int, p, shift: float, scale: 
             grad = return_level_gradient(fit.params, p)[: fit.n_params]
             se = math.sqrt(max(delta_method(fit.cov, grad), 0.0))
         return center, se, start
-    if which not in _PARAMETERS[fit.model]:
-        raise ValueError(f"cannot profile {which!r} for the {fit.model} model")
     se = None if fit.se is None else float(fit.se[k])
     return float(fit.theta[k]), se, start
 
@@ -260,7 +255,10 @@ def profile(
     and its expansions stop there, so a lower side that does not cross
     above -1 (or an estimate at or below it) raises
     ``ProfileBracketError("lower")``, and an explicit grid value at or below
-    -1 raises ValueError.
+    -1 raises ValueError.  Above -1 the likelihood with xi pinned is bounded
+    (Smith 1985), so a point at -1 < xi <= -0.5 is a Newton point like any
+    other.  A ``fit`` of another model, or a grid value that is not finite,
+    raises ValueError.
 
     Profiling ``which="return_level"`` re-expresses the model in terms of
     (x_p, sigma[, xi]) by substituting the matching location parameter.
@@ -278,6 +276,8 @@ def profile(
     k, location = _pinned(model, which, p)
     if fit is None:
         fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
+    elif fit.model != model:
+        raise ValueError(f"cannot profile the {model} model from a {fit.model} fit")
     lhat = -fit.nllh
     Z, shift, scale = _standardize(values[None, :])
     shift, scale = float(shift[0]), float(scale[0])
@@ -298,6 +298,8 @@ def profile(
         raise ProfileBracketError("lower")
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("profile grid values must be finite")
         if np.any(grid <= floor):
             raise ValueError("a profile of xi needs grid values above -1; "
                              "at or below it the likelihood has no maximum")
@@ -358,10 +360,8 @@ class _Problem:
         self.nllh = _restricted_rows(values, model, k, location)
         self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
         self.width = values.size
-        # the slot of xi among the free parameters, or whether xi is the pinned one
-        gev = model == "gev"
-        self.xi_column = 1 if gev and k != 2 else None
-        self.xi_pinned = gev and k == 2
+        # the slot of xi among the free parameters, if xi is free
+        self.xi_column = 1 if model == "gev" and k != 2 else None
 
     def anchor(self, g, r, counts):
         """``(g, r, slope)`` at the estimate: the slope dr/dg of the optimum path
@@ -394,7 +394,7 @@ def _newton_lanes(problem, g, start, free=None):
         return value, valid, score, info
 
     theta, f_min, cause, steps = _newton_rows(
-        derivatives, _Values(lambda lanes, points: problem.nllh(g[lanes], points), problem.width),
+        derivatives, lambda lanes, points: problem.nllh(g[lanes], points), problem.width,
         start, problem.xi_column, free)
     return theta, f_min, cause, int(steps.sum()), _slope(info_last, cross_last)
 
@@ -417,12 +417,13 @@ def _lockstep(problem, legs, counts) -> list:
     nearer to it is solved, at most NEWTON_TRIES times from starts that are
     not its inner neighbour; one that fails from its inner neighbour's
     optimum (its information is indefinite, it leaves the support, its line
-    search fails, it hits the step cap or it is nonregular, pinned or free
-    xi <= NONREGULAR_XI) falls back to the simplex search from there, as a
-    walk from point to point would run it.  Each wave solves at least the innermost open point of
-    every leg, so a profile takes at most as many waves as its longest leg
-    has points, and at worst a point costs the walk's solve and fallback
-    plus NEWTON_TRIES failed solves.
+    search fails, it hits the step cap or its free xi reaches the nonregular
+    shapes, see :func:`blockmax.inference._newton_rows`) falls back to the
+    simplex search from there, as a walk from point to point would run it.
+    Each wave solves at least the innermost open point of every leg, so a
+    profile takes at most as many waves as its longest leg has points, and
+    at worst a point costs the walk's solve and fallback plus NEWTON_TRIES
+    failed solves.
 
     ``edge`` is the anchor at the leg's last point, for a leg that extends
     it; ``counts`` gains the Newton points, Newton iterations, waves and
@@ -449,7 +450,6 @@ def _lockstep(problem, legs, counts) -> list:
     f_min = np.full(total, np.nan)
     tries = np.zeros(total, dtype=int)
     tried_from = np.full(total, -1)
-    nonregular = problem.xi_pinned & (g[:total] <= NONREGULAR_XI)
 
     while not solved.all():
         # per point, the nearest solved slot on its way to the anchor
@@ -459,32 +459,29 @@ def _lockstep(problem, legs, counts) -> list:
             last = np.maximum.accumulate(np.where(solved[span], span, -1))
             source[span] = np.where(last >= 0, last, total + l)
         pending = ~solved[:total]
+        # the innermost open point of every leg is adjacent, so lanes is never empty
         adjacent = pending & (source == inner)
-        retry = pending & ~nonregular & (tries < NEWTON_TRIES) & (source != tried_from)
-        lanes = np.flatnonzero((adjacent | retry) & ~nonregular)
-        fallback = [(j, NONREGULAR) for j in np.flatnonzero(adjacent & nonregular)]
+        retry = pending & (tries < NEWTON_TRIES) & (source != tried_from)
+        lanes = np.flatnonzero(adjacent | retry)
         counts["waves"] += 1
 
-        if lanes.size:
-            from_ = source[lanes]
-            start = r[from_].copy()
-            known = ~np.isnan(slope[from_, 0])
-            start[known] += slope[from_[known]] * (g[lanes[known]] - g[from_[known]])[:, None]
-            theta, f_lanes, why, steps, tangent = _newton_lanes(
-                problem, g[lanes], start, ~adjacent[lanes])
-            counts["steps"] += steps
-            done = why == ""
-            solved[lanes[done]] = True
-            r[lanes[done]], f_min[lanes[done]] = theta[done], f_lanes[done]
-            slope[lanes[done]] = tangent[done]
-            counts["newton"] += int(np.count_nonzero(done))
-            from_inner = adjacent[lanes]
-            again = ~done & ~from_inner
-            tries[lanes[again]] += 1
-            tried_from[lanes[again]] = from_[again]
-            fallback += zip(lanes[~done & from_inner], why[~done & from_inner])
+        from_ = source[lanes]
+        start = r[from_].copy()
+        known = ~np.isnan(slope[from_, 0])
+        start[known] += slope[from_[known]] * (g[lanes[known]] - g[from_[known]])[:, None]
+        theta, f_lanes, why, steps, tangent = _newton_lanes(problem, g[lanes], start, ~adjacent[lanes])
+        counts["steps"] += steps
+        done = why == ""
+        solved[lanes[done]] = True
+        r[lanes[done]], f_min[lanes[done]] = theta[done], f_lanes[done]
+        slope[lanes[done]] = tangent[done]
+        counts["newton"] += int(np.count_nonzero(done))
+        from_inner = adjacent[lanes]
+        again = ~done & ~from_inner
+        tries[lanes[again]] += 1
+        tried_from[lanes[again]] = from_[again]
 
-        for j, cause in fallback:
+        for j, cause in zip(lanes[~done & from_inner], why[~done & from_inner]):
             g_j = g[j]
             # looked up at call time, as the fits' searches are, so that a wrapper
             # put on inference.minimize (perfbench's tracer) sees these too

@@ -462,7 +462,7 @@ def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
     pending = [(i, 0) for i in range(b)]  # (replicate, attempt)
     loo_ok = np.ones(n, dtype=bool)
     loo_failures: Counter = Counter()
-    raised = None  # (span, exception) of the first leave-one-out batch whose rows call raised
+    raised = None  # (what, exception) of the first leave-one-out batch whose rows call raised
     while pending or loo is not None:
         processes = _fork.processes(len(pending) * n + (0 if loo is None else n * (n - 1)),
                                     MIN_SHARE_VALUES)
@@ -475,8 +475,8 @@ def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
         redraw, broke = [], None
         for kind, item, out in _split(work, runs, processes):
             if kind == "loo":
-                if isinstance(out, Exception):
-                    raised = raised or (item, out)
+                if len(out) == 2:
+                    raised = raised or out
                 else:
                     loo[slice(*item)], loo_ok[slice(*item)], counted = out
                     loo_failures.update(counted)
@@ -499,10 +499,8 @@ def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
             )
         pending, loo = redraw, None
     if raised is not None:
-        (start, stop), exc = raised
-        raise ResamplingError(
-            f"jackknife refits without observations {start} to {stop - 1} failed: {exc!r}"
-        ) from exc
+        what, exc = raised
+        raise ResamplingError(f"jackknife {what} failed: {exc!r}") from exc
     if not loo_ok.all():
         raise ResamplingError(
             f"jackknife refit without observation {int(np.flatnonzero(~loo_ok)[0])} failed; "
@@ -518,8 +516,13 @@ def _loo_spans(n: int, processes: int) -> list[tuple[int, int]]:
 
 def _leave_one_out(values, statistic, k, span):
     """``(theta, ok, counted)`` of the rows ``statistic.rows`` gives the samples
-    without observation i, for i in ``range(*span)``, or the exception that
-    ``rows`` raised."""
+    without observation i, for i in ``range(*span)``.
+
+    Where that call raises, the batch runs again one row at a time, and the
+    result is ``("refit without observation i", exception)`` of the first
+    row that raises alone, or names the batch where none does: so the error
+    does not depend on the batches.
+    """
     start, stop = span
     # row i skips observation i: column j reads j, or j + 1 from i on
     column = np.arange(values.size - 1)
@@ -527,8 +530,13 @@ def _leave_one_out(values, statistic, k, span):
     counted: Counter = Counter()
     try:
         theta, ok = _evaluate_rows(statistic, X, k, counted)
-    except Exception as exc:  # noqa: BLE001 - raised as the jackknife's error once the rounds end
-        return exc
+    except Exception as batch:  # noqa: BLE001 - raised as the jackknife's error once the rounds end
+        for i, row in enumerate(X, start):
+            try:
+                _evaluate_rows(statistic, row[None, :], k, Counter())
+            except Exception as exc:  # noqa: BLE001 - as above
+                return f"refit without observation {i}", exc
+        return f"refits without observations {start} to {stop - 1}", batch
     return theta, ok, counted
 
 
@@ -541,8 +549,9 @@ def jackknife(sample, statistic, labels=None) -> ResamplingReport:
     any failed evaluation aborts with ResamplingError (there is no redraw to
     fall back on).  With a ``rows`` statistic the leave-one-out samples are
     evaluated in batches, one round of :func:`_rounds`, and it aborts once
-    every batch is in: naming the first batch whose ``rows`` call raised, or
-    else the first failed refit.
+    every batch is in: naming, as the loop does, the first observation whose
+    row raises alone (see :func:`_leave_one_out`), or else the first failed
+    refit, whatever the batches and processes.
     """
     values = as_values(sample)
     n = values.size
@@ -585,10 +594,7 @@ def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=N
     leave-one-out batches ride in the bootstrap's first round (see
     :func:`_rounds`), so on two CPUs neither waits for the other.  The
     errors are those of the two calls: the bootstrap's come first, and the
-    jackknife's is raised from that round once the bootstrap is done.  The
-    one difference: where a leave-one-out ``rows`` call raised, the error
-    names the round's batch, which on two CPUs may be part of the one that
-    :func:`jackknife` alone would name.
+    jackknife's is raised from that round once the bootstrap is done.
     """
     values = as_values(sample)
     n = values.size

@@ -219,8 +219,21 @@ def test_program_errors_in_rows_propagate():
     with pytest.raises(KeyError):
         bootstrap(np.arange(10.0), Broken(), b=20, seed=0)
     # the jackknife has no redraw: any failed refit aborts it, as in the loop
-    with pytest.raises(bm.ResamplingError, match="without observations 0 to 9") as err:
+    with pytest.raises(bm.ResamplingError, match="without observation 0 failed: KeyError") as err:
         jackknife(np.arange(10.0), Broken())
+    assert isinstance(err.value.__cause__, KeyError)
+
+
+def test_a_jackknife_batch_that_raises_only_as_a_batch_is_named():
+    class RaisesTogether(_RowsMean):
+        def rows(self, X, failures):
+            if X.shape[0] > 1:
+                raise KeyError("bug")
+            return super().rows(X, failures)
+
+    # no row raises alone: the error names the batch that raised
+    with pytest.raises(bm.ResamplingError, match=r"without observations 0 to 9 failed: KeyError") as err:
+        jackknife(np.arange(10.0), RaisesTogether())
     assert isinstance(err.value.__cause__, KeyError)
 
 
@@ -252,7 +265,7 @@ def test_cli_jackknife_below_the_fit_minimum_exits_4(tmp_path, capsys):
     for argv in (["resample", str(path)], ["rlevel", str(path), "--bias-correct", "on"],
                  ["report", str(path), "--out-dir", str(tmp_path / "out")]):
         assert main(argv) == 4, argv
-        assert "jackknife refits without observations 0 to 9" in capsys.readouterr().err
+        assert "jackknife refit without observation 0 failed: ValueError" in capsys.readouterr().err
 
 
 class _RowsForbidden(_RowsMean):

@@ -8,8 +8,10 @@ the in-place kernels reproduce bit for bit, and rewritten when the observed
 information, whose standard errors set the default grids, became closed
 form (the explicit-grid case did not move), again when the grid points
 became Newton solves of the restricted problem, again when they became
-lanes of one lockstep solve, and again when the fits and the grid points
-moved to the standardized sample.  Regenerate (only on purpose) with
+lanes of one lockstep solve, again when the fits and the grid points
+moved to the standardized sample, and again when the points of a profile of
+xi at -1 < xi <= -0.5 became Newton points (one lp of ``bounded_xi`` moved
+by one ulp).  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """

@@ -218,7 +218,7 @@ def test_fallback_rows_are_the_simplex_rows_bit_for_bit():
     *_, cause, _ = _newton_rows(
         lambda lanes, points: gev_derivatives_rows(X[lanes], *points.T),
         lambda lanes, points: gev_nllh_rows(X[lanes], *points.T),
-        np.tile(fit.theta, (X.shape[0], 1)), 2)
+        X.shape[1], np.tile(fit.theta, (X.shape[0], 1)), 2)
     fallback = cause != ""
     assert 0 < np.count_nonzero(fallback) < X.shape[0]
     assert NONREGULAR in set(cause)

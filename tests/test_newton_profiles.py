@@ -7,8 +7,9 @@ support; a profile whose points all fall back against a simplex walk bit for
 bit; the anchors of the grid expansion; the crossing rule at penalized
 points; lockstep profiles against a sequential walk of one-lane Newton
 solves, on chosen cases and as a Hypothesis property; the modified Newton
-steps of far starts and their step cap; and, on heavy-tailed samples, the
-intervals against a simplex walk over the same grid.
+steps of far starts and their step cap; pinned nonregular shapes as Newton
+points; the checks of the fit and the grid; and, on heavy-tailed samples,
+the intervals against a simplex walk over the same grid.
 """
 
 import math
@@ -197,15 +198,15 @@ def _simplex_walk(values, model, which, p, fit, grid):
 
 def test_points_that_fall_back_are_the_simplex_walk_bit_for_bit(sample, monkeypatch):
     fit = fit_gev(sample)
-    grid = np.linspace(-0.2, 0.45, 27)
-    monkeypatch.setattr(profiles, "NONREGULAR_XI", math.inf)  # every point falls back
-    curve = profile(sample, "gev", which="xi", grid=grid, fit=fit)
+    grid = fit.params.mu + np.linspace(-5.0, 5.0, 27)
+    # the free shape of every lane of a profile of mu is nonregular: every point falls back
+    monkeypatch.setattr(inference, "NONREGULAR_XI", math.inf)
+    curve = profile(sample, "gev", which="mu", grid=grid, fit=fit)
     assert curve.counts[NONREGULAR] == curve.grid.size and curve.counts["newton"] == 0
-    # one point per leg and wave, as a walk from point to point; one
-    # derivative pass, for the tangent at the estimate
-    i0 = int(np.argmin(np.abs(curve.grid - fit.params.xi)))
-    assert curve.counts["waves"] == max(i0, curve.grid.size - i0) and curve.counts["steps"] == 1
-    assert _bits(curve.lp) == _bits(_simplex_walk(sample, "gev", "xi", None, fit, curve.grid))
+    # one point per leg and wave, as a walk from point to point
+    i0 = int(np.argmin(np.abs(curve.grid - fit.params.mu)))
+    assert curve.counts["waves"] == max(i0, curve.grid.size - i0)
+    assert _bits(curve.lp) == _bits(_simplex_walk(sample, "gev", "mu", None, fit, curve.grid))
 
 
 def test_counts_and_expansions(sample):
@@ -271,6 +272,21 @@ def test_profiles_of_xi_stay_above_minus_one(monkeypatch):
         profile(bounded, "gev", "xi", grid=[-0.5, 0.0])
 
 
+@pytest.mark.parametrize("which", ["mu", "xi"])
+def test_a_fit_of_another_model_is_refused(sample, which):
+    # unchecked, these raised a TypeError from the kernel (mu) and an IndexError (xi)
+    with pytest.raises(ValueError, match="the gev model from a gumbel fit"):
+        profile(sample, "gev", which, fit=fit_gumbel(sample))
+    with pytest.raises(ValueError, match="the gumbel model from a gev fit"):
+        profile(sample, "gumbel", "mu", fit=fit_gev(sample))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_grid_value_that_is_not_finite_is_refused(sample, bad):
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        profile(sample, "gev", "mu", grid=[75.0, bad, 85.0])
+
+
 def test_no_crossing_is_taken_against_a_penalized_point():
     grid = np.arange(7.0)
     lp = np.array([-9.0, -2.0, -1.0, 0.0, -0.5, -1.5, -3.0])
@@ -305,11 +321,8 @@ def _walk(values, model, which, p, fit, grid):
         for j in leg:
             g = grid[j]
             warm = r0 if slope0 is None else r0 + slope0 * (g - g0)
-            why = NONREGULAR if problem.xi_pinned and g <= inference.NONREGULAR_XI else ""
-            if not why:
-                r, f, cause, _, slope = profiles._newton_lanes(problem, np.array([g]), warm[None, :])
-                why = cause[0]
-            if why:
+            r, f, cause, _, slope = profiles._newton_lanes(problem, np.array([g]), warm[None, :])
+            if cause[0]:
                 opt = minimize(lambda x: problem.objective(g, x), r0)
                 r0, lp[j], slope0 = opt.x_min, -opt.f_min, None
             else:
@@ -426,14 +439,14 @@ def test_free_lanes_stop_after_free_steps(monkeypatch):
     passes = []
     newton_rows = profiles._newton_rows
 
-    def spy(derivatives, nllh_rows, theta, xi_column=None, free=None):
+    def spy(derivatives, nllh_rows, width, theta, xi_column=None, free=None):
         count = np.zeros(theta.shape[0], dtype=int)
 
         def counted(lanes, points):
             count[lanes] += 1
             return derivatives(lanes, points)
 
-        out = newton_rows(counted, nllh_rows, theta, xi_column, free)
+        out = newton_rows(counted, nllh_rows, width, theta, xi_column, free)
         passes.append((count, free))
         return out
 
@@ -444,15 +457,17 @@ def test_free_lanes_stop_after_free_steps(monkeypatch):
     assert max(count[~free].max(initial=0) for count, free in passes) <= inference.NEWTON_STEPS + 1
 
 
-def test_pinned_nonregular_shapes_fall_back_from_their_inner_neighbour():
+def test_pinned_nonregular_shapes_are_newton_points():
+    # with xi pinned above -1 the likelihood is bounded (Smith 1985): the
+    # points of this profile in (-1, -0.5] are Newton lanes, no worse than
+    # the simplex walk
     values = bm.sample(bm.GevParams(79.0, 21.0, -0.3), 129, seed=3).values
     fit = fit_gev(values)
     curve = _agrees_with_the_walk(values, "gev", "xi", None, fit)
-    below = np.count_nonzero(curve.grid <= inference.NONREGULAR_XI)
-    assert below and curve.counts[NONREGULAR] == below
-    assert curve.counts["newton"] == curve.grid.size - below
-    # one fallback per wave, each waiting for the point inside it
-    assert curve.counts["waves"] >= below
+    below = (curve.grid > -1.0) & (curve.grid <= inference.NONREGULAR_XI)
+    assert below.any() and curve.counts["newton"] == curve.grid.size
+    walked = _simplex_walk(values, "gev", "xi", None, fit, curve.grid)
+    assert np.all(curve.lp[below] >= walked[below] - 1e-9 * np.abs(walked[below]))
 
 
 def _draw_sample(draw):

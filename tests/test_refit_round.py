@@ -298,4 +298,7 @@ def test_a_failed_jackknife_runs_each_batch_once(processes, raises):
     stat = _CountedJackknife(raises)
     _message(lambda: bootstrap_jackknife(values, stat, b=60, seed=2))
     batches = resampling._loo_spans(10, 1 if processes == "one process" else 2)
-    assert stat.counts["loo_calls"] == len(batches)  # no batch is run again for the error
+    # no batch is run again for the error; a batch whose rows call raised is
+    # run again one row at a time up to the first row that raises alone,
+    # here its first
+    assert stat.counts["loo_calls"] == len(batches) * (2 if raises else 1)

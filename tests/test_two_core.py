@@ -180,6 +180,22 @@ def test_jackknife_failures_match_the_serial_run(small_floor):
     assert run() == _serially(run) == "jackknife refit without observation 30 failed; causes: lost_30"
 
 
+class _AlwaysRaises(_Flaky):
+    def rows(self, X, failures):
+        raise KeyError("bug")
+
+
+def test_a_raising_jackknife_names_the_same_observation_split_or_not():
+    # n=300 splits on two CPUs at the default floor; the error is the loop's
+    def run():
+        with pytest.raises(ResamplingError) as err:
+            jackknife(np.arange(300.0), _AlwaysRaises())
+        assert isinstance(err.value.__cause__, KeyError)
+        return str(err.value)
+
+    assert run() == _serially(run) == "jackknife refit without observation 0 failed: KeyError('bug')"
+
+
 def test_jackknife_of_ten_maxima_exits_4_as_in_the_serial_run(tmp_path, capsys):
     path = tmp_path / "ten.txt"
     x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 10, seed=3).values
@@ -189,7 +205,7 @@ def test_jackknife_of_ten_maxima_exits_4_as_in_the_serial_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert _serially(lambda: main(argv)) == 4
     assert capsys.readouterr().err == err
-    assert "jackknife refits without observations 0 to 9" in err
+    assert "jackknife refit without observation 0 failed: ValueError" in err
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -262,7 +278,8 @@ def test_a_warning_in_a_child_reaches_the_parent(forking):
 
 
 class _LosesObservation30(_Flaky):
-    """Only the refits of the second half of np.arange(40.0) lack 30: they raise."""
+    """A rows call raises where a row lacks 30: the refit without observation 30
+    of np.arange(40.0), which on two CPUs is in the child's share."""
 
     def rows(self, X, failures):
         if not (X == 30.0).any(axis=1).all():
@@ -283,7 +300,7 @@ class _BreaksOnTheLastReplicate(_Flaky):
 
 def test_a_program_error_in_a_child_surfaces_with_its_type(forking):
     values = np.arange(40.0)
-    with pytest.raises(ResamplingError, match="without observations 20 to 39") as err:
+    with pytest.raises(ResamplingError, match="without observation 30 failed") as err:
         jackknife(values, _LosesObservation30())
     assert isinstance(err.value.__cause__, KeyError)
 
