@@ -94,8 +94,9 @@ in ``HEAVY``, seeds 0-17: heavy-tailed samples whose profiles branch, and
 small or bounded ones whose profiles reach the nonregular shapes; 630
 profiles), timed on one CPU and, where the process may use two, again on
 every CPU.  With ``--src`` the file also gets the agreement of the two
-trees' sweeps: interval shifts, worse optima, outcomes that differ, and
-fallbacks by profile and cause.
+trees' sweeps: interval shifts, the largest relative change of grid, lp and
+interval by profile, worse optima, outcomes that differ, and fallbacks by
+profile and cause (see ``_agreement``).
 ``best_of`` is also the kernel timer of ``perfbench/run.py``.
 """
 
@@ -417,37 +418,73 @@ def _heavy_sweep() -> dict:
     return {"wall_s": wall, "cases": out}
 
 
+def _relative(old, new) -> float:
+    """The largest |new - old| / max(|old|, |new|) of two equal-length sequences (0/0 is 0)."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    scale = np.maximum(np.abs(old), np.abs(new))
+    return float(np.max(np.abs(new - old) / np.where(scale == 0.0, 1.0, scale), initial=0.0))
+
+
 def _agreement(parent: dict, change: dict) -> dict:
     """The heavy sweep of the change against the parent's, case by case.
 
     Intervals are compared in units of the parent's width where the parent
-    left no grid point on the penalty surface; the nllh of the change is
-    compared at every shared grid point, split at a deviance of twice the
-    critical value.  Fallbacks are counted by profile and cause in each
-    tree, and every case whose outcome (an interval, the side that did not
-    bracket, or the error) differs between the trees is listed.
+    left no grid point on the penalty surface.  Where both grids have the
+    same size their points are paired by index, so a default grid that
+    moved by an ulp is still compared; otherwise at the grid values both
+    trees share.  The nllh of the change is compared at every paired point,
+    split at a deviance of twice the critical value (each case with worse
+    points is listed with their number, the largest gap and the smallest
+    deviance), and per profile name the file gets the largest relative
+    change of the grid, the lp and the interval over the cases paired by
+    index.  Fallbacks are counted by profile and cause in each tree, and
+    every case whose fallback counts or whose outcome (an interval, the
+    side that did not bracket, or the error) differ between the trees is
+    listed.
     """
     critical = bm.special.chi2_quantile(0.95, 1)
-    shift, near, far, far_gap, penalized, differ = 0.0, 0, 0, 0.0, {}, {}
+    shift, near, far, far_gap, better, penalized, differ = 0.0, 0, 0, 0.0, 0, {}, {}
     fallbacks = {"parent": {}, "change": {}}
+    moved_fallbacks, worse_cases = {}, {}
     outcomes = {"parent": Counter(), "change": Counter()}
-    points = 0
+    changes = {}
+    points = paired = 0
     for name, old in parent["cases"].items():
         new = change["cases"][name]
         profile_name = name.rsplit("_", 1)[1]
+        by_cause = {}
         for tree, case in (("parent", old), ("change", new)):
-            fallbacks[tree].setdefault(profile_name, Counter()).update(
-                {k: v for k, v in case.get("counts", {}).items() if k not in _NOT_FALLBACKS})
+            by_cause[tree] = {k: v for k, v in case.get("counts", {}).items() if k not in _NOT_FALLBACKS}
+            fallbacks[tree].setdefault(profile_name, Counter()).update(by_cause[tree])
             outcomes[tree][next(k for k in ("ci", "unbracketed", "error") if k in case)] += 1
-        old_lp = dict(zip(old["grid"], old["lp"]))
+        if by_cause["parent"] != by_cause["change"]:
+            moved_fallbacks[name] = by_cause
         points += len(new["grid"])
-        for g, lp in zip(new["grid"], new["lp"]):
-            if g in old_lp and -lp > -old_lp[g] + 1e-9 * abs(old_lp[g]):
-                if 2.0 * (new["lhat"] - lp) <= 2.0 * critical:
-                    near += 1
-                else:
-                    far += 1
-                    far_gap = max(far_gap, old_lp[g] - lp)
+        by_profile = changes.setdefault(profile_name, {"cases_paired_by_index": 0, "cases_unpaired": 0,
+                                                       "grid": 0.0, "lp": 0.0, "ci": 0.0})
+        if len(new["grid"]) == len(old["grid"]):
+            pairs = list(zip(old["lp"], new["lp"]))
+            by_profile["cases_paired_by_index"] += 1
+            by_profile["grid"] = max(by_profile["grid"], _relative(old["grid"], new["grid"]))
+            by_profile["lp"] = max(by_profile["lp"], _relative(old["lp"], new["lp"]))
+            if "ci" in old and "ci" in new:
+                by_profile["ci"] = max(by_profile["ci"], _relative(old["ci"], new["ci"]))
+        else:
+            old_lp = dict(zip(old["grid"], old["lp"]))
+            pairs = [(old_lp[g], lp) for g, lp in zip(new["grid"], new["lp"]) if g in old_lp]
+            by_profile["cases_unpaired"] += 1
+        paired += len(pairs)
+        worse = [(was - lp, 2.0 * (new["lhat"] - lp)) for was, lp in pairs if -lp > -was + 1e-9 * abs(was)]
+        better += sum(-was > -lp + 1e-9 * abs(lp) for was, lp in pairs)
+        for gap, deviance in worse:
+            if deviance <= 2.0 * critical:
+                near += 1
+            else:
+                far += 1
+                far_gap = max(far_gap, gap)
+        if worse:
+            worse_cases[name] = {"points": len(worse), "largest_gap": max(gap for gap, _ in worse),
+                                 "smallest_deviance": min(deviance for _, deviance in worse)}
         old_outcome = old.get("ci", old.get("unbracketed", old.get("error")))
         new_outcome = new.get("ci", new.get("unbracketed", new.get("error")))
         on_penalty = sum(lp <= -bm.likelihood.PENALTY for lp in old["lp"])
@@ -463,13 +500,18 @@ def _agreement(parent: dict, change: dict) -> dict:
         "critical": critical,
         "cases": len(parent["cases"]),
         "grid_points": points,
+        "paired_points": paired,
         "outcomes": {tree: dict(counts) for tree, counts in outcomes.items()},
         "max_ci_shift_per_width": shift,
+        "max_relative_change_by_profile": changes,
         "worse_nllh_points_within_2x_critical": near,
         "worse_nllh_points_beyond": far,
         "worse_nllh_largest_gap_beyond": far_gap,
+        "better_nllh_points": better,
+        "cases_with_worse_nllh_points": worse_cases,
         "fallbacks": {tree: {name: dict(counts) for name, counts in by_profile.items()}
                       for tree, by_profile in fallbacks.items()},
+        "cases_whose_fallbacks_differ": moved_fallbacks,
         "cases_with_penalized_parent_points": penalized,
         "cases_whose_outcome_differs": differ,
     }

@@ -77,6 +77,8 @@ ARMIJO = 1e-4
 HALVINGS = 30
 NEWTON_STEPS = 20
 NONREGULAR_XI = -0.5
+# at or below this shape the GEV likelihood has no maximum (Smith 1985)
+UNBOUNDED_XI = -1.0
 # "Free" Newton lanes (profile grid points not started from their inner
 # neighbour, see blockmax.profiles._lockstep) step on the information with
 # its eigenvalues made positive where it is indefinite (_modified_direction,
@@ -142,9 +144,9 @@ class Regularity(Enum):
 
 
 def smith_regularity(xi: float) -> Regularity:
-    if xi > -0.5:
+    if xi > NONREGULAR_XI:
         return Regularity.REGULAR
-    if xi > -1.0:
+    if xi > UNBOUNDED_XI:
         return Regularity.NON_STANDARD
     return Regularity.UNOBTAINABLE
 

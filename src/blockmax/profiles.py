@@ -20,6 +20,7 @@ from . import inference
 from .data import as_values
 from .inference import (
     _PARAMETERS,
+    UNBOUNDED_XI,
     FitResult,
     ProfileBracketError,
     _newton_direction,
@@ -69,29 +70,31 @@ class ProfileCurve:
 
 
 def _pinned(model, which, p):
-    """(k, location): the coordinate of theta a profile of ``which`` pins.
+    """k: the coordinate of theta a profile of ``which`` pins.
 
-    A return level pins the location slot, k = 0, and ``location`` maps
-    (level, sigma[, xi]) to the location that puts the level there.
+    A return level, named by its exceedance probability ``p``, pins the
+    location slot, k = 0.
     """
     if which == "return_level":
         if p is None:
             raise ValueError("profiling a return level requires the exceedance probability p")
-        return 0, level_location(p)
+        return 0
     if which not in _PARAMETERS[model]:
         raise ValueError(f"cannot profile {which!r} for the {model} model")
-    return _PARAMETERS[model].index(which), None
+    return _PARAMETERS[model].index(which)
 
 
-def _restricted(values, model, k, location=None):
+def _restricted(values, model, k, p=None):
     """Profile objective ``(g, r)``: the nllh at theta with coordinate k pinned to g.
 
-    The free parameters ``r`` fill the other slots in order; with
-    ``location``, g is a return level and slot 0 gets ``location(*theta)``.
-    Where no finite location puts the level at g the point is outside the
-    support, and the objective is the penalty ``PENALTY + |theta[-1]|``.
+    The free parameters ``r`` fill the other slots in order; with ``p``, g
+    is the return level of that exceedance probability and slot 0 gets the
+    location :func:`blockmax.returns.level_location` puts it at.  Where no
+    finite location puts the level at g the point is outside the support,
+    and the objective is the penalty ``PENALTY + |theta[-1]|``.
     """
     nllh = gev_nllh_value if model == "gev" else gumbel_nllh_value
+    location = None if p is None else level_location(p)
 
     def objective(g, r):
         theta = r.tolist()
@@ -142,10 +145,11 @@ def _outside(value, valid, theta, outside):
         valid[outside] = False
 
 
-def _restricted_rows(values, model, k, location=None):
+def _restricted_rows(values, model, k, p=None):
     """Lane-wise :func:`_restricted`: ``(G, R) -> (value, valid)`` of the lanes
     ``(G[i], R[i])``, each value bit for bit the objective's."""
     nllh = gev_nllh_rows if model == "gev" else gumbel_nllh_rows
+    location = None if p is None else level_location(p)
     rows = _lane_matrix(values)
 
     def objective(G, R):
@@ -273,7 +277,7 @@ def profile(
     values = as_values(sample)
     if model not in _PARAMETERS:
         raise ValueError(f"unknown model {model!r}")
-    k, location = _pinned(model, which, p)
+    k = _pinned(model, which, p)
     if fit is None:
         fit = fit_gev(values) if model == "gev" else fit_gumbel(values)
     elif fit.model != model:
@@ -281,12 +285,12 @@ def profile(
     lhat = -fit.nllh
     Z, shift, scale = _standardize(values[None, :])
     shift, scale = float(shift[0]), float(scale[0])
-    problem = _Problem(Z[0], model, k, location, p)
+    problem = _Problem(Z[0], model, k, p if which == "return_level" else None)
     center, center_se, start = _profile_center(fit, which, k, p, shift, scale)
     offset = shift if which in ("mu", "return_level") else 0.0
     unit = 1.0 if which == "xi" else scale
     log_scale = values.size * math.log(scale)
-    floor = -1.0 if which == "xi" else -math.inf  # no maximum at a shape at or below it
+    floor = UNBOUNDED_XI if which == "xi" else -math.inf
 
     def solve(legs):
         """:func:`_lockstep` on legs of grid values, with their lp mapped back."""
@@ -355,10 +359,10 @@ class _Problem:
     lane-wise value and derivatives, on which the Newton lanes step.
     """
 
-    def __init__(self, values, model, k, location=None, p=None):
-        self.objective = _restricted(values, model, k, location)
-        self.nllh = _restricted_rows(values, model, k, location)
-        self.derivatives = _restricted_derivatives(values, model, k, None if location is None else p)
+    def __init__(self, values, model, k, p=None):
+        self.objective = _restricted(values, model, k, p)
+        self.nllh = _restricted_rows(values, model, k, p)
+        self.derivatives = _restricted_derivatives(values, model, k, p)
         self.width = values.size
         # the slot of xi among the free parameters, if xi is free
         self.xi_column = 1 if model == "gev" and k != 2 else None

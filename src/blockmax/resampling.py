@@ -520,8 +520,9 @@ def _leave_one_out(values, statistic, k, span):
 
     Where that call raises, the batch runs again one row at a time, and the
     result is ``("refit without observation i", exception)`` of the first
-    row that raises alone, or names the batch where none does: so the error
-    does not depend on the batches.
+    row that raises alone, or ``("batch from observation start", exception)``
+    where none does: the batch is named by its first row only, since its
+    last depends on the number of processes.
     """
     start, stop = span
     # row i skips observation i: column j reads j, or j + 1 from i on
@@ -536,7 +537,7 @@ def _leave_one_out(values, statistic, k, span):
                 _evaluate_rows(statistic, row[None, :], k, Counter())
             except Exception as exc:  # noqa: BLE001 - as above
                 return f"refit without observation {i}", exc
-        return f"refits without observations {start} to {stop - 1}", batch
+        return f"batch from observation {start}", batch
     return theta, ok, counted
 
 

@@ -68,30 +68,16 @@ def return_level(params: GevParams, p: float) -> float:
 
 
 def return_level_gradient(params: GevParams, p: float) -> np.ndarray:
-    """Gradient of the return level in the model parameters.
+    """Gradient (d/dmu, d/dsigma, d/dxi) of the return level in the model parameters.
 
-    (d/dmu, d/dsigma, d/dxi) for the full family; for shapes below the Gumbel
-    switch the two-component Gumbel branch [1, -log y_p] is returned.
+    The level is ``mu - sigma*a(xi)`` with ``a`` of :func:`level_location_shape`,
+    so the gradient is ``(1, -a, -sigma*a')``: three components at every
+    shape, continuous through the Gumbel switch, where ``a'`` comes from its
+    series (at ``xi = 0``, ``sigma*log(y_p)**2/2``).  A Gumbel covariance takes
+    the first two.
     """
-    _check_p(p)
-    log_y = math.log(-math.log1p(-p))
-    if abs(params.xi) < GUMBEL_XI_EPS:
-        return np.array([1.0, -log_y])
-    xi = params.xi
-    w = -math.expm1(-xi * log_y)  # 1 - y_p**(-xi)
-    y_pow = math.exp(-xi * log_y)  # y_p**(-xi)
-    return np.array(
-        [
-            1.0,
-            -w / xi,
-            params.sigma * w / xi**2 - params.sigma * y_pow * log_y / xi,
-        ]
-    )
-
-
-def _gumbel_limit_xi_gradient(sigma: float, log_y: float) -> float:
-    # limit of d x_p / d xi as xi -> 0
-    return 0.5 * sigma * log_y**2
+    a, a1, _ = level_location_shape(p)(np.array([float(params.xi)]))
+    return np.array([1.0, -a[0], -params.sigma * a1[0]])
 
 
 def level_location(p: float):
@@ -119,9 +105,12 @@ def level_location_shape(p: float):
     """``xi -> (a, da/dxi, d2a/dxi2)`` lane-wise, for the location of :func:`level_location`.
 
     That location is ``level + sigma*a(xi)`` with ``a = -expm1(-xi*log y_p)/xi``
-    (``log y_p`` below the Gumbel switch), so these are the derivatives a
-    profile of the level needs by the chain rule.  ``xi`` is an array of
-    lanes, and so is each result.  With w = xi*log y_p and
+    (``log y_p`` below the Gumbel switch), and the level is
+    ``mu - sigma*a(xi)``: these are the derivatives a profile of the level
+    needs by the chain rule, and :func:`return_level_gradient` reads its
+    gradient off them, so the shape derivatives of a level are written here
+    only.  ``log y_p`` is computed once per ``p``.  ``xi``
+    is an array of lanes, and so is each result.  With w = xi*log y_p and
     phi(w) = -expm1(-w)/w, they are log y_p**2 * phi'(w) and
     log y_p**3 * phi''(w).  For |w| <= SERIES_RADIUS they come from the power
     series of phi, because the closed forms lose their digits to the
@@ -179,8 +168,10 @@ def return_level_ci(
 ) -> ReturnLevelEstimate:
     """Return level with delta-method variance and normal-theory bounds.
 
-    Variance is the quadratic form grad' V grad of the fit covariance with
-    :func:`return_level_gradient`.  Bounds are ``level +- z*sqrt(variance)``
+    Variance is the quadratic form grad' V grad of the fit covariance V with
+    the first ``V.shape[0]`` components of :func:`return_level_gradient`: all
+    three for a GEV fit, whatever its shape, and (d/dmu, d/dsigma) for a
+    Gumbel fit.  Bounds are ``level +- z*sqrt(variance)``
     with the two-sided normal quantile z_{tau/2} by default; ``one_sided``
     switches to the one-sided ``1-tau`` quantile, matching the convention some
     published tables use.  Passing ``sigma_corrected`` substitutes a
@@ -196,15 +187,8 @@ def return_level_ci(
         basis = LevelBasis.BIAS_CORRECTED
 
     level = return_level(params, p)
-    gradient = return_level_gradient(params, p)
     cov = np.asarray(fit.cov, dtype=float)
-    if gradient.size < cov.shape[0]:
-        # 3-parameter covariance with a shape estimate sitting below the
-        # Gumbel switch: extend with the analytic xi->0 limit component.
-        log_y = math.log(-math.log1p(-p))
-        gradient = np.append(gradient, _gumbel_limit_xi_gradient(params.sigma, log_y))
-    if gradient.size != cov.shape[0]:
-        raise ValueError("gradient and covariance dimensions disagree")
+    gradient = return_level_gradient(params, p)[: cov.shape[0]]
 
     variance = float(gradient @ cov @ gradient)
     z = normal_quantile(1.0 - tau) if one_sided else normal_quantile(1.0 - tau / 2.0)

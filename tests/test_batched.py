@@ -20,6 +20,7 @@ from blockmax.likelihood import (
     gumbel_nllh_rows,
     gumbel_nllh_value,
 )
+from blockmax import resampling
 from blockmax.cli import main
 from blockmax.resampling import bootstrap, bootstrap_jackknife, jackknife
 
@@ -224,17 +225,31 @@ def test_program_errors_in_rows_propagate():
     assert isinstance(err.value.__cause__, KeyError)
 
 
-def test_a_jackknife_batch_that_raises_only_as_a_batch_is_named():
-    class RaisesTogether(_RowsMean):
-        def rows(self, X, failures):
-            if X.shape[0] > 1:
-                raise KeyError("bug")
-            return super().rows(X, failures)
+class _RaisesTogether(_RowsMean):
+    """A rows statistic that raises for a batch of more than one row, and for no row alone."""
 
-    # no row raises alone: the error names the batch that raised
-    with pytest.raises(bm.ResamplingError, match=r"without observations 0 to 9 failed: KeyError") as err:
-        jackknife(np.arange(10.0), RaisesTogether())
+    def rows(self, X, failures):
+        if X.shape[0] > 1:
+            raise KeyError("bug")
+        return super().rows(X, failures)
+
+
+def test_a_jackknife_batch_that_raises_only_as_a_batch_is_named():
+    # no row raises alone: the error names the batch that raised by its first row
+    with pytest.raises(bm.ResamplingError, match=r"batch from observation 0 failed: KeyError") as err:
+        jackknife(np.arange(10.0), _RaisesTogether())
     assert isinstance(err.value.__cause__, KeyError)
+
+
+def test_a_batch_error_of_the_jackknife_does_not_depend_on_the_processes(monkeypatch):
+    messages = []
+    for processes in (1, 2):
+        monkeypatch.setattr(resampling._fork, "processes", lambda work, min_share, n=processes: n)
+        with pytest.raises(bm.ResamplingError) as err:
+            jackknife(np.arange(300.0), _RaisesTogether())
+        messages.append(str(err.value))
+    assert len(resampling._loo_spans(300, 1)) == 1 and len(resampling._loo_spans(300, 2)) == 2
+    assert messages[0] == messages[1] == "jackknife batch from observation 0 failed: KeyError('bug')"
 
 
 def test_failures_by_cause_in_the_loop():

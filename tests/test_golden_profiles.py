@@ -11,7 +11,9 @@ became Newton solves of the restricted problem, again when they became
 lanes of one lockstep solve, again when the fits and the grid points
 moved to the standardized sample, and again when the points of a profile of
 xi at -1 < xi <= -0.5 became Newton points (one lp of ``bounded_xi`` moved
-by one ulp).  Regenerate (only on purpose) with
+by one ulp), and again when the return level's gradient, whose standard
+error sets the default grid of a level profile, came from the series of
+``returns.level_location_shape`` (only ``level100`` moved).  Regenerate (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_profiles.py --write
 """

@@ -12,6 +12,7 @@ points; the checks of the fit and the grid; and, on heavy-tailed samples,
 the intervals against a simplex walk over the same grid.
 """
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -41,7 +42,7 @@ from blockmax.profiles import (
     _restricted_derivatives,
     _restricted_rows,
 )
-from blockmax.returns import level_location, level_location_shape, location_for_level, return_level
+from blockmax.returns import level_location_shape, location_for_level, return_level
 from blockmax.simplex import minimize
 from blockmax.special import chi2_quantile
 
@@ -88,8 +89,8 @@ PINS = [
 @pytest.mark.parametrize("model, which, p, g, r", PINS)
 def test_restricted_derivatives_match_central_differences(sample, model, which, p, g, r):
     r = np.array(r)
-    k, location = _pinned(model, which, p)
-    objective = _restricted(sample, model, k, location)
+    k = _pinned(model, which, p)
+    objective = _restricted(sample, model, k, p)
     lanes = _restricted_derivatives(sample, model, k, p)
 
     def derivatives(g, x):  # one lane
@@ -132,7 +133,7 @@ MAXIMA = Path(__file__).with_name("data") / "maxima.txt"
 
 def test_an_overflowing_location_is_a_penalty_of_the_objective():
     values = bm.data.ingest(MAXIMA).values
-    objective = _restricted(values, "gev", 0, level_location(0.01))
+    objective = _restricted(values, "gev", 0, 0.01)
     # y_p**(-xi) = exp(200 * 4.6) is beyond the floats: no location puts the
     # 100-block level at 150, and math.expm1 used to raise OverflowError here
     assert math.isnan(location_for_level(150.0, 20.0, 200.0, 0.01))
@@ -142,21 +143,21 @@ def test_an_overflowing_location_is_a_penalty_of_the_objective():
 
 def test_an_overflowing_location_is_not_valid_in_the_lane_wise_chain_rule():
     values = bm.data.ingest(MAXIMA).values
-    objective = _restricted(values, "gev", 0, level_location(0.01))
+    objective = _restricted(values, "gev", 0, 0.01)
     G = np.array([150.0, 150.0, 150.0])
     R = np.array([[20.0, 200.0], [20.0, 0.1], [20.0, -200.0]])
     value, valid, score, info, cross = _restricted_derivatives(values, "gev", 0, 0.01)(G, R)
     assert valid.tolist() == [False, True, False]
     assert value.tolist() == [objective(g, r) for g, r in zip(G, R)]
     assert np.isfinite(score[1]).all() and np.isfinite(info[1]).all() and np.isfinite(cross[1]).all()
-    rows_value, rows_valid = _restricted_rows(values, "gev", 0, level_location(0.01))(G, R)
+    rows_value, rows_valid = _restricted_rows(values, "gev", 0, 0.01)(G, R)
     assert _bits(rows_value) == _bits(value) and rows_valid.tolist() == valid.tolist()
 
 
 def test_a_far_level_lane_forms_its_chain_rule_without_warnings(sample):
     (z,), _, _ = inference._standardize(sample[None, :])
-    k, location = _pinned("gev", "return_level", 0.01)
-    problem = profiles._Problem(z, "gev", k, location, 0.01)
+    k = _pinned("gev", "return_level", 0.01)
+    problem = profiles._Problem(z, "gev", k, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the product h_mumu * v v' overflowed here
         value, valid, score, info, cross = problem.derivatives(np.array([3.0]), np.array([[1.0, 80.0]]))
@@ -175,10 +176,10 @@ def _simplex_walk(values, model, which, p, fit, grid):
     each point from its neighbour's optimum, the first ones from the estimate,
     on the sample standardized as :func:`profile` standardizes it.
     """
-    k, location = _pinned(model, which, p)
+    k = _pinned(model, which, p)
     Z, shift, scale = inference._standardize(values[None, :])
     shift, scale = float(shift[0]), float(scale[0])
-    objective = _restricted(Z[0], model, k, location)
+    objective = _restricted(Z[0], model, k, p)
     theta = fit.theta.copy()
     theta[0] = (theta[0] - shift) / scale
     theta[1] /= scale
@@ -310,8 +311,8 @@ def _walk(values, model, which, p, fit, grid):
     from its neighbour's optimum plus the tangent step, or the simplex
     search from the neighbour's optimum where Newton fails.
     """
-    k, location = _pinned(model, which, p)
-    problem = profiles._Problem(values, model, k, location, p)
+    k = _pinned(model, which, p)
+    problem = profiles._Problem(values, model, k, p)
     start = np.delete(fit.theta, k)
     center = return_level(fit.params, p) if which == "return_level" else fit.theta[k]
     i0 = int(np.argmin(np.abs(grid - center)))
@@ -358,7 +359,7 @@ def _agrees_with_the_walk(values, model, which, p, fit, **kwargs):
     except ProfileBracketError as error:
         assert outcome == error.side
         return outcome
-    center = return_level(fit.params, p) if which == "return_level" else fit.theta[_pinned(model, which, p)[0]]
+    center = return_level(fit.params, p) if which == "return_level" else fit.theta[_pinned(model, which, p)]
     assert not isinstance(outcome, str) and outcome.ci[0] < center < outcome.ci[1]
     width = upper - lower
     assert abs(outcome.ci[0] - lower) <= 1e-9 * width and abs(outcome.ci[1] - upper) <= 1e-9 * width
@@ -509,6 +510,15 @@ def test_heavy_tailed_intervals_match_a_simplex_walk(xi, n, seed, which, p):
     lower, upper = _deviance_interval(curve.grid, lp, -fit.nllh, critical)
     width = upper - lower
     assert abs(curve.ci[0] - lower) <= 1e-9 * width and abs(curve.ci[1] - upper) <= 1e-9 * width
+
+
+def test_a_level_profile_of_a_fit_below_the_gumbel_switch_holds_its_center():
+    values = bm.sample(bm.GevParams(80.0, 20.0, 0.0), 129, seed=3).values
+    fit = fit_gev(values)
+    fit = dataclasses.replace(fit, params=bm.GevParams(fit.params.mu, fit.params.sigma, 1e-10))
+    # its standard error takes the three-component gradient at xi = 1e-10
+    curve = profile(values, "gev", "return_level", p=0.01, fit=fit)
+    assert curve.ci[0] < return_level(fit.params, 0.01) < curve.ci[1]
 
 
 def test_gumbel_profiles_take_newton_steps(sample):

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockmax as bm
 from blockmax import (
+    GUMBEL_XI_EPS,
     GevParams,
     LevelBasis,
     delta_method,
@@ -61,7 +65,7 @@ class TestLevel:
 class TestGradient:
     def test_gumbel_unit_yp(self):
         g = return_level_gradient(GevParams(0, 1, 0), 1.0 - math.exp(-1.0))
-        assert g == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert g[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_gumbel_quarter(self):
         g = return_level_gradient(GevParams(0, 1, 0), 0.25)
@@ -87,18 +91,34 @@ class TestGradient:
     def test_fd_property_across_switch(self, mu, sigma, xi, p):
         params = GevParams(mu, sigma, xi)
         g = return_level_gradient(params, p)
-        if g.size == 2:
-            fd = central_gradient(
-                lambda t: return_level(GevParams(t[0], t[1], params.xi), p),
-                np.array([mu, sigma]),
-            )
-        else:
-            fd = central_gradient(
-                lambda t: return_level(GevParams(t[0], t[1], t[2]), p),
-                np.array([mu, sigma, xi]),
-            )
+        # three components on both sides of the Gumbel switch
+        fd = central_gradient(
+            lambda t: return_level(GevParams(t[0], t[1], t[2]), p),
+            np.array([mu, sigma, xi]),
+        )
         scale = np.maximum(np.abs(fd), 1e-6)
         assert np.all(np.abs(g - fd) / scale <= 1e-6)
+
+    @given(
+        st.floats(0.5, 30),
+        st.one_of(st.floats(GUMBEL_XI_EPS, 0.6),
+                  st.floats(-9.0, math.log10(0.6)).map(lambda e: max(10.0**e, GUMBEL_XI_EPS))),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(0.005, 0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath_above_the_switch(self, sigma, size, sign, p):
+        # (1, -a, -sigma*a') with a = (1 - y_p**(-xi))/xi, to 40 digits
+        xi = sign * size
+        with mpmath.workdps(40):
+            log_y = mpmath.log(-mpmath.log1p(-mpmath.mpf(p)))
+            w = mpmath.mpf(xi) * log_y
+            a = -mpmath.expm1(-w) / xi
+            a1 = (w * mpmath.exp(-w) + mpmath.expm1(-w)) / xi**2
+            expected = [1.0, float(-a), float(-sigma * a1)]
+        g = return_level_gradient(GevParams(50.0, sigma, xi), p)
+        assert g.size == 3
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0.0)
 
 
 class TestCi:
@@ -117,8 +137,17 @@ class TestCi:
         expected = se_mu**2 + (log_y**2) * se_sigma**2
         assert est.variance == pytest.approx(expected, rel=1e-12)
         assert est.variance == pytest.approx(
-            delta_method(fit.cov, return_level_gradient(fit.params, p)), rel=1e-12
+            delta_method(fit.cov, return_level_gradient(fit.params, p)[:2]), rel=1e-12
         )
+
+    def test_variance_is_continuous_through_the_gumbel_switch(self):
+        fit = bm.fit_gev(bm.sample(GevParams(80, 20, 0), 129, seed=3))
+        below, above = (
+            return_level_ci(dataclasses.replace(
+                fit, params=GevParams(fit.params.mu, fit.params.sigma, xi)), 0.01).variance
+            for xi in (1e-10, 1.1e-9)
+        )
+        assert below == pytest.approx(above, rel=1e-8)
 
     def test_structural_symmetry_and_widening(self):
         fit = synthetic_gumbel_fit()
