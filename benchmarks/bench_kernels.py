@@ -52,14 +52,16 @@ first alternating from seed to seed, and adds the pairs and their
 summary (medians, quartiles, the pairs each side won) to FILE under
 ``perfbench_pairs``.
 
-``--one-path-json FILE`` writes the ``one_path`` report of this tree: the
-crossover cases above 10 000 values (bootstrap B=999 at n = 10 001, 20 000
-and 50 000, and the jackknife at n = 12 000; see ``_paths``), each timed in
-ONE_PATH_PAIRS alternating pairs of the loop and the batched path, the path
-that runs first alternating from pair to pair, on one CPU (pinned, as
-``taskset -c 0``) and on every CPU.  Per case it holds the seconds of every
-run, each path's median and quartiles, the pairs each path won, and the se
-bits of both paths.
+``--plain-json FILE`` writes the ``plain_statistics`` report, for this tree
+and ``--src``: the plain statistic ``np.mean`` (no ``rows`` method) on
+``bm.sample(GevParams(79, 21, 0.1), n, seed=7)``, by bootstrap seed 3 at
+n=129 with B=999 and at n=3 with B=100 000, and by the jackknife at n=129
+(``PLAIN_CASES``), each on one CPU (pinned, as ``taskset -c 0``) and on
+every CPU.  The trees run in PLAIN_PAIRS alternating pairs of fresh
+interpreters, the side that runs first alternating from pair to pair; each
+run times PLAIN_CALLS calls per case after one untimed call.  Per case the
+file holds each side's per-run medians, their median and quartiles, the
+pairs each side won, and whether the se bits of the two trees agree.
 
 ``--identity --seeds A-B`` runs ``blockmax report`` in fresh interpreters
 of this tree and of ``--src``, pinned to one CPU (as ``taskset -c 0``) and
@@ -87,8 +89,8 @@ and the file gets the medians with the host facts.  The first run of each
 tree also takes the slow parts, on one CPU: a straggler sweep of small,
 strongly bounded or heavy-tailed samples (wall time, outcomes and refit
 counts), for a tree with Newton refits, bootstrap B=999 at n = 2048 to
-50 000 and the jackknife at n = 12 000 through the batched path and through
-the one-at-a-time loop, and the profile sweep (``HEAVY_PROFILES``: xi, mu,
+50 000 and the jackknife at n = 12 000 with ``Refit`` batched by its
+``rows`` method and as a plain callable, and the profile sweep (``HEAVY_PROFILES``: xi, mu,
 sigma and the 10- and 100-block levels, of the GEV(0, 1, xi) samples of n
 in ``HEAVY``, seeds 0-17: heavy-tailed samples whose profiles branch, and
 small or bounded ones whose profiles reach the nonregular shapes; 630
@@ -125,9 +127,12 @@ SIZES = (129, 2000, 10_000)
 CROSS_SIZES = (2048, 4096, 8192, 10_000, 20_000, 50_000)
 # the crossover's jackknife: leave-one-out rows above 10 000 values
 JACKKNIFE_N = 12_000
-# the one-path report: its bootstrap sizes, and its pairs per method
-ONE_PATH_SIZES = (10_001, 20_000, 50_000)
-ONE_PATH_PAIRS = {"bootstrap": 5, "jackknife": 3}
+# the plain-statistic report: (case, n, B) of np.mean, B None for the
+# jackknife; its pairs of fresh runs per tree, and its timed calls per run
+PLAIN_CASES = (("bootstrap_n129_b999", 129, 999), ("bootstrap_n3_b100000", 3, 100_000),
+               ("jackknife_n129", 129, None))
+PLAIN_PAIRS = 5
+PLAIN_CALLS = 5
 # (n, xi, seeds): samples where refits fail or straggle
 SWEEP = ((12, -0.8, range(10)), (12, 0.5, range(10)), (15, 1.0, range(10)))
 SWEEP_B = 400
@@ -250,10 +255,12 @@ def _sweep() -> dict:
 
 
 def _paths(method, n) -> dict:
-    """``{"loop": run, "batched": run}`` of one crossover case, each ``run()``
+    """``{"plain": run, "batched": run}`` of one crossover case, each ``run()``
     returning its report: ``bm.sample(GevParams(79, 21, 0.1), n, seed=7)``
     refit from its estimate, by bootstrap B=999 seed 3 or by the jackknife.
-    The loop is the same refit with ``.rows`` hidden, as a plain callable."""
+    "plain" is the same refit with ``.rows`` hidden, as a plain callable: a
+    tree with one resampling path calls it on the rows of each batch in
+    turn, an older tree runs it in its one-at-a-time loop."""
     values = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
     fit = bm.fit_gev(values)
     refit = bm.workflow.Refit(fit.model, start=fit.theta)
@@ -263,7 +270,7 @@ def _paths(method, n) -> dict:
             return bm.bootstrap(values, statistic, b=999, seed=3)
         return bm.jackknife(values, statistic)
 
-    return {"loop": lambda: run(lambda v: refit(v)), "batched": lambda: run(refit)}
+    return {"plain": lambda: run(lambda v: refit(v)), "batched": lambda: run(refit)}
 
 
 def _se_bits(report) -> str:
@@ -272,9 +279,10 @@ def _se_bits(report) -> str:
 
 def _crossover() -> dict:
     """Bootstrap B=999 of long samples and the jackknife at n = JACKKNIFE_N,
-    the batched path against the loop (see :func:`_paths`): seconds per path
-    and the se bits, which the two paths must share.  A tree that sends long
-    samples to the loop runs the loop on both paths there."""
+    ``Refit`` batched by its ``rows`` method against the same refit as a
+    plain callable (see :func:`_paths`): seconds of each and the se bits,
+    which the two must share.  A tree that sends long samples to the loop
+    runs the loop on both there."""
     out = {}
     for method, n in [("bootstrap", n) for n in CROSS_SIZES] + [("jackknife", JACKKNIFE_N)]:
         key = f"n{n}" if method == "bootstrap" else f"jackknife_n{n}"
@@ -283,7 +291,7 @@ def _crossover() -> dict:
             t0 = time.perf_counter()
             reports[path] = run()
             out[f"{key}.{path}_s"] = time.perf_counter() - t0
-        assert _se_bits(reports["loop"]) == _se_bits(reports["batched"]), key
+        assert _se_bits(reports["plain"]) == _se_bits(reports["batched"]), key
         out[f"{key}.se"] = _se_bits(reports["batched"])
     return out
 
@@ -291,54 +299,6 @@ def _crossover() -> dict:
 def _quartiles(values) -> list:
     q = statistics.quantiles(values, n=4)
     return [q[0], q[2]]
-
-
-def one_path() -> dict:
-    """The one-path report of this tree: see the module docstring."""
-    every = os.sched_getaffinity(0)
-    cases = [("bootstrap", n) for n in ONE_PATH_SIZES] + [("jackknife", JACKKNIFE_N)]
-    out = {}
-    try:
-        for label, mask in (("one_cpu", {min(every)}), ("all_cpus", every)):
-            os.sched_setaffinity(0, mask)
-            for method, n in cases:
-                paths = _paths(method, n)
-                seconds = {"loop": [], "batched": []}
-                se = {"loop": set(), "batched": set()}
-                for pair in range(ONE_PATH_PAIRS[method]):
-                    for path in (("loop", "batched") if pair % 2 == 0 else ("batched", "loop")):
-                        t0 = time.perf_counter()
-                        report = paths[path]()
-                        seconds[path].append(time.perf_counter() - t0)
-                        se[path].add(_se_bits(report))
-                loop, batched = seconds["loop"], seconds["batched"]
-                out[f"{label}.{method}_n{n}"] = {
-                    "loop_s": loop, "batched_s": batched,
-                    "loop_median_s": statistics.median(loop), "loop_quartiles_s": _quartiles(loop),
-                    "batched_median_s": statistics.median(batched),
-                    "batched_quartiles_s": _quartiles(batched),
-                    "batched_faster_in": sum(b < a for a, b in zip(loop, batched)),
-                    "loop_faster_in": sum(a < b for a, b in zip(loop, batched)),
-                    "se_bits": {path: sorted(bits) for path, bits in se.items()},
-                    "same_se_bits": len(se["loop"] | se["batched"]) == 1,
-                }
-                print(f"{label} {method} n={n} done", file=sys.stderr)
-    finally:
-        os.sched_setaffinity(0, every)
-    return {
-        "label": "one_path",
-        "command": "PYTHONPATH=src python benchmarks/bench_kernels.py --one-path-json BENCH_one_path.json",
-        "cores": "one_cpu: pinned to one CPU, as taskset -c 0 (no split); all_cpus: the "
-                 f"{len(every)} CPUs the process may use",
-        "host": _host(),
-        "input": "bm.sample(GevParams(79, 21, 0.1), n, seed=7), refit by Refit('gev', "
-                 "start=fit_gev(values).theta); bootstrap B=999 seed 3, or the jackknife; loop: "
-                 "the same refit as a plain callable",
-        "statistic": f"pairs per case {ONE_PATH_PAIRS}, in one process, the path that runs "
-                     "first alternating from pair to pair; quartiles by statistics.quantiles(n=4); "
-                     "*_faster_in counts pairs, ties for neither",
-        "results": out,
-    }
 
 
 def _profile_runs(values, fit, n_grid=100):
@@ -756,6 +716,76 @@ def worker_stage() -> dict:
     return out
 
 
+def plain_statistics() -> dict:
+    """One run of the plain-statistic report in this interpreter: per CPU set
+    and case of PLAIN_CASES, the median seconds of PLAIN_CALLS calls and the
+    se bits."""
+    every = os.sched_getaffinity(0)
+    out = {}
+    try:
+        for label, mask in (("one_cpu", {min(every)}), ("all_cpus", every)):
+            os.sched_setaffinity(0, mask)
+            for case, n, b in PLAIN_CASES:
+                values = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
+
+                def run(values=values, b=b):
+                    if b is None:
+                        return bm.jackknife(values, np.mean)
+                    return bm.bootstrap(values, np.mean, b=b, seed=3)
+
+                run()  # untimed: a split round forks its worker here
+                seconds = []
+                for _ in range(PLAIN_CALLS):
+                    t0 = time.perf_counter()
+                    report = run()
+                    seconds.append(time.perf_counter() - t0)
+                out[f"{label}.{case}"] = {"s": statistics.median(seconds), "se": _se_bits(report)}
+    finally:
+        os.sched_setaffinity(0, every)
+    return out
+
+
+def compare_plain(src) -> dict:
+    """The plain-statistic report of this tree ("change") and ``src`` ("parent"):
+    see the module docstring."""
+    trees = _trees(src)
+    runs = {side: [] for side in trees}
+    for pair in range(PLAIN_PAIRS):
+        for side in (list(trees) if pair % 2 == 0 else list(trees)[::-1]):
+            runs[side].append(_run_side(trees[side], "plain"))
+            print(f"pair {pair + 1}/{PLAIN_PAIRS} {side} done", file=sys.stderr)
+    results = {}
+    for key in runs["change"][0]:
+        seconds = {side: [run[key]["s"] for run in sides] for side, sides in runs.items()}
+        row = {}
+        for side, values in seconds.items():
+            row[f"{side}_s"] = values
+            row[f"{side}_median_s"] = statistics.median(values)
+            row[f"{side}_quartiles_s"] = _quartiles(values)
+        if src is not None:
+            pairs = list(zip(seconds["parent"], seconds["change"]))
+            row["change_faster_in"] = sum(c < p for p, c in pairs)
+            row["parent_faster_in"] = sum(p < c for p, c in pairs)
+        row["same_se_bits"] = len({run[key]["se"] for sides in runs.values() for run in sides}) == 1
+        results[key] = row
+    return {
+        "label": "plain_statistics",
+        "command": "python benchmarks/bench_kernels.py --plain-json BENCH_plain_statistics.json "
+                   "--src <src of a checkout of the parent commit>",
+        "cores": "one_cpu: pinned to one CPU, as taskset -c 0 (no split); all_cpus: the "
+                 f"{len(os.sched_getaffinity(0))} CPUs the process may use",
+        "host": _host(),
+        "input": "np.mean, a statistic without rows, on bm.sample(GevParams(79, 21, 0.1), n, "
+                 "seed=7): " + ", ".join(case for case, _, _ in PLAIN_CASES)
+                 + " (bootstrap seed 3)",
+        "statistic": f"{PLAIN_PAIRS} pairs of fresh interpreters, one per tree, the side that runs "
+                     f"first alternating from pair to pair; per run and case one untimed call, "
+                     f"then the median of {PLAIN_CALLS} timed calls; quartiles by "
+                     "statistics.quantiles(n=4); *_faster_in counts pairs, ties for neither",
+        "results": results,
+    }
+
+
 def _run_side(src, side) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     command = [sys.executable, __file__, "--side", side]
@@ -1103,8 +1133,8 @@ if __name__ == "__main__":
                         help="write the worker report of this tree (and of --src) to this file")
     parser.add_argument("--pairs-json", default=None,
                         help="add perfbench pairs of this tree and --src to this file")
-    parser.add_argument("--one-path-json", default=None,
-                        help="write the one-path report of this tree to this file")
+    parser.add_argument("--plain-json", default=None,
+                        help="write the plain-statistic report of this tree (and of --src) to this file")
     parser.add_argument("--memory-json", default=None,
                         help="add the memory of perfbench runs of this tree and --src to this file")
     parser.add_argument("--identity", action="store_true",
@@ -1113,10 +1143,11 @@ if __name__ == "__main__":
     parser.add_argument("--seeds", default=None, help="perfbench seeds of the pairs, A-B")
     parser.add_argument("--seconds", type=float, default=50.0, help="seconds per perfbench run")
     parser.add_argument("--src", default=None, help="src directory of the tree to compare against")
-    parser.add_argument("--side", choices=["fast", "slow", "passes", "worker"], help=argparse.SUPPRESS)
+    parser.add_argument("--side", choices=["fast", "slow", "passes", "worker", "plain"],
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side:  # one run, in its own interpreter
-        sides = {"passes": passes, "worker": worker_stage}
+        sides = {"passes": passes, "worker": worker_stage, "plain": plain_statistics}
         json.dump(sides[args.side]() if args.side in sides else layers(args.side == "slow"), sys.stdout)
     elif args.worker_json is not None:
         path = Path(args.worker_json)
@@ -1132,9 +1163,9 @@ if __name__ == "__main__":
             parser.error("--identity needs --src and --seeds")
         first, last = map(int, args.seeds.split("-"))
         sys.exit(0 if identity(list(range(first, last + 1)), args.src) else 1)
-    elif args.one_path_json is not None:
-        Path(args.one_path_json).write_text(json.dumps(one_path(), indent=2) + "\n")
-        print(f"wrote {args.one_path_json}", file=sys.stderr)
+    elif args.plain_json is not None:
+        Path(args.plain_json).write_text(json.dumps(compare_plain(args.src), indent=2) + "\n")
+        print(f"wrote {args.plain_json}", file=sys.stderr)
     elif args.pairs_json is not None:
         if args.src is None or args.seeds is None:
             parser.error("--pairs-json needs --src and --seeds")

@@ -46,12 +46,14 @@ class MaximaSample:
 
 
 def as_values(sample) -> np.ndarray:
-    """Contiguous float64 view of a MaximaSample or any 1-D array-like."""
+    """Contiguous float64 view of a MaximaSample or any 1-D array-like of finite values."""
     if isinstance(sample, MaximaSample):
         return sample.values
     arr = np.ascontiguousarray(np.asarray(sample, dtype=float))
     if arr.ndim != 1:
         raise ValueError("sample must be 1-D")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must all be finite")
     return arr
 
 

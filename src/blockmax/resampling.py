@@ -5,15 +5,17 @@ or vector.  Reports carry bias, standard error, |bias|/se, root mean square
 error and the bias-corrected estimate per component, plus the screening
 verdict helpers built on the quarter-of-a-standard-error rule of thumb.
 
-A statistic with a ``rows(X, failures)`` method, which returns
-``(theta, ok)`` for the rows of ``X`` and adds the cause of each failed row
-to the ``failures`` Counter (such as :class:`blockmax.inference.Refit`), is
-evaluated in batches at every sample size: the resampled samples are
-gathered into the rows of a matrix of about ``CHUNK_ELEMENTS`` values, and
-each batch is one ``rows`` call.  A batch's index matrix is drawn in one
-pass (:func:`_draws`), bit for bit the per-replicate streams of
-:func:`_draw`, so the samples are the same as in the one-at-a-time loop used
-for plain callables, and the reports are identical.
+Every statistic is evaluated in batches, at every sample size: the
+resampled samples are gathered into the rows of a matrix of about
+``CHUNK_ELEMENTS`` values.  A statistic with a ``rows(X, failures)`` method,
+which returns ``(theta, ok)`` for the rows of ``X`` and adds the cause of
+each failed row to the ``failures`` Counter (such as
+:class:`blockmax.inference.Refit`), evaluates a batch in one call; any other
+statistic is called on the rows of the batch one after the other (see
+:func:`_evaluate_rows`).  A batch's index matrix is drawn in one pass
+(:func:`_draws`), bit for bit the per-replicate streams of :func:`_draw`, so
+each replicate is the sample its own (seed, i, attempt) stream draws,
+whatever the batches and the processes.
 
 The batches of a round are near-equal, at least one per process, and are
 split between this process and its worker processes wherever every process
@@ -24,25 +26,22 @@ consumed here in batch order, so the reports and errors are those of a
 serial run.  A worker is forked at the first round that splits and serves
 every later one; it is killed when a round ends early or it dies (the next
 split forks another), it is reaped at exit, and a process forked from the
-caller does not share it.  A ``rows`` method may therefore run in a worker,
-in the module state of the moment that worker was forked (apart from the
+caller does not share it.  A statistic may therefore run in a worker, in
+the module state of the moment that worker was forked (apart from the
 warning filters and numpy's error state, and a statistic whose class was
 redefined since then, which :mod:`blockmax._fork` handles): its side effects
 there, other than warnings and the tallies of a ``counts`` Counter
 attribute (which come back and are added to the caller's statistic), are
-not seen by the caller.  A statistic that does not pickle runs all its
-batches here.  There is no option or environment variable for any of it:
-``taskset -c 0`` makes every round serial.
+not seen by the caller.  A statistic that does not pickle (a lambda, a
+closure) runs all its batches here; one that does (``np.mean``, a
+module-level function, a ``Refit``) may run its share in the worker.  There
+is no option or environment variable for any of it: ``taskset -c 0`` makes
+every round serial.
 
-:func:`bootstrap`, :func:`jackknife` and :func:`bootstrap_jackknife` send
-a ``rows`` statistic through one driver, :func:`_rounds`.  With both
-methods, the jackknife's batches ride in the bootstrap's first round: the
-fork rule counts the values of both, and every process gets a near-equal
-share of each; :func:`jackknife` alone is that round without bootstrap
-batches.  The reports and errors of :func:`bootstrap_jackknife` are those
-of :func:`bootstrap` and :func:`jackknife` called one after the other: the
-jackknife's error is raised from the round it rode in, once the bootstrap
-is done, and no batch runs twice.
+:func:`bootstrap`, :func:`jackknife` and :func:`bootstrap_jackknife` are
+calls of one body, :func:`_resample`, which evaluates the full-sample
+statistic once and runs one driver, :func:`_rounds`, where the jackknife's
+batches ride in the bootstrap's first round.
 """
 
 from __future__ import annotations
@@ -170,18 +169,37 @@ def _cause(exc: Exception) -> str:
     return getattr(exc, "cause", None) or type(exc).__name__
 
 
-def _evaluate(statistic, values) -> np.ndarray:
+def _evaluate(statistic, values, k=None) -> np.ndarray:
+    """The statistic of ``values`` as a finite 1-D vector, of ``k`` values where ``k`` is given."""
     out = np.atleast_1d(np.asarray(statistic(values), dtype=float))
     if out.ndim != 1:
         raise ValueError("statistic must return a scalar or 1-D vector")
+    if k is not None and out.size != k:
+        raise ValueError(f"statistic returned {out.size} values, expected {k}")
     if not np.all(np.isfinite(out)):
         raise _NonFinite("statistic returned non-finite values")
     return out
 
 
+def _attempt(fn, *args):
+    """``(fn(*args), None)``, or ``(None, exception)`` where the call raises."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # noqa: BLE001 - each caller counts or names the failure
+        return None, exc
+
+
 def _evaluate_rows(statistic, X, k, failures) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`_evaluate`: ``(theta, ok)`` for the rows of ``X``."""
-    theta, ok = statistic.rows(X, failures)
+    """Batched :func:`_evaluate`: ``(theta, ok)`` for the rows of ``X``.
+
+    A statistic with a ``rows`` method evaluates them in one call, and an
+    exception from that call propagates.  Any other statistic goes through
+    :func:`_evaluate` one row after the other: a row whose evaluation raises,
+    or gives other than ``k`` values, fails, and ``failures`` counts it under
+    the cause of its error.
+    """
+    rows = getattr(statistic, "rows", None)
+    theta, ok = _each_row(statistic, X, k, failures) if rows is None else rows(X, failures)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (X.shape[0], k):
         raise ValueError(f"statistic rows returned shape {theta.shape}, expected {(X.shape[0], k)}")
@@ -189,6 +207,18 @@ def _evaluate_rows(statistic, X, k, failures) -> tuple[np.ndarray, np.ndarray]:
     if not finite[ok].all():
         failures[_NonFinite.cause] += int(np.count_nonzero(ok & ~finite))
     return theta, ok & finite
+
+
+def _each_row(statistic, X, k, failures):
+    theta = np.full((X.shape[0], k), np.nan)
+    ok = np.zeros(X.shape[0], dtype=bool)
+    for r, row in enumerate(X):
+        out, exc = _attempt(_evaluate, statistic, row, k)
+        if exc is None:
+            theta[r], ok[r] = out, True
+        else:
+            failures[_cause(exc)] += 1
+    return theta, ok
 
 
 def _lanes(n: int) -> int:
@@ -326,6 +356,11 @@ def _check_bootstrap(b: int, seed: int):
         raise ValueError("seed must be a nonnegative integer")
 
 
+def _check_jackknife(n: int):
+    if n < 3:
+        raise ValueError("jackknife needs at least 3 observations")
+
+
 def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> ResamplingReport:
     """Nonparametric bootstrap bias and standard error of a statistic.
 
@@ -333,25 +368,66 @@ def bootstrap(sample, statistic, b: int = 999, seed: int = 0, labels=None) -> Re
     statistic on each: bias is the replicate mean minus the full-sample
     value, the standard error is the replicate standard deviation (divisor
     b - 1).  Replicate ``i`` draws from its own PCG64 stream seeded by
-    (seed, i, attempt), so results are deterministic and independent of any
-    parallel execution order.  A replicate whose statistic raises (or returns
-    non-finite values, or is not ``ok`` in a ``rows`` batch) is redrawn with
-    attempt + 1; more than 10% failures aborts.  An exception raised by a
-    ``rows`` call is not a failed replicate: it propagates.  In batches the
-    budget is checked once a round is finished, and the error lists the
-    causes of every failure so far.
+    (seed, i, attempt), so results are deterministic and independent of the
+    batches and processes the replicates run in (see :func:`_rounds`).  A
+    replicate whose statistic raises, returns non-finite values or the wrong
+    number of them (or is not ``ok`` in a ``rows`` batch) is redrawn with
+    attempt + 1 in the next round; more than 10% failures aborts.  An
+    exception raised by a ``rows`` call is not a failed replicate: it
+    propagates.  The budget is checked once a round is finished, and the
+    error lists the causes of every failure so far.
     """
-    values = as_values(sample)
-    _check_bootstrap(b, seed)
-    estimate = _evaluate(statistic, values)
+    return _resample(sample, statistic, labels, b, seed)[0]
 
-    replicates = np.empty((b, estimate.size))
-    failures: Counter = Counter()
-    if hasattr(statistic, "rows"):
-        failed = _rounds(values, statistic, seed, replicates, failures)
+
+def jackknife(sample, statistic, labels=None) -> ResamplingReport:
+    """Leave-one-out jackknife bias and standard error of a statistic.
+
+    Exactly n evaluations, one per deleted observation:
+    bias = (n-1)*(mean of leave-one-out values - full value),
+    se = sqrt((n-1)/n * sum (theta_(i) - mean)^2).  Fully deterministic;
+    any failed evaluation aborts with ResamplingError (there is no redraw to
+    fall back on).  The leave-one-out samples are evaluated in batches, one
+    round of :func:`_rounds`, and it aborts once every batch is in: naming
+    the first observation whose ``rows`` call raises alone (see
+    :func:`_leave_one_out`), or else the first failed evaluation and the
+    causes of every failure, whatever the batches and processes.
+    """
+    return _resample(sample, statistic, labels, jackknife=True)[1]
+
+
+def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=None):
+    """``(bootstrap(sample, statistic, b, seed, labels), jackknife(sample, statistic, labels))``.
+
+    The reports are those of the two calls, bit for bit.  The full-sample
+    value is evaluated once, and the jackknife's leave-one-out batches ride
+    in the bootstrap's first round (see :func:`_rounds`), so on two CPUs
+    neither waits for the other.  The errors are those of the two calls: the
+    bootstrap's come first, and the jackknife's is raised from that round
+    once the bootstrap is done.
+    """
+    return _resample(sample, statistic, labels, b, seed, jackknife=True)
+
+
+def _resample(sample, statistic, labels, b=None, seed=None, jackknife=False):
+    """``(bootstrap report, jackknife report)``, the first None where ``b`` is
+    None and the second without ``jackknife``."""
+    values = as_values(sample)
+    n = values.size
+    if b is None:
+        _check_jackknife(n)
     else:
-        failed = _bootstrap_loop(values, statistic, seed, replicates, failures)
-    return _bootstrap_report(labels, estimate, replicates, seed, failed, failures)
+        _check_bootstrap(b, seed)
+    estimate = _evaluate(statistic, values)
+    k = estimate.size
+    replicates = np.empty((0 if b is None else b, k))
+    loo = np.empty((n, k)) if jackknife and n >= 3 else None
+    failures: Counter = Counter()
+    failed = _rounds(values, statistic, seed, replicates, failures, loo)
+    if jackknife:
+        _check_jackknife(n)  # with the bootstrap: after its errors, as from the two calls
+    return (None if b is None else _bootstrap_report(labels, estimate, replicates, seed, failed, failures),
+            None if loo is None else _jackknife_report(labels, estimate, loo))
 
 
 def _bootstrap_report(labels, estimate, replicates, seed, failed, failures) -> ResamplingReport:
@@ -361,27 +437,12 @@ def _bootstrap_report(labels, estimate, replicates, seed, failed, failures) -> R
                      failed=failed, failures=dict(sorted(failures.items())))
 
 
-def _bootstrap_loop(values, statistic, seed, replicates, failures) -> int:
-    """Replicates one at a time; a failed one is redrawn at once.  The failure count."""
-    b, n = replicates.shape[0], values.size
-    failed = 0
-    for i in range(b):
-        attempt = 0
-        while True:
-            idx = _draw(seed, i, attempt, n)
-            try:
-                replicates[i] = _evaluate(statistic, values[idx])
-                break
-            except Exception as exc:  # noqa: BLE001 - any failed refit counts
-                failed += 1
-                failures[_cause(exc)] += 1
-                if failed > 0.10 * b:
-                    raise ResamplingError(
-                        f"{failed} of {b} bootstrap replicates failed "
-                        f"(limit 10%); last error: {exc!r}"
-                    ) from exc
-                attempt += 1
-    return failed
+def _jackknife_report(labels, estimate, loo) -> ResamplingReport:
+    n = loo.shape[0]
+    center = loo.mean(axis=0)
+    bias = (n - 1.0) * (center - estimate)
+    se = np.sqrt((n - 1.0) / n * ((loo - center) ** 2).sum(axis=0))
+    return _assemble("jackknife", labels, estimate, bias, se)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,13 +500,14 @@ def _split(work: _Round, runs, processes: int) -> list:
 
 
 def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
-    """The rounds of a ``rows`` statistic; the bootstrap's failure count.
+    """The rounds of a statistic; the bootstrap's failure count.
 
     The replicates fill ``replicates`` in batches of gathered rows, and failed
-    ones are redrawn next round.  Every replicate goes through the same
-    (seed, i, attempt) draws as in the loop, so the replicates, the failure
-    count and whether the budget breaks are the same; only the order of
-    evaluation differs.  A round's batches may be split over worker
+    ones are redrawn next round.  Every replicate goes through its own
+    (seed, i, attempt) draws (:func:`_draw`), so the replicates, the failure
+    count and whether the budget breaks are those of a run that evaluates
+    each replicate at once and redraws it until it succeeds; only the order
+    of evaluation differs.  A round's batches may be split over worker
     processes; they are consumed in order.
 
     With ``loo``, an (n, k) array, the jackknife's leave-one-out batches ride
@@ -488,7 +550,7 @@ def _rounds(values, statistic, seed, replicates, failures, loo=None) -> int:
             for (i, attempt), good in zip(item, ok):
                 if not good:
                     redraw.append((i, attempt + 1))
-                    failed += 1  # one at a time, to break at the same count as the loop
+                    failed += 1  # one at a time, to break at the same count at any batching
                     if broke is None and failed > 0.10 * b:
                         broke = failed
         if broke is not None:
@@ -515,100 +577,28 @@ def _loo_spans(n: int, processes: int) -> list[tuple[int, int]]:
 
 
 def _leave_one_out(values, statistic, k, span):
-    """``(theta, ok, counted)`` of the rows ``statistic.rows`` gives the samples
-    without observation i, for i in ``range(*span)``.
+    """``(theta, ok, counted)`` of the statistic's rows without observation i,
+    for i in ``range(*span)`` (see :func:`_evaluate_rows`).
 
-    Where that call raises, the batch runs again one row at a time, and the
-    result is ``("refit without observation i", exception)`` of the first
-    row that raises alone, or ``("batch from observation start", exception)``
-    where none does: the batch is named by its first row only, since its
-    last depends on the number of processes.
+    Where a ``rows`` call raises, the batch runs again one row at a time,
+    and the result is ``("refit without observation i", exception)`` of the
+    first row that raises alone, or ``("batch from observation start",
+    exception)`` where none does: the batch is named by its first row only,
+    since its last depends on the number of processes.
     """
     start, stop = span
     # row i skips observation i: column j reads j, or j + 1 from i on
     column = np.arange(values.size - 1)
     X = values[column + (column >= np.arange(start, stop)[:, None])]
     counted: Counter = Counter()
-    try:
-        theta, ok = _evaluate_rows(statistic, X, k, counted)
-    except Exception as batch:  # noqa: BLE001 - raised as the jackknife's error once the rounds end
-        for i, row in enumerate(X, start):
-            try:
-                _evaluate_rows(statistic, row[None, :], k, Counter())
-            except Exception as exc:  # noqa: BLE001 - as above
-                return f"refit without observation {i}", exc
-        return f"batch from observation {start}", batch
-    return theta, ok, counted
-
-
-def jackknife(sample, statistic, labels=None) -> ResamplingReport:
-    """Leave-one-out jackknife bias and standard error of a statistic.
-
-    Exactly n evaluations, one per deleted observation:
-    bias = (n-1)*(mean of leave-one-out values - full value),
-    se = sqrt((n-1)/n * sum (theta_(i) - mean)^2).  Fully deterministic;
-    any failed evaluation aborts with ResamplingError (there is no redraw to
-    fall back on).  With a ``rows`` statistic the leave-one-out samples are
-    evaluated in batches, one round of :func:`_rounds`, and it aborts once
-    every batch is in: naming, as the loop does, the first observation whose
-    row raises alone (see :func:`_leave_one_out`), or else the first failed
-    refit, whatever the batches and processes.
-    """
-    values = as_values(sample)
-    n = values.size
-    if n < 3:
-        raise ValueError("jackknife needs at least 3 observations")
-    estimate = _evaluate(statistic, values)
-    k = estimate.size
-
-    loo = np.empty((n, k))
-    if hasattr(statistic, "rows"):
-        _rounds(values, statistic, None, np.empty((0, k)), Counter(), loo)
-    else:
-        mask = np.ones(n, dtype=bool)
-        for i in range(n):
-            mask[i] = False
-            try:
-                loo[i] = _evaluate(statistic, values[mask])
-            except Exception as exc:  # noqa: BLE001
-                raise ResamplingError(
-                    f"jackknife refit without observation {i} failed: {exc!r}"
-                ) from exc
-            mask[i] = True
-    return _jackknife_report(labels, estimate, loo)
-
-
-def _jackknife_report(labels, estimate, loo) -> ResamplingReport:
-    n = loo.shape[0]
-    center = loo.mean(axis=0)
-    bias = (n - 1.0) * (center - estimate)
-    se = np.sqrt((n - 1.0) / n * ((loo - center) ** 2).sum(axis=0))
-    return _assemble("jackknife", labels, estimate, bias, se)
-
-
-def bootstrap_jackknife(sample, statistic, b: int = 999, seed: int = 0, labels=None):
-    """``(bootstrap(sample, statistic, b, seed, labels), jackknife(sample, statistic, labels))``.
-
-    The reports are those of the two calls, bit for bit, and a plain
-    callable makes the two calls.  With a ``rows`` statistic, at any sample
-    size, the full-sample value is evaluated once, and the jackknife's
-    leave-one-out batches ride in the bootstrap's first round (see
-    :func:`_rounds`), so on two CPUs neither waits for the other.  The
-    errors are those of the two calls: the bootstrap's come first, and the
-    jackknife's is raised from that round once the bootstrap is done.
-    """
-    values = as_values(sample)
-    n = values.size
-    if n < 3 or not hasattr(statistic, "rows"):
-        return bootstrap(values, statistic, b, seed, labels), jackknife(values, statistic, labels)
-    _check_bootstrap(b, seed)
-    estimate = _evaluate(statistic, values)
-    replicates = np.empty((b, estimate.size))
-    loo = np.empty((n, estimate.size))
-    failures: Counter = Counter()
-    failed = _rounds(values, statistic, seed, replicates, failures, loo)
-    return (_bootstrap_report(labels, estimate, replicates, seed, failed, failures),
-            _jackknife_report(labels, estimate, loo))
+    out, batch = _attempt(_evaluate_rows, statistic, X, k, counted)
+    if batch is None:
+        return (*out, counted)
+    for i, row in enumerate(X, start):
+        _, exc = _attempt(_evaluate_rows, statistic, row[None, :], k, Counter())
+        if exc is not None:
+            return f"refit without observation {i}", exc
+    return f"batch from observation {start}", batch
 
 
 def screen(report: ResamplingReport) -> tuple[Verdict, ...]:

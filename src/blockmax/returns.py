@@ -174,10 +174,15 @@ def return_level_ci(
     Gumbel fit.  Bounds are ``level +- z*sqrt(variance)``
     with the two-sided normal quantile z_{tau/2} by default; ``one_sided``
     switches to the one-sided ``1-tau`` quantile, matching the convention some
-    published tables use.  Passing ``sigma_corrected`` substitutes a
+    published tables use; ``tau`` must lie in (0, 1], or (0, 0.5] one-sided,
+    lest the bounds invert.  Passing ``sigma_corrected`` substitutes a
     bias-corrected scale into the level (recorded in ``level_basis``).
     """
     _check_p(p)
+    if one_sided and not 0.0 < tau <= 0.5:
+        raise ValueError("tau must lie in (0, 0.5] for a one-sided interval")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must lie in (0, 1]")
     if fit.cov is None:
         raise ValueError("fit has no covariance matrix; cannot build an interval")
     params = fit.params

@@ -2,8 +2,7 @@
 
 Row kernels against the scalar kernels, ``Refit.rows`` against one refit
 per row, and ``bootstrap``/``jackknife`` with ``Refit`` (batched rows)
-against the same statistic as a plain callable (the one-refit-at-a-time
-loop).
+against the one-refit-at-a-time loop that ``reference_resampling`` keeps.
 """
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blockmax as bm
+import reference_resampling as reference
 from blockmax.inference import ConvergenceError, Refit
 from blockmax.likelihood import (
     PENALTY,
@@ -151,15 +151,11 @@ def _assert_reports_equal(a, b):
     )
 
 
-def _plain(refit):
-    return lambda v: refit(v)  # hides .rows: the one-at-a-time loop
-
-
 def test_bootstrap_with_failing_replicates_matches_the_loop():
     x = bm.sample(bm.GevParams(0.0, 1.0, -0.8), 12, seed=5).values
     refit = Refit("gev")
     batched = bootstrap(x, refit, b=100, seed=1, labels=("mu", "sigma", "xi"))
-    loop = bootstrap(x, _plain(refit), b=100, seed=1, labels=("mu", "sigma", "xi"))
+    loop = reference.bootstrap(x, refit, b=100, seed=1, labels=("mu", "sigma", "xi"))
     # resamples that tie copies of the minimum: the search runs toward a
     # heavy tail without converging, or collapses the scale
     assert batched.failures == {"degenerate_sample": 1, "not_converged": 6}
@@ -171,8 +167,8 @@ def test_bootstrap_with_failing_replicates_matches_the_loop():
 def test_bootstrap_and_jackknife_match_the_loop(model):
     x = bm.sample(bm.GevParams(79.0, 21.0, 0.05), 60, seed=2).values
     refit = Refit(model)
-    _assert_reports_equal(bootstrap(x, refit, b=150, seed=7), bootstrap(x, _plain(refit), b=150, seed=7))
-    _assert_reports_equal(jackknife(x, refit), jackknife(x, _plain(refit)))
+    _assert_reports_equal(bootstrap(x, refit, b=150, seed=7), reference.bootstrap(x, refit, b=150, seed=7))
+    _assert_reports_equal(jackknife(x, refit), reference.jackknife(x, refit))
 
 
 class _RowsMean:
@@ -194,7 +190,7 @@ def test_rows_failures_are_redrawn_like_the_loop():
     x = np.arange(10.0)
     stat = _RowsMean()
     batched = bootstrap(x, stat, b=100, seed=9)
-    loop = bootstrap(x, lambda v: stat(v), b=100, seed=9)
+    loop = reference.bootstrap(x, stat, b=100, seed=9)
     assert batched.failed > 0 and batched.failures == {"RuntimeError": batched.failed}
     _assert_reports_equal(batched, loop)
 
@@ -252,7 +248,7 @@ def test_a_batch_error_of_the_jackknife_does_not_depend_on_the_processes(monkeyp
     assert messages[0] == messages[1] == "jackknife batch from observation 0 failed: KeyError('bug')"
 
 
-def test_failures_by_cause_in_the_loop():
+def test_failures_by_cause_of_a_plain_statistic_match_the_loop():
     def flaky(v):
         if v[0] == 9.0 and v[1] >= 7.0:
             raise ConvergenceError("no", "penalized_optimum")
@@ -263,6 +259,7 @@ def test_failures_by_cause_in_the_loop():
     rep = bootstrap(np.arange(10.0), flaky, b=200, seed=3)
     assert set(rep.failures) == {"penalized_optimum", "RuntimeError"}
     assert sum(rep.failures.values()) == rep.failed
+    _assert_reports_equal(rep, reference.bootstrap(np.arange(10.0), flaky, b=200, seed=3))
 
 
 def test_jackknife_rows_below_the_fit_minimum_is_a_resampling_error():

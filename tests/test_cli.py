@@ -216,6 +216,15 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "collapsed" in lines[0], proc.stderr
 
+    @pytest.mark.parametrize("command, flags", [
+        ("rlevel", "--tau 1.5"), ("rlevel", "--tau 0.7 --one-sided"), ("report", "--tau 1.5"),
+    ])
+    def test_a_tau_that_would_invert_the_bounds_exits_2(self, tmp_path, capsys, command, flags):
+        out = ["--out-dir", str(tmp_path / "out")] if command == "report" else []
+        code, _, err = run(capsys, command, str(README_INPUT), "--model", "gev", "--periods", "100",
+                           *flags.split(), *out)
+        assert code == 2 and "tau must lie in" in err
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["fit", "file.txt", "--model", "weibull"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import blockmax as bm
 from blockmax import IngestError, MaximaSample, ingest
 
 
@@ -101,3 +102,22 @@ class TestIngest:
         path = write(tmp_path, "Year,data\n2001,10.0\n2002,11.0\n", "d.csv")
         with pytest.raises(IngestError, match="unknown format"):
             ingest(path, fmt="nonsense")
+
+
+_NON_FINITE_CALLS = {
+    "fit_gev": lambda x: bm.fit_gev(x),
+    "profile": lambda x: bm.profile(x, model="gev", which="xi"),
+    "bootstrap": lambda x: bm.bootstrap(x, np.mean, b=20, seed=0),
+    "jackknife": lambda x: bm.jackknife(x, np.mean),
+    "nllh_gev": lambda x: bm.nllh_gev(x, bm.GevParams(79.0, 21.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(_NON_FINITE_CALLS))
+def test_raw_arrays_with_non_finite_values_are_rejected(call, bad):
+    # as MaximaSample rejects them, with its message
+    x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 40, seed=1).values.copy()
+    x[5] = bad
+    with pytest.raises(ValueError, match="^values must all be finite$"):
+        _NON_FINITE_CALLS[call](x)

@@ -5,7 +5,8 @@ differentiation of the per-value negative log-likelihood at 50 digits; the
 row contract (row r is the one-row call, bit for bit, and the value is the
 row kernel's); and ``Refit(model, start)``: Newton optima at least as good
 as the simplex search's, fallback rows bit for bit those of
-``Refit(model)``, and the loop, the batched and the forked runs identical.
+``Refit(model)``, and the loop (``reference_resampling``), the batched and
+the forked runs identical.
 """
 
 import mpmath
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockmax as bm
+import reference_resampling as reference
 from blockmax import _fork
 from blockmax.inference import (
     NONREGULAR,
@@ -242,10 +244,6 @@ def test_a_nonregular_start_falls_back_on_every_row():
     assert refit.counts[NONREGULAR] == X.shape[0] - np.count_nonzero(X.min(axis=1) == X.max(axis=1))
 
 
-def _plain(refit):
-    return lambda v: refit(v)  # hides .rows: the one-at-a-time loop
-
-
 def _same_report(a, b):
     for name in ("estimate", "bias", "se", "ratio", "rmse", "corrected"):
         assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
@@ -257,15 +255,15 @@ def test_newton_loop_and_batches_give_the_same_reports(model):
     x = bm.sample(bm.GevParams(79.0, 21.0, 0.05), 60, seed=2).values
     fit = bm.fit_gev(x) if model == "gev" else bm.fit_gumbel(x)
     refit = Refit(model, start=fit.theta)
-    _same_report(bootstrap(x, refit, b=150, seed=7), bootstrap(x, _plain(refit), b=150, seed=7))
-    _same_report(jackknife(x, refit), jackknife(x, _plain(refit)))
+    _same_report(bootstrap(x, refit, b=150, seed=7), reference.bootstrap(x, refit, b=150, seed=7))
+    _same_report(jackknife(x, refit), reference.jackknife(x, refit))
 
 
 def test_newton_loop_and_batches_agree_on_failing_replicates():
     x = bm.sample(bm.GevParams(0.0, 1.0, -0.8), 12, seed=5).values
     refit = Refit("gev", start=np.array([0.1, 0.9, -0.3]))
     batched = bootstrap(x, refit, b=16, seed=1, labels=LABELS)
-    loop = bootstrap(x, _plain(refit), b=16, seed=1, labels=LABELS)
+    loop = reference.bootstrap(x, refit, b=16, seed=1, labels=LABELS)
     assert batched.failures == {"not_converged": 1}
     _same_report(batched, loop)
 

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockmax as bm
-from blockmax import ResamplingError, Verdict, bootstrap, jackknife, rmse, rmse_approx, screen
+import reference_resampling as reference
+from blockmax import ResamplingError, Verdict, _fork, bootstrap, jackknife, resampling, rmse, rmse_approx, screen
+from blockmax.inference import ConvergenceError
+from blockmax.resampling import bootstrap_jackknife
 
 
 class TestBootstrap:
@@ -48,6 +51,9 @@ class TestBootstrap:
             return np.mean(v)
 
         with pytest.raises(ResamplingError, match="limit 10%"):
+            bootstrap(np.arange(10.0), flaky, b=50, seed=0)
+        # the budget of 5 breaks at the 6th failure, and the round ends first
+        with pytest.raises(ResamplingError, match=r"^6 of 50 .*limit 10%\); causes: RuntimeError$"):
             bootstrap(np.arange(10.0), flaky, b=50, seed=0)
 
     def test_occasional_failures_are_redrawn(self):
@@ -106,12 +112,113 @@ class TestJackknife:
                 raise RuntimeError("cannot refit")
             return np.mean(v)
 
-        with pytest.raises(ResamplingError):
+        with pytest.raises(ResamplingError,
+                           match=r"^jackknife refit without observation 0 failed; causes: RuntimeError$"):
             jackknife(np.arange(10.0), fragile)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             jackknife(np.array([1.0, 2.0]), np.mean)
+
+
+def _pair(v):
+    return np.array([v.mean(), v.std()])
+
+
+def _flaky(v):
+    """The mean, failing where the first values tie: on some resamples, never
+    on a sample of distinct values."""
+    if v[0] == v[1]:
+        raise RuntimeError("tied")
+    if v[1] == v[2]:
+        raise ConvergenceError("tied", "not_converged")
+    return np.mean(v)
+
+
+def _same_report(a, b):
+    for name in ("estimate", "bias", "se", "ratio", "rmse", "corrected"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.method, a.labels, a.b, a.seed, a.failed, a.failures) == (
+        b.method, b.labels, b.b, b.seed, b.failed, b.failures)
+
+
+DISTINCT = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 100, seed=2).values
+
+
+class TestPlainStatistics:
+    """A statistic without ``rows`` takes the batched rounds, and they give
+    the reports of the one-at-a-time loop (``reference_resampling``)."""
+
+    def test_every_replicate_is_drawn_in_batches(self, monkeypatch):
+        monkeypatch.setattr(_fork, "cpus", lambda: 1)  # the spy sees every batch
+        drawn, draws = [], resampling._draws
+
+        def spy(seed, chunk, n):
+            drawn.extend(chunk)
+            return draws(seed, chunk, n)
+
+        monkeypatch.setattr(resampling, "_draws", spy)
+        rep = bootstrap(DISTINCT, np.mean, b=300, seed=1)
+        assert sorted(drawn) == [(i, 0) for i in range(300)]
+        drawn.clear()
+        rep = bootstrap(DISTINCT, _flaky, b=300, seed=1)
+        assert rep.failed > 0 and len(drawn) == 300 + rep.failed
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("statistic", [np.mean, _pair, _flaky])
+    def test_reports_match_the_loop(self, monkeypatch, statistic, processes):
+        monkeypatch.setattr(_fork, "processes", lambda work, min_share: processes)
+        boot = bootstrap(DISTINCT, statistic, b=200, seed=3)
+        _same_report(boot, reference.bootstrap(DISTINCT, statistic, b=200, seed=3))
+        _same_report(jackknife(DISTINCT, statistic), reference.jackknife(DISTINCT, statistic))
+        for a, b in zip(bootstrap_jackknife(DISTINCT, statistic, b=200, seed=3),
+                        reference.bootstrap_jackknife(DISTINCT, statistic, b=200, seed=3)):
+            _same_report(a, b)
+        if statistic is _flaky:
+            assert boot.failures.keys() == {"RuntimeError", "not_converged"}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_errors_do_not_depend_on_the_processes(self, monkeypatch, processes):
+        monkeypatch.setattr(_fork, "processes", lambda work, min_share: processes)
+        with pytest.raises(ResamplingError, match=r"^6 of 50 .*causes: RuntimeError, not_converged$"):
+            bootstrap(np.arange(3.0), _flaky, b=50, seed=0)
+        # without observation 1 the first values tie, without 2 the next ones
+        with pytest.raises(ResamplingError, match=r"^jackknife refit without observation 1 failed; "
+                                                  r"causes: RuntimeError, not_converged$"):
+            jackknife(np.array([1.0, 2.0, 1.0, 2.0]), _flaky)
+
+    def test_a_statistic_that_pickles_may_run_in_the_worker(self):
+        x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), 129, seed=1).values
+        values = 999 * x.size
+        split = bootstrap_jackknife(x, np.mean, b=999, seed=4)
+        assert len(_fork._workers) == _fork.processes(values, resampling.MIN_SHARE_VALUES) - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_fork, "cpus", lambda: 1)
+            alone = bootstrap_jackknife(x, np.mean, b=999, seed=4)
+        for a, b in zip(split, alone):
+            _same_report(a, b)
+        _fork.close()
+        bootstrap(x, lambda v: np.mean(v), b=999, seed=4)
+        assert not _fork._workers  # a lambda does not pickle: it runs here
+
+    def test_the_joint_call_evaluates_the_full_sample_once(self):
+        full = []
+
+        def mean(v):
+            full.append(v is DISTINCT)
+            return np.mean(v)
+
+        bootstrap_jackknife(DISTINCT, mean, b=20, seed=0)
+        assert sum(full) == 1 and len(full) == 1 + 20 + DISTINCT.size
+
+    def test_a_result_of_the_wrong_size_fails_the_replicate(self):
+        def grows(v):
+            return np.full(1 + (v[0] == v.max()), np.mean(v))
+
+        x = np.arange(20.0)
+        rep = bootstrap(x, grows, b=100, seed=2)
+        assert rep.failed > 0 and rep.failures == {"ValueError": rep.failed}
+        _same_report(rep, reference.bootstrap(x, grows, b=100, seed=2))
 
 
 class TestRmseAndScreen:

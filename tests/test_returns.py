@@ -166,6 +166,17 @@ class TestCi:
         ratio = (two.ci[1] - two.level) / (one.ci[1] - one.level)
         assert ratio == pytest.approx(1.959964 / 1.644854, abs=1e-6)
 
+    @pytest.mark.parametrize("tau, one_sided", [(1.5, False), (0.0, False), (-0.1, False),
+                                                (0.7, True), (1.0, True), (0.0, True)])
+    def test_rejects_a_tau_that_would_invert_the_bounds(self, tau, one_sided):
+        with pytest.raises(ValueError, match="tau must lie in"):
+            return_level_ci(synthetic_gumbel_fit(), 0.01, tau=tau, one_sided=one_sided)
+
+    @pytest.mark.parametrize("tau, one_sided", [(1.0, False), (0.5, True)])
+    def test_the_widest_tau_gives_an_empty_interval(self, tau, one_sided):
+        est = return_level_ci(synthetic_gumbel_fit(), 0.01, tau=tau, one_sided=one_sided)
+        assert est.ci == (est.level, est.level)
+
     def test_bias_corrected_basis(self):
         fit = synthetic_gumbel_fit()
         raw = return_level_ci(fit, 0.25)

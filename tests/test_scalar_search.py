@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import blockmax as bm
 import frozen_scalar_search as frozen
+import reference_resampling as reference
 from blockmax import simplex as live
 from blockmax._core import _kernels_py as kernels
 from blockmax.cli import main
@@ -383,8 +384,8 @@ def test_rows_mark_constant_rows_without_raising(model):
     assert _bits(theta[ok]) == _bits(want) and want_ok.all()
 
 
-class _Loop:
-    """A refit statistic without ``rows``: resampling takes the per-row loop."""
+class _Plain:
+    """A refit statistic without ``rows``: the batches call it row by row."""
 
     def __init__(self, model):
         self.refit = Refit(model)
@@ -393,17 +394,19 @@ class _Loop:
         return self.refit(values)
 
 
-def test_bootstrap_counts_constant_resamples_on_both_paths():
+def test_bootstrap_counts_constant_resamples_as_the_loop_does():
     # 7 of 10 values equal: about 3% of resamples hold nothing else
     values = np.array([5.0] * 7 + [6.0, 7.5, 9.0])
     rows = bootstrap(values, Refit("gumbel"), b=100, seed=3)
-    loop = bootstrap(values, _Loop("gumbel"), b=100, seed=3)
-    assert rows.failures == loop.failures == {"degenerate_sample": rows.failed}
+    assert rows.failures == {"degenerate_sample": rows.failed}
     assert rows.failed > 0
-    assert _bits(rows.bias) == _bits(loop.bias) and _bits(rows.se) == _bits(loop.se)
+    for other in (bootstrap(values, _Plain("gumbel"), b=100, seed=3),
+                  reference.bootstrap(values, Refit("gumbel"), b=100, seed=3)):
+        assert rows.failures == other.failures
+        assert _bits(rows.bias) == _bits(other.bias) and _bits(rows.se) == _bits(other.se)
 
 
-@pytest.mark.parametrize("statistic", [Refit("gumbel"), _Loop("gumbel")])
+@pytest.mark.parametrize("statistic", [Refit("gumbel"), _Plain("gumbel")])
 def test_jackknife_with_a_constant_deletion_fails(statistic):
     values = np.array([5.0] * 11 + [6.0])  # leaving out the 6.0 leaves a constant sample
     with pytest.raises(ResamplingError, match="observation 11"):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import blockmax as bm
+import reference_resampling as reference
 from blockmax import _fork, resampling
 from blockmax.cli import main
 from blockmax.inference import Refit, fit_gev, fit_gumbel, profile
@@ -123,12 +124,13 @@ def test_long_samples_match_the_loop_and_the_serial_run(n, b):
     x = bm.sample(bm.GevParams(79.0, 21.0, 0.1), n, seed=7).values
     refit = Refit("gev", start=fit_gev(x).theta)
 
-    def run(statistic):
-        return _with_replicates(lambda: bootstrap(x, statistic, b=b, seed=3, labels=LABELS))
+    def run():
+        return _with_replicates(lambda: bootstrap(x, refit, b=b, seed=3, labels=LABELS))
 
-    split, split_replicates = run(refit)
+    split, split_replicates = run()
     assert len(_fork._workers) == _fork.processes(b * n, resampling.MIN_SHARE_VALUES) - 1
-    for report, replicates in (_serially(lambda: run(refit)), run(lambda v: refit(v))):
+    loop = _with_replicates(lambda: reference.bootstrap(x, refit, b=b, seed=3, labels=LABELS))
+    for report, replicates in (_serially(run), loop):
         assert _bits(replicates) == _bits(split_replicates)
         _same_report(report, split)
     _no_children_after_close()
